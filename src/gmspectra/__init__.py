@@ -15,7 +15,7 @@ from .subspaces import (SubspaceDecomposition, SubspaceSpectrum, decompose,
                         node_closure, subspace_block, subspace_spectrum)
 from .arnoldi import (ArnoldiResult, EigvecProfile, IntegratedSpectrum,
                       arnoldi_core, eigvec_profile, integrated_spectrum,
-                      write_spectrum_csv)
+                      memory_estimate, write_spectrum_csv)
 from .stats import (CorrelatorReport, DensityGrid, FillingCurve, PowerLawFit,
                     SubspaceFractionCurve, beta_from_mu, correlator,
                     degree_exponent, density_2d, n_k_counts, ng_filling,

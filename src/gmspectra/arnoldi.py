@@ -3,8 +3,11 @@
 The core-block matvec embeds a core-supported vector into the full network,
 applies S, and truncates back to the core: contributions leaking into the
 invariant subspaces are exactly the discarded coupling block, so this is the
-projected core operator. Modified Gram-Schmidt with one unconditional full
-reorthogonalization pass keeps the basis orthonormal to ~1e-14.
+projected core operator. Classical Gram-Schmidt applied twice (CGS2, "twice
+is enough": Giraud, Langou & Rozloznik 2005) keeps the basis orthonormal to
+~1e-14. Its block products, like the Ritz-vector products, are fixed-order
+``np.einsum`` reductions rather than BLAS calls, whose summation order can
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -53,13 +56,20 @@ class EigvecProfile:
         return np.arange(1, self.moduli.size + 1)
 
 
-def _dot(a, b):
-    # plain elementwise-product reduction: deterministic, no BLAS threading
-    return np.sum(np.conj(a) * b) if np.iscomplexobj(a) else np.sum(a * b)
-
-
 def _norm(a):
     return float(np.sqrt(np.sum(np.abs(a) ** 2)))
+
+
+def _cgs2(v, w):
+    """Project ``w`` in place off the orthonormal rows of ``v`` by two
+    classical Gram-Schmidt passes; returns the summed coefficients ``v @ w``.
+
+    Each pass reads the basis block twice and allocates only vectors."""
+    h = np.einsum("ij,j->i", v, w)
+    w -= np.einsum("i,ij->j", h, v)
+    c = np.einsum("ij,j->i", v, w)
+    w -= np.einsum("i,ij->j", c, v)
+    return h + c
 
 
 def _restart_vector(basis, k, rng):
@@ -67,14 +77,22 @@ def _restart_vector(basis, k, rng):
     n = basis.shape[1]
     for _ in range(10):
         v = rng.standard_normal(n)
-        for j in range(k + 1):
-            v -= _dot(basis[j], v) * basis[j]
-        for j in range(k + 1):
-            v -= _dot(basis[j], v) * basis[j]
+        _cgs2(basis[:k + 1], v)
         norm = _norm(v)
         if norm > BREAKDOWN_TOL:
             return v / norm
     raise RuntimeError("could not find a vector outside the Krylov space")
+
+
+def memory_estimate(n_core: int, n_arnoldi: int, n_vectors: int) -> int:
+    """Bytes of the arrays ``arnoldi_core`` holds that grow with the Arnoldi
+    dimension: the Krylov basis, the Hessenberg matrix, its complex
+    eigenvector matrix, plus ``n_vectors`` complex Ritz vectors. The graph
+    and a few core-length work vectors are not counted."""
+    basis = (n_arnoldi + 1) * n_core * 8
+    hess = (n_arnoldi + 1) * n_arnoldi * 8
+    eigvecs = n_arnoldi * n_arnoldi * 16
+    return basis + hess + eigvecs + n_vectors * n_core * 16
 
 
 def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int,
@@ -88,7 +106,10 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
     deterministic vector orthogonal to the basis, which with
     ``n_arnoldi == core size`` yields the complete core spectrum.
     Ritz vectors are materialized only for ``vector_indices`` (indices into
-    the modulus-sorted Ritz order).
+    the modulus-sorted Ritz order); an index outside ``[0, n_arnoldi)``, or
+    at or past the dimension reached at a breakdown, raises ``ValueError``.
+    ``check`` records the orthogonality defect and the Arnoldi relation
+    residual; it costs no extra matvecs.
     """
     if on_breakdown not in ("stop", "restart"):
         raise ValueError(f"unknown on_breakdown {on_breakdown!r}")
@@ -98,6 +119,11 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
         raise ValueError("core space is empty")
     if not 1 <= n_arnoldi <= n_core:
         raise ValueError(f"n_arnoldi must be in [1, {n_core}], got {n_arnoldi}")
+    if vector_indices is not None:
+        vector_indices = [int(idx) for idx in vector_indices]
+        bad = [idx for idx in vector_indices if not 0 <= idx < n_arnoldi]
+        if bad:
+            raise ValueError(f"Ritz indices must be in [0, {n_arnoldi}), got {bad}")
 
     op = GoogleOperator(g, alpha=1.0, threads=threads)
     n_full = g.node_count
@@ -125,24 +151,24 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
     rng = np.random.default_rng(0x5eed)
     breakdown = False
     k_used = n_arnoldi
+    defect = 0.0
 
     for k in range(n_arnoldi):
-        w = matvec(basis[k])
-        for j in range(k + 1):
-            h = _dot(basis[j], w)
-            w -= h * basis[j]
-            hess[j, k] += h
-        # one unconditional full reorthogonalization pass
-        for j in range(k + 1):
-            c = _dot(basis[j], w)
-            w -= c * basis[j]
-            hess[j, k] += c
+        av = matvec(basis[k])
+        w = av.copy()
+        hess[:k + 1, k] = _cgs2(basis[:k + 1], w)
         norm = _norm(w)
-        if norm < BREAKDOWN_TOL:
-            hess[k + 1, k] = 0.0
-            if k + 1 == n_arnoldi:
-                k_used = n_arnoldi
-                break
+        happy = norm < BREAKDOWN_TOL
+        if not happy:
+            hess[k + 1, k] = norm
+            basis[k + 1] = w / norm
+        if check:
+            # Arnoldi relation A v_k = V h_k against this step's own matvec;
+            # the matvec is deterministic, so re-running it gives equal bits.
+            # A restart vector enters with coefficient 0 and is not needed yet.
+            av -= np.einsum("i,ij->j", hess[:k + 2, k], basis[:k + 2])
+            defect = max(defect, float(np.max(np.abs(av))))
+        if happy and k + 1 < n_arnoldi:
             if on_breakdown == "stop":
                 breakdown = True
                 k_used = k + 1
@@ -150,9 +176,10 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
                 hess = hess[:k_used + 1, :k_used]
                 break
             basis[k + 1] = _restart_vector(basis, k, rng)
-        else:
-            hess[k + 1, k] = norm
-            basis[k + 1] = w / norm
+
+    if vector_indices and max(vector_indices) >= k_used:
+        raise ValueError(f"Ritz index {max(vector_indices)} is out of range: the "
+                         f"Krylov space broke down at dimension {k_used}")
 
     square = hess[:k_used, :k_used]
     values, vecs = np.linalg.eig(square)
@@ -166,10 +193,13 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
 
     ritz_vectors = None
     if vector_indices is not None:
+        # two real fixed-order products: no complex copy of the basis
         ritz_vectors = {}
         for idx in vector_indices:
-            vec = basis[:k_used].T.astype(np.complex128) @ vecs[:, idx]
-            ritz_vectors[int(idx)] = vec
+            vec = np.empty(n_core, dtype=np.complex128)
+            vec.real = np.einsum("i,ij->j", vecs[:, idx].real, basis[:k_used])
+            vec.imag = np.einsum("i,ij->j", vecs[:, idx].imag, basis[:k_used])
+            ritz_vectors[idx] = vec
 
     ortho_defect = relation_residual = None
     if check:
@@ -177,11 +207,6 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
         rows = k_used + 1 if hess[k_used, k_used - 1] != 0.0 else k_used
         gram = basis[:rows] @ basis[:rows].T
         ortho_defect = float(np.max(np.abs(gram - np.eye(rows))))
-        defect = 0.0
-        for k in range(k_used):
-            av = matvec(basis[k])
-            av -= basis[:k_used + 1].T @ hess[:k_used + 1, k]
-            defect = max(defect, float(np.max(np.abs(av))))
         relation_residual = defect
 
     return ArnoldiResult(values, residuals, k_used, hess, core,

@@ -168,32 +168,32 @@ def cmd_spectrum(args) -> int:
         "max_size": args.max_size, "dense_limit": args.dense_limit,
         "max_ram_gb": args.max_ram, "threads": args.threads,
     })
+    if args.arnoldi_dim < 1:
+        raise CliError(EXIT_BAD_PARAMETER, "--arnoldi-dim must be >= 1")
+    vector_indices = _parse_indices(args.vectors) if args.vectors else None
     g = _load_graph(args.cache)
     manifest.add_input(args.cache)
     if args.inverted:
         g = gr.invert(g)
-    if args.arnoldi_dim < 1:
-        raise CliError(EXIT_BAD_PARAMETER, "--arnoldi-dim must be >= 1")
     max_size = args.max_size or sub.default_max_size(g.node_count)
     decomp = sub.decompose(g, max_size=max_size)
     if decomp.core_count == 0:
         raise CliError(EXIT_COMPUTE, "core space is empty; nothing for the Arnoldi stage")
     n_arnoldi = min(args.arnoldi_dim, decomp.core_count)
-    basis_bytes = (n_arnoldi + 1) * decomp.core_count * 8
-    if args.max_ram is not None and basis_bytes > args.max_ram * 2**30:
+    need = arn.memory_estimate(decomp.core_count, n_arnoldi,
+                               len(set(vector_indices or ())))
+    if args.max_ram is not None and need > args.max_ram * 2**30:
         raise CliError(EXIT_BAD_PARAMETER,
-                       f"Krylov basis needs ~{basis_bytes / 2**30:.2f} GiB, "
+                       f"Arnoldi stage needs ~{need / 2**30:.2f} GiB, "
                        f"over the --max-ram cap of {args.max_ram} GiB")
-    vector_indices = None
-    if args.vectors:
-        try:
-            vector_indices = [int(tok) for tok in args.vectors.split(",")]
-        except ValueError:
-            raise CliError(EXIT_BAD_PARAMETER,
-                           f"--vectors expects comma-separated indices, got {args.vectors!r}")
+    # arnoldi_core rejects a Ritz index >= n_arnoldi before it does any work,
+    # so it runs ahead of the block spectra
+    try:
+        result = arn.arnoldi_core(g, decomp, n_arnoldi, vector_indices=vector_indices,
+                                  threads=args.threads)
+    except RuntimeError as exc:
+        raise CliError(EXIT_COMPUTE, str(exc)) from exc
     spectrum = sub.subspace_spectrum(g, decomp, dense_limit=args.dense_limit)
-    result = arn.arnoldi_core(g, decomp, n_arnoldi, vector_indices=vector_indices,
-                              threads=args.threads)
     csv_path = f"{args.out}.csv"
     arn.write_spectrum_csv(csv_path, spectrum, result)
     manifest.add_output(csv_path)
@@ -214,6 +214,17 @@ def cmd_spectrum(args) -> int:
     print(f"core spectrum: {result.ritz_values.size} Ritz values, "
           f"leading |lambda| = {abs(lam1):.8f}")
     return EXIT_OK
+
+
+def _parse_indices(spec: str) -> list[int]:
+    try:
+        indices = [int(tok) for tok in spec.split(",")]
+    except ValueError:
+        indices = None
+    if indices is None or min(indices) < 0:
+        raise CliError(EXIT_BAD_PARAMETER,
+                       f"--vectors expects comma-separated non-negative indices, got {spec!r}")
+    return indices
 
 
 def _parse_grid(spec: str):
@@ -387,7 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--dense-limit", type=int, default=sub.DEFAULT_DENSE_LIMIT)
     p.add_argument("--max-ram", type=float, default=None,
-                   help="fail fast if the Krylov basis would exceed this many GiB")
+                   help="fail fast if the Arnoldi stage would hold more than this many "
+                        "GiB: the Krylov basis (dim+1 core vectors), the Hessenberg "
+                        "matrix, its complex eigenvector matrix and the requested "
+                        "complex Ritz vectors")
     p.set_defaults(func=cmd_spectrum)
 
     p = commands.add_parser("stats", help="correlator, densities, N_K/N_G, fits")
@@ -415,6 +429,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"gmspectra: {exc}", file=sys.stderr)
         return exc.code
+    except np.linalg.LinAlgError as exc:  # a ValueError, but a compute failure
+        print(f"gmspectra: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
     except ValueError as exc:
         print(f"gmspectra: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMETER

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from gmspectra import (arnoldi_core, decompose, dense_s, eigvec_profile,
-                       from_edges, integrated_spectrum, parse_edge_list,
-                       subspace_spectrum, write_spectrum_csv)
+import gmspectra.arnoldi
+from gmspectra import (GoogleOperator, arnoldi_core, decompose, dense_s,
+                       eigvec_profile, from_edges, integrated_spectrum,
+                       parse_edge_list, subspace_spectrum, write_spectrum_csv)
 from gmspectra.subspaces import SubspaceDecomposition, SubspaceSpectrum
 
 from conftest import random_graph
@@ -86,6 +87,50 @@ def test_happy_breakdown_stop_flagged():
     assert res.breakdown
     assert res.krylov_dimension < 3
     assert res.relation_residual < 1e-10
+
+
+def _mirrored_graph(rng, m):
+    """Two identical copies of a random m-node graph, every node linked to
+    one shared dangling node. The swap of the copies commutes with S, so the
+    Krylov space of the uniform start breaks down at dimension <= m + 1 of
+    the 2m + 1 core nodes."""
+    adj = rng.random((m, m)) < 0.3
+    src, dst = np.nonzero(adj)
+    src = np.concatenate([src, src + m, np.arange(2 * m)])
+    dst = np.concatenate([dst, dst + m, np.full(2 * m, 2 * m)])
+    return from_edges(src, dst, 2 * m + 1)
+
+
+@pytest.mark.parametrize("on_breakdown", ["restart", "stop"])
+def test_relation_residual_matches_dense_recomputation(rng, monkeypatch, on_breakdown):
+    g = _mirrored_graph(rng, 12)
+    d = decompose(g, max_size=g.node_count)
+    assert d.core_count == g.node_count
+    inputs = []
+
+    class Recording(GoogleOperator):
+        def apply_s(self, v):
+            inputs.append(np.array(v))
+            return super().apply_s(v)
+
+    monkeypatch.setattr(gmspectra.arnoldi, "GoogleOperator", Recording)
+    res = arnoldi_core(g, d, d.core_count, on_breakdown=on_breakdown)
+    k = res.krylov_dimension
+    assert res.breakdown == (on_breakdown == "stop")
+    if on_breakdown == "restart":  # continues past the breakdown
+        assert k == d.core_count
+    else:
+        assert k <= 13
+    # the check runs no matvec of its own: the inputs are the basis vectors
+    assert len(inputs) == k
+    basis = np.array(inputs)[:, d.core_nodes].T
+    h = res.hessenberg
+    assert h.shape == (k + 1, k) and h[k, k - 1] == 0.0
+    a = dense_s(g)[np.ix_(d.core_nodes, d.core_nodes)]
+    assert np.max(np.abs(basis.T @ basis - np.eye(k))) < 1e-13
+    recomputed = float(np.max(np.abs(a @ basis - basis @ h[:k])))
+    assert recomputed < 1e-13
+    assert res.relation_residual == pytest.approx(recomputed, abs=1e-14)
 
 
 def test_residual_norms_flag_convergence(rng):

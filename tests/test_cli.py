@@ -1,10 +1,24 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gmspectra
 from gmspectra import correlator, pagerank, parse_edge_list, read_vector_cache
 from gmspectra.cli import main
+
+
+def run_cli(args, **env):
+    """Run the CLI in a fresh interpreter; returns the CompletedProcess."""
+    src = str(Path(gmspectra.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    full_env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **env)
+    return subprocess.run([sys.executable, "-m", "gmspectra.cli", *map(str, args)],
+                          capture_output=True, text=True, env=full_env, timeout=120)
 
 
 @pytest.fixture
@@ -119,6 +133,97 @@ def test_spectrum_command(small_cache, tmp_path):
 def test_spectrum_max_ram_cap(small_cache, tmp_path):
     assert main(["spectrum", str(small_cache), str(tmp_path / "spec"),
                  "--arnoldi-dim", "12", "--max-ram", "0.0000001"]) == 3
+
+
+def test_spectrum_max_ram_counts_more_than_the_basis(small_cache, tmp_path):
+    from gmspectra import decompose, load_cache
+    from gmspectra.subspaces import default_max_size
+    g = load_cache(small_cache)
+    core = decompose(g, max_size=default_max_size(g.node_count)).core_count
+    basis_gib = 13 * core * 8 / 2**30
+    # room for the basis alone: the Hessenberg matrix and its eigenvectors
+    # do not fit
+    assert main(["spectrum", str(small_cache), str(tmp_path / "spec"),
+                 "--arnoldi-dim", "12", "--max-ram", repr(basis_gib * 1.01)]) == 3
+    assert main(["spectrum", str(small_cache), str(tmp_path / "spec"),
+                 "--arnoldi-dim", "12", "--max-ram", repr(basis_gib * 2)]) == 0
+
+
+@pytest.fixture
+def breakdown_cache(tmp_path):
+    # nodes 0 and 1 both point at dangling node 2: the uniform start vector
+    # spans a 2-dimensional invariant subspace of the 3-node core
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 2\n1 2\n")
+    cache = tmp_path / "b.cache"
+    assert main(["ingest", str(edges), str(cache)]) == 0
+    return cache
+
+
+@pytest.mark.parametrize("vectors", ["7", "-1", "0,-2", "x", "0,,1", "2"])
+def test_spectrum_bad_vectors_exit_3(breakdown_cache, tmp_path, vectors):
+    # "7" is past n_arnoldi = 3; "2" is past the breakdown dimension 2
+    proc = run_cli(["spectrum", breakdown_cache, tmp_path / "spec",
+                    "--arnoldi-dim", "3", f"--vectors={vectors}"])
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("gmspectra: ")
+    assert not list(tmp_path.glob("spec*"))
+
+
+def test_spectrum_breakdown_valid_vectors(breakdown_cache, tmp_path):
+    assert main(["spectrum", str(breakdown_cache), str(tmp_path / "spec"),
+                 "--arnoldi-dim", "3", "--vectors", "0,1"]) == 0
+    flags = json.loads((tmp_path / "spec.manifest.json").read_text())["flags"]
+    assert flags["breakdown"] is True and flags["krylov_dimension"] == 2
+    assert (tmp_path / "spec.vec1.csv").exists()
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError("eig did not converge"),
+                                   RuntimeError("could not find a vector")])
+def test_spectrum_compute_failure_exit_5(small_cache, tmp_path, monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(gmspectra.arnoldi, "arnoldi_core", fail)
+    assert main(["spectrum", str(small_cache), str(tmp_path / "spec"),
+                 "--arnoldi-dim", "12"]) == 5
+    assert capsys.readouterr().err == f"gmspectra: {error}\n"
+
+
+def test_subspaces_eigvals_failure_exit_5(tmp_path, monkeypatch):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n1 0\n2 2\n3 0\n3 4\n")
+    cache = tmp_path / "g.cache"
+    assert main(["ingest", str(edges), str(cache)]) == 0
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigvals did not converge")
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    assert main(["subspaces", str(cache), str(tmp_path / "dec"), "--max-size", "10"]) == 5
+
+
+def test_spectrum_bytes_independent_of_blas_threads(tmp_path):
+    # the Gram-Schmidt and Ritz-vector products must not be BLAS calls, whose
+    # summation order follows the BLAS thread count
+    rng = np.random.default_rng(11)
+    edges = tmp_path / "edges.txt"
+    edges.write_text("".join(f"{s} {d}\n" for s, d in
+                             zip(rng.integers(0, 301, 1806), rng.integers(0, 301, 1806))))
+    cache = tmp_path / "g.cache"
+    assert main(["ingest", str(edges), str(cache)]) == 0
+    outputs = []
+    for blas_threads in ("1", "2"):
+        out = tmp_path / f"blas{blas_threads}"
+        out.mkdir()
+        proc = run_cli(["spectrum", cache, out / "spec", "--arnoldi-dim", "32",
+                        "--vectors", "0,1"],
+                       OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                        if not p.name.endswith(".manifest.json")})
+    assert sorted(outputs[0]) == ["spec.csv", "spec.vec0.csv", "spec.vec1.csv"]
+    for name in outputs[0]:
+        assert outputs[0][name] == outputs[1][name], f"{name} depends on BLAS threads"
 
 
 def test_stats_kappa_matches_library(small_cache, tmp_path):
