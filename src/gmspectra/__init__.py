@@ -5,6 +5,9 @@ invariant-subspace decomposition with dense block spectra, Arnoldi core
 spectrum, and the 2D-ranking statistical observables.
 """
 
+# defined before the submodule imports: the manifest module reads it
+__version__ = "0.1.0"
+
 from .graph import (DirectedGraph, GraphStats, degree_stats, from_edges,
                     invert, load_cache, parse_edge_list, save_cache)
 from .operator import GoogleOperator, dense_g, dense_s
@@ -20,5 +23,3 @@ from .stats import (CorrelatorReport, DensityGrid, FillingCurve, PowerLawFit,
                     SubspaceFractionCurve, beta_from_mu, correlator,
                     degree_exponent, density_2d, n_k_counts, ng_filling,
                     powerlaw_fit, reference_survival, subspace_fraction)
-
-__version__ = "0.1.0"

@@ -12,12 +12,12 @@ depend on the BLAS thread count.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import DirectedGraph
+from .manifest import atomic_write
 from .operator import GoogleOperator
 from .subspaces import SubspaceDecomposition, SubspaceSpectrum
 
@@ -256,8 +256,7 @@ def write_spectrum_csv(path, subspace_spec: SubspaceSpectrum | None,
                        core: ArnoldiResult | None) -> None:
     """CSV export: re,im,modulus,residual,origin. Subspace eigenvalues come
     from dense solves and carry residual 0."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("re,im,modulus,residual,origin\n")
         if subspace_spec is not None:
             for lam in subspace_spec.all_eigenvalues:
@@ -267,4 +266,3 @@ def write_spectrum_csv(path, subspace_spec: SubspaceSpectrum | None,
             for lam, res in zip(core.ritz_values, core.residual_norms):
                 fh.write(f"{float(lam.real)!r},{float(lam.imag)!r},"
                          f"{float(abs(lam))!r},{float(res)!r},core\n")
-    os.replace(tmp, path)

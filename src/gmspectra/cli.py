@@ -12,6 +12,7 @@ data (edge list or cache), 5 compute error.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -22,7 +23,7 @@ from . import graph as gr
 from . import ranking as rk
 from . import stats as st
 from . import subspaces as sub
-from .manifest import RunManifest
+from .manifest import RunManifest, atomic_write
 
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 2
@@ -38,7 +39,11 @@ class CliError(Exception):
 
 
 def _default_threads() -> int:
-    return int(os.environ.get("GMSPECTRA_THREADS", "1"))
+    value = os.environ.get("GMSPECTRA_THREADS", "1")
+    if not value.strip().isdecimal() or int(value) < 1:
+        raise CliError(EXIT_BAD_PARAMETER,
+                       f"GMSPECTRA_THREADS must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _require_file(path):
@@ -82,10 +87,8 @@ def cmd_ingest(args) -> int:
     manifest.add_output(args.cache)
     if g.original_ids is not None:
         ids_path = f"{args.cache}.ids"
-        tmp = f"{ids_path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
+        with atomic_write(ids_path) as fh:
             fh.writelines(f"{i}\n" for i in g.original_ids)
-        os.replace(tmp, ids_path)
         manifest.add_output(ids_path)
     stats = gr.degree_stats(g)
     manifest.set_flag("node_count", stats.node_count)
@@ -137,11 +140,9 @@ def cmd_subspaces(args) -> int:
     manifest.add_input(args.cache)
     if args.inverted:
         g = gr.invert(g)
-    max_size = args.max_size or sub.default_max_size(g.node_count)
-    if max_size < 1 or args.dense_limit < 1:
-        raise CliError(EXIT_BAD_PARAMETER, "--max-size and --dense-limit must be >= 1")
+    max_size, dense_limit = _block_limits(args, g.node_count)
     decomp = sub.decompose(g, max_size=max_size)
-    spectrum = sub.subspace_spectrum(g, decomp, dense_limit=args.dense_limit)
+    spectrum = sub.subspace_spectrum(g, decomp, dense_limit=dense_limit)
     json_path = f"{args.out}.json"
     csv_path = f"{args.out}.spectrum.csv"
     sub.write_decomposition_json(decomp, json_path, member_limit=args.member_limit)
@@ -175,7 +176,7 @@ def cmd_spectrum(args) -> int:
     manifest.add_input(args.cache)
     if args.inverted:
         g = gr.invert(g)
-    max_size = args.max_size or sub.default_max_size(g.node_count)
+    max_size, dense_limit = _block_limits(args, g.node_count)
     decomp = sub.decompose(g, max_size=max_size)
     if decomp.core_count == 0:
         raise CliError(EXIT_COMPUTE, "core space is empty; nothing for the Arnoldi stage")
@@ -193,7 +194,7 @@ def cmd_spectrum(args) -> int:
                                   threads=args.threads)
     except RuntimeError as exc:
         raise CliError(EXIT_COMPUTE, str(exc)) from exc
-    spectrum = sub.subspace_spectrum(g, decomp, dense_limit=args.dense_limit)
+    spectrum = sub.subspace_spectrum(g, decomp, dense_limit=dense_limit)
     csv_path = f"{args.out}.csv"
     arn.write_spectrum_csv(csv_path, spectrum, result)
     manifest.add_output(csv_path)
@@ -214,6 +215,14 @@ def cmd_spectrum(args) -> int:
     print(f"core spectrum: {result.ritz_values.size} Ritz values, "
           f"leading |lambda| = {abs(lam1):.8f}")
     return EXIT_OK
+
+
+def _block_limits(args, n: int) -> tuple[int, int]:
+    """``--max-size`` (default from N) and ``--dense-limit``, both >= 1."""
+    max_size = sub.default_max_size(n) if args.max_size is None else args.max_size
+    if max_size < 1 or args.dense_limit < 1:
+        raise CliError(EXIT_BAD_PARAMETER, "--max-size and --dense-limit must be >= 1")
+    return max_size, args.dense_limit
 
 
 def _parse_indices(spec: str) -> list[int]:
@@ -237,6 +246,20 @@ def _parse_grid(spec: str):
                    f"--grid expects log:CELLS or linear:CELL_SIZE:LIMIT, got {spec!r}")
 
 
+def _load_dimensions(path) -> np.ndarray:
+    """Subspace dimensions listed in a decomposition .json."""
+    try:
+        with open(path) as fh:
+            dims = np.asarray([entry["dimension"] for entry in json.load(fh)["subspaces"]],
+                              dtype=np.int64)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliError(EXIT_BAD_DATA,
+                       f"{path}: not a decomposition file ({type(exc).__name__}: {exc})") from exc
+    if np.any(dims < 1):
+        raise CliError(EXIT_BAD_DATA, f"{path}: subspace dimensions must be >= 1")
+    return dims
+
+
 def cmd_stats(args) -> int:
     manifest = RunManifest("stats", {
         "cache": args.cache, "out": args.out, "rank": args.rank,
@@ -256,13 +279,10 @@ def cmd_stats(args) -> int:
 
     report = st.correlator(p, p_star)
     corr_path = f"{args.out}.correlator.json"
-    tmp = f"{corr_path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        import json
+    with atomic_write(corr_path) as fh:
         json.dump({"kappa": report.kappa, "underflow": report.underflow,
                    "overflow": report.overflow}, fh, indent=1)
         fh.write("\n")
-    os.replace(tmp, corr_path)
     manifest.add_output(corr_path)
     hist_path = f"{args.out}.kappa_hist.csv"
     st.write_curve_csv(hist_path, "bin_low,bin_high,count",
@@ -313,10 +333,8 @@ def cmd_stats(args) -> int:
     if args.decomposition:
         _require_file(args.decomposition)
         manifest.add_input(args.decomposition)
-        import json
-        with open(args.decomposition) as fh:
-            dims = [entry["dimension"] for entry in json.load(fh)["subspaces"]]
-        if dims:
+        dims = _load_dimensions(args.decomposition)
+        if dims.size:
             tail_range = None
             if args.tail_range:
                 try:
@@ -335,13 +353,10 @@ def cmd_stats(args) -> int:
                 fits["subspace_fraction_tail"] = curve.tail_fit.to_json()
 
     if fits:
-        import json
         fits_path = f"{args.out}.fits.json"
-        tmp = f"{fits_path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
+        with atomic_write(fits_path) as fh:
             json.dump(fits, fh, indent=1, sort_keys=True)
             fh.write("\n")
-        os.replace(tmp, fits_path)
         manifest.add_output(fits_path)
 
     manifest.set_flag("kappa", report.kappa)
@@ -423,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"gmspectra: {exc}", file=sys.stderr)
@@ -432,7 +447,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a ValueError, but a compute failure
         print(f"gmspectra: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: a path that cannot be written or read
         print(f"gmspectra: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMETER
 

@@ -1,24 +1,26 @@
-"""Immutable directed-graph container with CSR adjacency in both orientations.
+"""Immutable directed-graph container with CSR adjacency in both link directions.
 
 The graph stores the 0/1 adjacency structure only (duplicate edges collapse,
-self-loops are kept). Both link orientations are built at ingestion time so
+self-loops are kept). Both link directions are built at ingestion time so
 that the link-inverted view is a free pointer swap.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import struct
 import zlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
+
+from .manifest import atomic_write
 
 CACHE_MAGIC = b"SNRK"
 CACHE_VERSION = 1
 
-_HEADER = struct.Struct("<4sIQQ")
+_CRC = struct.Struct("<I")
 
 
 class EdgeListParseError(ValueError):
@@ -54,8 +56,71 @@ class CacheChecksumError(CacheError):
 
 
 @dataclass(frozen=True)
+class CheckedFormat:
+    """Checked binary container: a little-endian header (magic, version, then
+    the counts that size the payload), the payload arrays back to back, and a
+    trailing CRC-32 of every byte before it.
+
+    ``layout(*counts)`` gives the little-endian dtype and length of each
+    payload array. Arrays stream to and from the file without an
+    intermediate copy of the payload.
+    """
+
+    kind: str
+    magic: bytes
+    version: int
+    header: struct.Struct  # "<4sI" followed by one field per count
+    layout: Callable[..., list[tuple[str, int]]]
+
+    def write(self, path, counts, arrays) -> None:
+        head = self.header.pack(self.magic, self.version, *counts)
+        crc = zlib.crc32(head)
+        with atomic_write(path, "wb") as fh:
+            fh.write(head)
+            for (dtype, _), arr in zip(self.layout(*counts), arrays):
+                arr = np.ascontiguousarray(arr, dtype=dtype)
+                crc = zlib.crc32(arr, crc)
+                fh.write(arr)
+            fh.write(_CRC.pack(crc))
+
+    def read(self, path) -> list[np.ndarray]:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size < self.header.size + _CRC.size:
+                raise CacheTruncatedError(f"{path}: file shorter than {self.kind} header")
+            head = fh.read(self.header.size)
+            magic, version, *counts = self.header.unpack(head)
+            if magic != self.magic:
+                raise CacheFormatError(f"{path}: not a {self.kind} (bad magic)")
+            if version != self.version:
+                raise CacheVersionError(
+                    f"{path}: {self.kind} version {version}, expected {self.version}")
+            layout = self.layout(*counts)
+            expected = (self.header.size + _CRC.size
+                        + sum(np.dtype(dtype).itemsize * length for dtype, length in layout))
+            if size < expected:
+                raise CacheTruncatedError(f"{path}: expected {expected} bytes, found {size}")
+            crc = zlib.crc32(head)
+            arrays = []
+            for dtype, length in layout:
+                arr = np.empty(length, dtype=dtype)
+                fh.readinto(memoryview(arr).cast("B"))
+                crc = zlib.crc32(arr, crc)
+                arrays.append(arr)
+            (stored,) = _CRC.unpack(fh.read(_CRC.size))
+        if crc != stored:
+            raise CacheChecksumError(f"{path}: checksum mismatch")
+        return arrays
+
+
+GRAPH_CACHE = CheckedFormat(
+    "graph cache", CACHE_MAGIC, CACHE_VERSION, struct.Struct("<4sIQQ"),
+    lambda n, n_ell: [("<i8", n + 1), ("<u4", n_ell), ("<i8", n + 1), ("<u4", n_ell)])
+
+
+@dataclass(frozen=True)
 class DirectedGraph:
-    """Directed graph in compressed sparse row form, both orientations.
+    """Directed graph in compressed sparse row form, both link directions.
 
     ``out_offsets``/``out_indices`` give, for each node, its sorted successor
     list; ``in_offsets``/``in_indices`` the sorted predecessor list. The two
@@ -186,8 +251,6 @@ def parse_edge_list(source, id_mode="dense", num_nodes=None) -> DirectedGraph:
     if isinstance(source, (str, os.PathLike)):
         source = open(source, "r")
         close = True
-    elif isinstance(source, str):
-        source = io.StringIO(source)
     try:
         srcs, dsts = [], []
         for lineno, line in enumerate(source, start=1):
@@ -245,51 +308,13 @@ def degree_stats(g: DirectedGraph) -> GraphStats:
     )
 
 
-def _cache_payload(g: DirectedGraph) -> bytes:
-    head = _HEADER.pack(CACHE_MAGIC, CACHE_VERSION, g.node_count, g.edge_count)
-    parts = [
-        head,
-        np.ascontiguousarray(g.out_offsets, dtype="<i8").tobytes(),
-        np.ascontiguousarray(g.out_indices, dtype="<u4").tobytes(),
-        np.ascontiguousarray(g.in_offsets, dtype="<i8").tobytes(),
-        np.ascontiguousarray(g.in_indices, dtype="<u4").tobytes(),
-    ]
-    return b"".join(parts)
-
-
 def save_cache(g: DirectedGraph, path) -> None:
     """Write the binary cache: magic, version, N, N_ell, CSR arrays, crc32."""
-    payload = _cache_payload(g)
-    crc = zlib.crc32(payload)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-        fh.write(struct.pack("<I", crc))
-    os.replace(tmp, path)
+    GRAPH_CACHE.write(path, (g.node_count, g.edge_count),
+                      (g.out_offsets, g.out_indices, g.in_offsets, g.in_indices))
 
 
 def load_cache(path) -> DirectedGraph:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size + 4:
-        raise CacheTruncatedError(f"{path}: file shorter than cache header")
-    magic, version, n, n_ell = _HEADER.unpack_from(blob)
-    if magic != CACHE_MAGIC:
-        raise CacheFormatError(f"{path}: not a graph cache (bad magic)")
-    if version != CACHE_VERSION:
-        raise CacheVersionError(f"{path}: cache version {version}, expected {CACHE_VERSION}")
-    expected = _HEADER.size + 2 * ((n + 1) * 8 + n_ell * 4) + 4
-    if len(blob) < expected:
-        raise CacheTruncatedError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    (crc,) = struct.unpack_from("<I", blob, expected - 4)
-    if zlib.crc32(blob[:expected - 4]) != crc:
-        raise CacheChecksumError(f"{path}: checksum mismatch")
-    pos = _HEADER.size
-    out_offsets = np.frombuffer(blob, dtype="<i8", count=n + 1, offset=pos).astype(np.int64)
-    pos += (n + 1) * 8
-    out_indices = np.frombuffer(blob, dtype="<u4", count=n_ell, offset=pos).astype(np.uint32)
-    pos += n_ell * 4
-    in_offsets = np.frombuffer(blob, dtype="<i8", count=n + 1, offset=pos).astype(np.int64)
-    pos += (n + 1) * 8
-    in_indices = np.frombuffer(blob, dtype="<u4", count=n_ell, offset=pos).astype(np.uint32)
-    return DirectedGraph(int(n), out_offsets, out_indices, in_offsets, in_indices)
+    out_offsets, out_indices, in_offsets, in_indices = GRAPH_CACHE.read(path)
+    return DirectedGraph(out_offsets.size - 1, out_offsets, out_indices,
+                         in_offsets, in_indices)

@@ -1,13 +1,32 @@
-"""Run manifests: parameters, input/output checksums, timestamps."""
+"""Run manifests: parameters, input/output checksums, timestamps; and the
+atomic file writer every artifact goes through."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
 
-TOOL_VERSION = "0.1.0"
+from . import __version__
+
+
+@contextmanager
+def atomic_write(path, mode="w"):
+    """Yield a handle on ``<path>.tmp.<pid>`` and rename it onto ``path`` once
+    the block succeeds. On any exception the temp file is removed and the
+    exception re-raised, so a failed write leaves neither a partial artifact
+    nor debris."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def sha256_of(path) -> str:
@@ -28,7 +47,7 @@ class RunManifest:
     def __init__(self, command: str, parameters: dict):
         self.data = {
             "tool": "gmspectra",
-            "version": TOOL_VERSION,
+            "version": __version__,
             "command": command,
             "parameters": parameters,
             "inputs": {},
@@ -49,8 +68,6 @@ class RunManifest:
 
     def write(self, path) -> None:
         self.data["finished"] = _now()
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
+        with atomic_write(path) as fh:
             json.dump(self.data, fh, indent=1, sort_keys=True)
             fh.write("\n")
-        os.replace(tmp, path)

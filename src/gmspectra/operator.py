@@ -14,22 +14,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import DirectedGraph, invert
+from .graph import DirectedGraph
 
 DEFAULT_ALPHA = 0.85
 
 
 @dataclass(frozen=True)
 class GoogleOperator:
-    """Matrix-free S and G over an immutable DirectedGraph.
-
-    ``orientation="inverted"`` gives the operators of the link-inverted
-    network (G*), used for CheiRank.
-    """
+    """Matrix-free S and G over an immutable DirectedGraph. For the
+    link-inverted network (G*, used for CheiRank) pass ``invert(graph)``."""
 
     graph: DirectedGraph
     alpha: float = DEFAULT_ALPHA
-    orientation: str = "forward"
     threads: int = 1
     _inv_out_degree: np.ndarray = field(init=False, repr=False, compare=False)
     _dangling: np.ndarray = field(init=False, repr=False, compare=False)
@@ -37,13 +33,9 @@ class GoogleOperator:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.orientation not in ("forward", "inverted"):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        g = self.graph if self.orientation == "forward" else invert(self.graph)
-        object.__setattr__(self, "graph", g)
-        object.__setattr__(self, "orientation", "forward")
+        g = self.graph
         deg = g.out_degrees
         inv = np.zeros(g.node_count, dtype=np.float64)
         nz = deg > 0

@@ -6,20 +6,19 @@ path so the two are bitwise interchangeable.
 
 from __future__ import annotations
 
-import os
 import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CacheChecksumError, CacheFormatError, CacheTruncatedError, \
-    CacheVersionError, DirectedGraph, invert
+from .graph import CheckedFormat, DirectedGraph, invert
+from .manifest import atomic_write
 from .operator import DEFAULT_ALPHA, GoogleOperator
 
 VECTOR_MAGIC = b"SNRV"
 VECTOR_VERSION = 1
-_VEC_HEADER = struct.Struct("<4sIQ")
+VECTOR_CACHE = CheckedFormat("vector cache", VECTOR_MAGIC, VECTOR_VERSION,
+                             struct.Struct("<4sIQ"), lambda n: [("<f8", n)])
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1000
@@ -132,39 +131,17 @@ def find_plateaus(rv: RankVector, min_multiplicity: int = 2) -> PlateauReport:
 
 def write_rank_csv(rv: RankVector, path) -> None:
     """CSV export: node_id,probability,rank (atomic write)."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("node_id,probability,rank\n")
         for i in range(rv.node_count):
             fh.write(f"{i},{float(rv.probabilities[i])!r},{int(rv.rank_of_node[i])}\n")
-    os.replace(tmp, path)
 
 
 def write_vector_cache(p: np.ndarray, path) -> None:
     """Binary float64 vector with magic, version and trailing crc32."""
-    p = np.ascontiguousarray(p, dtype="<f8")
-    payload = _VEC_HEADER.pack(VECTOR_MAGIC, VECTOR_VERSION, p.size) + p.tobytes()
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
-    os.replace(tmp, path)
+    VECTOR_CACHE.write(path, (np.size(p),), (p,))
 
 
 def read_vector_cache(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _VEC_HEADER.size + 4:
-        raise CacheTruncatedError(f"{path}: file shorter than vector header")
-    magic, version, n = _VEC_HEADER.unpack_from(blob)
-    if magic != VECTOR_MAGIC:
-        raise CacheFormatError(f"{path}: not a vector cache (bad magic)")
-    if version != VECTOR_VERSION:
-        raise CacheVersionError(f"{path}: vector version {version}, expected {VECTOR_VERSION}")
-    expected = _VEC_HEADER.size + n * 8 + 4
-    if len(blob) < expected:
-        raise CacheTruncatedError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    (crc,) = struct.unpack_from("<I", blob, expected - 4)
-    if zlib.crc32(blob[:expected - 4]) != crc:
-        raise CacheChecksumError(f"{path}: checksum mismatch")
-    return np.frombuffer(blob, dtype="<f8", count=n, offset=_VEC_HEADER.size).astype(np.float64)
+    (p,) = VECTOR_CACHE.read(path)
+    return p

@@ -8,13 +8,12 @@ and power-law fits by ordinary least squares in log-log space.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import DirectedGraph
+from .manifest import atomic_write
 
 KAPPA_HIST_CELLS = 240
 KAPPA_HIST_RANGE = (1e-10, 1e2)
@@ -286,29 +285,17 @@ def beta_from_mu(mu: float) -> float:
 
 def write_grid_csv(grid: DensityGrid, path) -> None:
     """CSV export: row,col,count,density (occupied cells only)."""
-    tmp = f"{path}.tmp.{os.getpid()}"
     rows, cols = np.nonzero(grid.counts)
-    with open(tmp, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("row,col,count,density\n")
         for r, c in zip(rows, cols):
             fh.write(f"{r},{c},{int(grid.counts[r, c])},{float(grid.density[r, c])!r}\n")
-    os.replace(tmp, path)
 
 
 def write_curve_csv(path, header: str, *columns) -> None:
     """Generic CSV export of aligned columns (atomic write)."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(header + "\n")
         for row in zip(*columns):
             fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
                               for v in row) + "\n")
-    os.replace(tmp, path)
-
-
-def write_fit_json(fit: PowerLawFit, path) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(fit.to_json(), fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)

@@ -11,13 +11,13 @@ substochastic.
 from __future__ import annotations
 
 import json
-import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import DirectedGraph
+from .manifest import atomic_write
 
 DEFAULT_DENSE_LIMIT = 4000
 UNIT_EIGENVALUE_TOL = 1e-10
@@ -55,8 +55,7 @@ class SubspaceDecomposition:
 
     @property
     def permutation(self) -> np.ndarray:
-        parts = [s for s in self.subspaces] + [self.core_nodes]
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        return np.concatenate([*self.subspaces, self.core_nodes])
 
 
 @dataclass(frozen=True)
@@ -79,19 +78,23 @@ def default_max_size(n: int) -> int:
     return max(1, min(100_000, n // 10))
 
 
-def node_closure(g: DirectedGraph, seed: int, max_size: int):
+def node_closure(g: DirectedGraph, seed: int, max_size: int, *,
+                 stop: np.ndarray | None = None):
     """Out-link closure of ``seed``; OVERFLOW (None) if it exceeds
-    ``max_size`` or touches a dangling node."""
+    ``max_size``, touches a dangling node or touches a node where the boolean
+    mask ``stop`` is true (a node already known to be core: its closure
+    overflows, so any closure containing it does too)."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    out_deg = g.out_degrees
+    offsets, indices = g.out_offsets, g.out_indices
     seen = {int(seed)}
     queue = deque([int(seed)])
     while queue:
         node = queue.popleft()
-        if out_deg[node] == 0:
+        lo, hi = offsets[node], offsets[node + 1]
+        if lo == hi or (stop is not None and stop[node]):
             return OVERFLOW
-        for nxt in g.successors(node):
+        for nxt in indices[lo:hi]:
             nxt = int(nxt)
             if nxt not in seen:
                 if len(seen) >= max_size:
@@ -135,50 +138,31 @@ def decompose(g: DirectedGraph, max_size: int | None = None,
         max_size = default_max_size(n)
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    out_deg = g.out_degrees
-    CORE, SUBSPACE = 1, 2
-    status = np.zeros(n, dtype=np.int8)
+    core = np.zeros(n, dtype=bool)
+    in_subspace = np.zeros(n, dtype=bool)
     uf = _UnionFind(n)
     seeds = np.arange(n) if order is None else np.asarray(order)
 
     for seed in seeds:
         seed = int(seed)
-        if status[seed]:
+        if core[seed] or in_subspace[seed]:
             continue
-        seen = {seed}
-        queue = deque([seed])
-        overflow = False
-        while queue:
-            node = queue.popleft()
-            if out_deg[node] == 0 or status[node] == CORE:
-                overflow = True
-                break
-            for nxt in g.successors(node):
-                nxt = int(nxt)
-                if nxt not in seen:
-                    if len(seen) >= max_size:
-                        overflow = True
-                        break
-                    seen.add(nxt)
-                    queue.append(nxt)
-            if overflow:
-                break
-        if overflow:
-            status[seed] = CORE
-        else:
-            for member in seen:
-                status[member] = SUBSPACE
-                uf.union(seed, member)
+        closure = node_closure(g, seed, max_size, stop=core)
+        if closure is OVERFLOW:
+            core[seed] = True
+            continue
+        for member in closure:
+            in_subspace[member] = True
+            uf.union(seed, member)
 
-    subspace_ids = np.flatnonzero(status == SUBSPACE)
+    subspace_ids = np.flatnonzero(in_subspace)
     groups: dict[int, list[int]] = {}
     for node in subspace_ids:
         groups.setdefault(uf.find(int(node)), []).append(int(node))
     subspaces = sorted((np.array(sorted(members), dtype=np.int64)
                         for members in groups.values()),
                        key=lambda a: int(a[0]))
-    core = np.flatnonzero(status != SUBSPACE).astype(np.int64)
-    return SubspaceDecomposition(subspaces, core, n)
+    return SubspaceDecomposition(subspaces, np.flatnonzero(~in_subspace), n)
 
 
 def subspace_block(g: DirectedGraph, members: np.ndarray) -> np.ndarray:
@@ -240,8 +224,6 @@ def decomposition_to_json(decomp: SubspaceDecomposition,
 
 def write_decomposition_json(decomp: SubspaceDecomposition, path,
                              member_limit: int | None = None) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(decomposition_to_json(decomp, member_limit), fh, indent=1)
         fh.write("\n")
-    os.replace(tmp, path)

@@ -8,8 +8,14 @@ import numpy as np
 import pytest
 
 import gmspectra
-from gmspectra import correlator, pagerank, parse_edge_list, read_vector_cache
-from gmspectra.cli import main
+from gmspectra import (correlator, decompose, density_2d, load_cache, pagerank,
+                       parse_edge_list, read_vector_cache, save_cache,
+                       subspace_spectrum, write_rank_csv, write_spectrum_csv,
+                       write_vector_cache)
+from gmspectra.cli import build_parser, main
+from gmspectra.manifest import RunManifest
+from gmspectra.stats import write_curve_csv, write_grid_csv
+from gmspectra.subspaces import write_decomposition_json
 
 
 def run_cli(args, **env):
@@ -169,6 +175,95 @@ def test_spectrum_bad_vectors_exit_3(breakdown_cache, tmp_path, vectors):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("gmspectra: ")
     assert not list(tmp_path.glob("spec*"))
+
+
+@pytest.fixture
+def stats_inputs(tmp_path):
+    """A five-node cache (a 2-cycle, a self-loop, two core nodes), its PageRank and
+    CheiRank vectors, and two malformed decomposition files."""
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n1 0\n2 2\n3 0\n3 4\n")
+    assert main(["ingest", str(edges), str(tmp_path / "g.cache")]) == 0
+    assert main(["rank", str(tmp_path / "g.cache"), str(tmp_path / "pr")]) == 0
+    assert main(["rank", str(tmp_path / "g.cache"), str(tmp_path / "cr"), "--chei"]) == 0
+    (tmp_path / "nosub.json").write_text('{"node_count": 5}\n')
+    (tmp_path / "notjson.json").write_text("0 1\n")
+    return tmp_path
+
+
+STATS = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/pr.vec", "--chei", "{d}/cr.vec"]
+
+
+@pytest.mark.parametrize("env, argv, code", [
+    ({"GMSPECTRA_THREADS": "abc"}, ["--help"], 3),
+    ({"GMSPECTRA_THREADS": "abc"}, ["rank", "{d}/g.cache", "{d}/out"], 3),
+    ({"GMSPECTRA_THREADS": "0"}, ["subspaces", "{d}/g.cache", "{d}/out"], 3),
+    ({}, STATS + ["--decomposition", "{d}/nosub.json"], 4),
+    ({}, STATS + ["--decomposition", "{d}/notjson.json"], 4),
+    ({}, ["subspaces", "{d}/g.cache", "{d}/out", "--max-size", "0"], 3),
+    ({}, ["spectrum", "{d}/g.cache", "{d}/out", "--arnoldi-dim", "2", "--max-size", "0"], 3),
+    ({}, ["spectrum", "{d}/g.cache", "{d}/out", "--arnoldi-dim", "2", "--dense-limit", "0"], 3),
+    # an output prefix in a missing directory, and an output file that is a directory
+    ({}, ["rank", "{d}/g.cache", "{d}/missing/out"], 3),
+    ({}, ["rank", "{d}/g.cache", "{d}/taken"], 3),
+], ids=["threads-env-text-help", "threads-env-text", "threads-env-zero",
+        "decomposition-no-subspaces", "decomposition-not-json", "subspaces-max-size-0",
+        "spectrum-max-size-0", "spectrum-dense-limit-0", "output-dir-missing",
+        "output-is-directory"])
+def test_bad_invocation_exits_with_documented_code(stats_inputs, env, argv, code):
+    (stats_inputs / "taken.csv").mkdir()
+    proc = run_cli([a.format(d=stats_inputs) for a in argv], **env)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("gmspectra: ")
+    assert not list(stats_inputs.rglob("*.tmp.*"))
+
+
+def _run_command(argv):
+    """Run one subcommand without main's exception-to-exit-code mapping."""
+    args = build_parser().parse_args([str(a) for a in argv])
+    return args.func(args)
+
+
+# each case names the artifact it writes and a callable that writes it; the
+# test puts a directory where the artifact goes
+ARTIFACT_WRITERS = {
+    "save_cache": ("x", lambda d, g: save_cache(g, d / "x")),
+    "write_vector_cache": ("x", lambda d, g: write_vector_cache(pagerank(g).probabilities,
+                                                                d / "x")),
+    "write_rank_csv": ("x", lambda d, g: write_rank_csv(pagerank(g), d / "x")),
+    "write_decomposition_json": ("x", lambda d, g: write_decomposition_json(
+        decompose(g, max_size=10), d / "x")),
+    "write_spectrum_csv": ("x", lambda d, g: write_spectrum_csv(
+        d / "x", subspace_spectrum(g, decompose(g, max_size=10)), None)),
+    "write_grid_csv": ("x", lambda d, g: write_grid_csv(
+        density_2d(np.arange(1, 6), np.arange(1, 6), mode="log", cells=2), d / "x")),
+    "write_curve_csv": ("x", lambda d, g: write_curve_csv(d / "x", "k", [1, 2])),
+    "RunManifest.write": ("x", lambda d, g: RunManifest("x", {}).write(d / "x")),
+    "ingest-ids": ("r.cache.ids", lambda d, g: _run_command(
+        ["ingest", d / "edges.txt", d / "r.cache", "--id-mode", "remap"])),
+    "stats-correlator": ("st.correlator.json", lambda d, g: _run_command(
+        [a.format(d=d) for a in STATS])),
+    "stats-fits": ("st.fits.json", lambda d, g: _run_command(
+        [a.format(d=d) for a in STATS] + ["--fit-range", "0:0.7"])),
+}
+
+
+@pytest.mark.parametrize("writer", list(ARTIFACT_WRITERS))
+def test_failed_artifact_write_leaves_no_temp_file(stats_inputs, writer):
+    name, write = ARTIFACT_WRITERS[writer]
+    (stats_inputs / name).mkdir()
+    g = load_cache(stats_inputs / "g.cache")
+    with pytest.raises(OSError):
+        write(stats_inputs, g)
+    assert not list(stats_inputs.rglob("*.tmp.*"))
+
+
+def test_failed_manifest_write_leaves_nothing(tmp_path):
+    path = tmp_path / "m.json"
+    with pytest.raises(TypeError):
+        RunManifest("x", {"p": object()}).write(path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_spectrum_breakdown_valid_vectors(breakdown_cache, tmp_path):

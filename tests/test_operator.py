@@ -105,15 +105,6 @@ def test_spectral_bound(rng):
         assert np.max(np.abs(vals)) <= 1.0 + 1e-12
 
 
-def test_inverted_orientation_matches_inverted_graph(rng):
-    from gmspectra import invert
-    g = random_graph(rng, 60, 0.08)
-    v = random_probability(rng, 60)
-    a = GoogleOperator(g, orientation="inverted").apply_g(v)
-    b = GoogleOperator(invert(g)).apply_g(v)
-    assert np.array_equal(a, b)
-
-
 def test_bitwise_identical_across_worker_counts(rng):
     g = random_graph(rng, 500, 0.02)
     v = random_probability(rng, 500)

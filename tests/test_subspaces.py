@@ -29,6 +29,78 @@ def test_closure_size_cutoff():
     assert node_closure(g, 2, 4) == {0, 1, 2, 3}
 
 
+def test_closure_stops_at_known_core():
+    g = parse_edge_list(["0 1", "1 0", "2 0", "2 3", "3 2"])
+    stop = np.zeros(g.node_count, dtype=bool)
+    assert node_closure(g, 2, 4, stop=stop) == {0, 1, 2, 3}
+    stop[1] = True
+    assert node_closure(g, 2, 4, stop=stop) is OVERFLOW
+    assert node_closure(g, 3, 4, stop=stop) is OVERFLOW
+
+
+def reachability_oracle(g, max_size):
+    """Subspaces and core from per-node reachable sets found by scipy's BFS:
+    a node is in a subspace when its reachable set has at most ``max_size``
+    nodes and no dangling node; overlapping reachable sets merge."""
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sparse = pytest.importorskip("scipy.sparse")
+    n = g.node_count
+    adj = sparse.csr_matrix((np.ones(g.edge_count), g.out_indices, g.out_offsets),
+                            shape=(n, n))
+    dangling = g.out_degrees == 0
+    groups: list[set] = []
+    for node in range(n):
+        reach = csgraph.breadth_first_order(adj, node, return_predecessors=False)
+        if reach.size > max_size or dangling[reach].any():
+            continue
+        merged = set(reach.tolist())
+        for group in [grp for grp in groups if grp & merged]:
+            groups.remove(group)
+            merged |= group
+        groups.append(merged)
+    in_subspace = set().union(*groups)
+    core = [node for node in range(n) if node not in in_subspace]
+    return {frozenset(grp) for grp in groups}, core
+
+
+def _assert_matches_oracle(g, max_size):
+    d = decompose(g, max_size=max_size)
+    groups, core = reachability_oracle(g, max_size)
+    assert {frozenset(int(m) for m in s) for s in d.subspaces} == groups
+    assert d.core_nodes.tolist() == core
+
+
+def test_decompose_matches_reachability_oracle(rng):
+    for n, density in ((60, 0.01), (80, 0.02), (100, 0.04)):
+        for _ in range(4):
+            g = random_graph(rng, n, density)
+            for max_size in (3, 12, n):
+                _assert_matches_oracle(g, max_size)
+
+
+def test_decompose_size_cutoff_matches_reachability_oracle(rng):
+    # every node has an out-link, so no closure meets a dangling node and
+    # only the size cut-off decides membership
+    for _ in range(6):
+        n = 90
+        src = np.concatenate([np.arange(n), rng.integers(0, n, 20)])
+        dst = np.concatenate([rng.integers(0, n, n), rng.integers(0, n, 20)])
+        g = from_edges(src, dst, n)
+        assert g.dangling_nodes.size == 0
+        for max_size in (2, 5, 10, 25):
+            _assert_matches_oracle(g, max_size)
+    # a dangling-free ring of 30 fed by node 30, beside a 2-cycle
+    ring = list(range(30))
+    src = ring + [30, 31, 32]
+    dst = ring[1:] + [0] + [0, 32, 31]
+    g = from_edges(src, dst, 33)
+    for max_size in (29, 30, 31):
+        _assert_matches_oracle(g, max_size)
+        core = decompose(g, max_size=max_size).core_nodes
+        assert (0 in core) is (max_size < 30)
+        assert (30 in core) is (max_size < 31)  # its closure is the ring plus itself
+
+
 def test_decompose_two_cycle_plus_self_loop():
     g = parse_edge_list(["0 1", "1 0", "2 2"])
     d = decompose(g, max_size=10)
