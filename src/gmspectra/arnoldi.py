@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DirectedGraph
-from .manifest import atomic_write
 from .operator import GoogleOperator
+from .stats import write_curve_csv
 from .subspaces import SubspaceDecomposition, SubspaceSpectrum
 
 BREAKDOWN_TOL = 1e-14
@@ -256,13 +256,12 @@ def write_spectrum_csv(path, subspace_spec: SubspaceSpectrum | None,
                        core: ArnoldiResult | None) -> None:
     """CSV export: re,im,modulus,residual,origin. Subspace eigenvalues come
     from dense solves and carry residual 0."""
-    with atomic_write(path) as fh:
-        fh.write("re,im,modulus,residual,origin\n")
-        if subspace_spec is not None:
-            for lam in subspace_spec.all_eigenvalues:
-                fh.write(f"{float(lam.real)!r},{float(lam.imag)!r},"
-                         f"{float(abs(lam))!r},0.0,subspace\n")
-        if core is not None:
-            for lam, res in zip(core.ritz_values, core.residual_norms):
-                fh.write(f"{float(lam.real)!r},{float(lam.imag)!r},"
-                         f"{float(abs(lam))!r},{float(res)!r},core\n")
+    sub_vals = subspace_spec.all_eigenvalues if subspace_spec is not None else []
+    core_vals, core_res = ((core.ritz_values, core.residual_norms) if core is not None
+                           else ([], []))
+    lam = np.concatenate((sub_vals, core_vals))
+    # np.hypot, not np.abs(lam): it rounds like the scalar abs(lam) in every bit
+    write_curve_csv(path, "re,im,modulus,residual,origin",
+                    lam.real, lam.imag, np.hypot(lam.real, lam.imag),
+                    np.concatenate((np.zeros(len(sub_vals)), core_res)),
+                    np.repeat(["subspace", "core"], [len(sub_vals), len(core_vals)]))

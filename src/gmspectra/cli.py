@@ -202,9 +202,7 @@ def cmd_spectrum(args) -> int:
         for idx, vec in sorted(result.ritz_vectors.items()):
             profile = arn.eigvec_profile(vec)
             path = f"{args.out}.vec{idx}.csv"
-            st.write_curve_csv(path, "rank,modulus",
-                               [int(r) for r in profile.ranks],
-                               [float(m) for m in profile.moduli])
+            st.write_curve_csv(path, "rank,modulus", profile.ranks, profile.moduli)
             manifest.add_output(path)
     manifest.set_flag("krylov_dimension", result.krylov_dimension)
     manifest.set_flag("breakdown", result.breakdown)
@@ -260,6 +258,17 @@ def _load_dimensions(path) -> np.ndarray:
     return dims
 
 
+def _parse_range(spec, option: str, meaning: str) -> tuple[float, float] | None:
+    if not spec:
+        return None
+    try:
+        lo, hi = (float(tok) for tok in spec.split(":"))
+    except ValueError:
+        raise CliError(EXIT_BAD_PARAMETER,
+                       f"{option} expects {meaning}, got {spec!r}") from None
+    return lo, hi
+
+
 def cmd_stats(args) -> int:
     manifest = RunManifest("stats", {
         "cache": args.cache, "out": args.out, "rank": args.rank,
@@ -277,7 +286,36 @@ def cmd_stats(args) -> int:
     k, _ = rk.rank_indices(p)
     k_star, _ = rk.rank_indices(p_star)
 
+    # every input is checked and every observable computed before the first
+    # write, so a failing run leaves no partial report bundle
     report = st.correlator(p, p_star)
+    grid_specs = [(spec, *_parse_grid(spec)) for spec in (args.grid or ["log:100"])]
+    fit_range = _parse_range(args.fit_range, "--fit-range", "LO:HI in log10 rank")
+    fits = {}
+    try:
+        grids = [(spec, st.density_2d(k, k_star, mode=mode, **kwargs))
+                 for spec, mode, kwargs in grid_specs]
+        if fit_range is not None:
+            ranks = np.arange(1, n + 1, dtype=np.float64)
+            for name, vec in (("pagerank", p), ("cheirank", p_star)):
+                fits[name] = st.powerlaw_fit(ranks, np.sort(vec)[::-1], fit_range).to_json()
+    except ValueError as exc:
+        raise CliError(EXIT_BAD_PARAMETER, str(exc)) from exc
+    k_values = np.unique(np.round(np.logspace(0, np.log10(n), 64)).astype(np.int64))
+    nk = st.n_k_counts(k, k_star, k_values)
+    filling = st.ng_filling(g, k, k_values)
+    curve = None
+    if args.decomposition:
+        _require_file(args.decomposition)
+        manifest.add_input(args.decomposition)
+        dims = _load_dimensions(args.decomposition)
+        if dims.size:
+            tail_range = _parse_range(args.tail_range, "--tail-range", "LO:HI")
+            curve = st.subspace_fraction(dims, tail_range=tail_range)
+            manifest.set_flag("mean_subspace_dimension", curve.mean_dimension)
+            if curve.tail_fit is not None:
+                fits["subspace_fraction_tail"] = curve.tail_fit.to_json()
+
     corr_path = f"{args.out}.correlator.json"
     with atomic_write(corr_path) as fh:
         json.dump({"kappa": report.kappa, "underflow": report.underflow,
@@ -286,72 +324,23 @@ def cmd_stats(args) -> int:
     manifest.add_output(corr_path)
     hist_path = f"{args.out}.kappa_hist.csv"
     st.write_curve_csv(hist_path, "bin_low,bin_high,count",
-                       [float(v) for v in report.bin_edges[:-1]],
-                       [float(v) for v in report.bin_edges[1:]],
-                       [int(c) for c in report.histogram])
+                       report.bin_edges[:-1], report.bin_edges[1:], report.histogram)
     manifest.add_output(hist_path)
-
-    for spec in (args.grid or ["log:100"]):
-        mode, kwargs = _parse_grid(spec)
-        try:
-            grid = st.density_2d(k, k_star, mode=mode, **kwargs)
-        except ValueError as exc:
-            raise CliError(EXIT_BAD_PARAMETER, str(exc)) from exc
+    for spec, grid in grids:
         path = f"{args.out}.density_{spec.replace(':', '_')}.csv"
         st.write_grid_csv(grid, path)
         manifest.add_output(path)
-
-    k_values = np.unique(np.round(np.logspace(0, np.log10(n), 64)).astype(np.int64))
-    nk = st.n_k_counts(k, k_star, k_values)
     nk_path = f"{args.out}.nk.csv"
-    st.write_curve_csv(nk_path, "k,n_k", [int(v) for v in k_values],
-                       [int(v) for v in nk])
+    st.write_curve_csv(nk_path, "k,n_k", k_values, nk)
     manifest.add_output(nk_path)
-    filling = st.ng_filling(g, k, k_values)
     ng_path = f"{args.out}.ng.csv"
-    st.write_curve_csv(ng_path, "k,n_g,area_density,linear_density",
-                       [int(v) for v in filling.k_values],
-                       [int(v) for v in filling.n_g],
-                       [float(v) for v in filling.area_density],
-                       [float(v) for v in filling.linear_density])
+    st.write_curve_csv(ng_path, "k,n_g,area_density,linear_density", filling.k_values,
+                       filling.n_g, filling.area_density, filling.linear_density)
     manifest.add_output(ng_path)
-
-    fits = {}
-    if args.fit_range:
-        try:
-            lo, hi = (float(tok) for tok in args.fit_range.split(":"))
-        except ValueError:
-            raise CliError(EXIT_BAD_PARAMETER,
-                           f"--fit-range expects LO:HI in log10 rank, got {args.fit_range!r}")
-        ranks = np.arange(1, n + 1, dtype=np.float64)
-        try:
-            fits["pagerank"] = st.powerlaw_fit(ranks, np.sort(p)[::-1], (lo, hi)).to_json()
-            fits["cheirank"] = st.powerlaw_fit(ranks, np.sort(p_star)[::-1], (lo, hi)).to_json()
-        except ValueError as exc:
-            raise CliError(EXIT_BAD_PARAMETER, str(exc)) from exc
-
-    if args.decomposition:
-        _require_file(args.decomposition)
-        manifest.add_input(args.decomposition)
-        dims = _load_dimensions(args.decomposition)
-        if dims.size:
-            tail_range = None
-            if args.tail_range:
-                try:
-                    tail_range = tuple(float(tok) for tok in args.tail_range.split(":"))
-                except ValueError:
-                    raise CliError(EXIT_BAD_PARAMETER,
-                                   f"--tail-range expects LO:HI, got {args.tail_range!r}")
-            curve = st.subspace_fraction(dims, tail_range=tail_range)
-            frac_path = f"{args.out}.fraction.csv"
-            st.write_curve_csv(frac_path, "x,fraction",
-                               [float(v) for v in curve.x],
-                               [float(v) for v in curve.fraction])
-            manifest.add_output(frac_path)
-            manifest.set_flag("mean_subspace_dimension", curve.mean_dimension)
-            if curve.tail_fit is not None:
-                fits["subspace_fraction_tail"] = curve.tail_fit.to_json()
-
+    if curve is not None:
+        frac_path = f"{args.out}.fraction.csv"
+        st.write_curve_csv(frac_path, "x,fraction", curve.x, curve.fraction)
+        manifest.add_output(frac_path)
     if fits:
         fits_path = f"{args.out}.fits.json"
         with atomic_write(fits_path) as fh:

@@ -55,6 +55,10 @@ class CacheChecksumError(CacheError):
     """Cache payload does not match its trailing checksum."""
 
 
+class CacheStructureError(CacheError):
+    """Cache passes its checksum but its CSR arrays are inconsistent."""
+
+
 @dataclass(frozen=True)
 class CheckedFormat:
     """Checked binary container: a little-endian header (magic, version, then
@@ -275,17 +279,15 @@ def parse_edge_list(source, id_mode="dense", num_nodes=None) -> DirectedGraph:
     src = np.asarray(srcs, dtype=np.int64)
     dst = np.asarray(dsts, dtype=np.int64)
     if id_mode == "remap":
-        originals, inverse = np.unique(np.concatenate([src, dst]), return_inverse=True)
-        # first-appearance order, not sorted order
-        flat = np.concatenate([src, dst])
-        first_pos = np.full(originals.size, flat.size, dtype=np.int64)
-        np.minimum.at(first_pos, inverse, np.arange(flat.size))
-        rank = np.argsort(np.argsort(first_pos, kind="stable"), kind="stable")
+        originals, first_pos, inverse = np.unique(
+            np.concatenate([src, dst]), return_index=True, return_inverse=True)
+        # first-appearance order, not sorted order; first positions are distinct
+        order = np.argsort(first_pos)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
         remapped = rank[inverse]
         src, dst = remapped[:src.size], remapped[src.size:]
-        original_ids = np.empty_like(originals)
-        original_ids[rank] = originals
-        return from_edges(src, dst, num_nodes=originals.size, original_ids=original_ids)
+        return from_edges(src, dst, num_nodes=originals.size, original_ids=originals[order])
     return from_edges(src, dst, num_nodes=num_nodes)
 
 
@@ -315,6 +317,17 @@ def save_cache(g: DirectedGraph, path) -> None:
 
 
 def load_cache(path) -> DirectedGraph:
+    """Read a cache written by ``save_cache``; besides the container checks,
+    both link directions must be valid CSR arrays over N nodes."""
     out_offsets, out_indices, in_offsets, in_indices = GRAPH_CACHE.read(path)
-    return DirectedGraph(out_offsets.size - 1, out_offsets, out_indices,
-                         in_offsets, in_indices)
+    n = out_offsets.size - 1
+    for name, offsets, indices in (("out", out_offsets, out_indices),
+                                   ("in", in_offsets, in_indices)):
+        if (offsets[0] != 0 or offsets[-1] != indices.size
+                or np.any(offsets[1:] < offsets[:-1])):
+            raise CacheStructureError(f"{path}: {name}-link offsets are not monotone "
+                                      f"from 0 to {indices.size}")
+        if indices.size and int(indices.max()) >= n:
+            raise CacheStructureError(f"{path}: {name}-link node id "
+                                      f"{int(indices.max())} outside [0, {n})")
+    return DirectedGraph(n, out_offsets, out_indices, in_offsets, in_indices)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import CheckedFormat, DirectedGraph, invert
-from .manifest import atomic_write
 from .operator import DEFAULT_ALPHA, GoogleOperator
+from .stats import write_curve_csv
 
 VECTOR_MAGIC = b"SNRV"
 VECTOR_VERSION = 1
@@ -131,10 +131,8 @@ def find_plateaus(rv: RankVector, min_multiplicity: int = 2) -> PlateauReport:
 
 def write_rank_csv(rv: RankVector, path) -> None:
     """CSV export: node_id,probability,rank (atomic write)."""
-    with atomic_write(path) as fh:
-        fh.write("node_id,probability,rank\n")
-        for i in range(rv.node_count):
-            fh.write(f"{i},{float(rv.probabilities[i])!r},{int(rv.rank_of_node[i])}\n")
+    write_curve_csv(path, "node_id,probability,rank", np.arange(rv.node_count),
+                    rv.probabilities, rv.rank_of_node)
 
 
 def write_vector_cache(p: np.ndarray, path) -> None:

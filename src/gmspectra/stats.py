@@ -9,6 +9,7 @@ and power-law fits by ordinary least squares in log-log space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .manifest import atomic_write
 
 KAPPA_HIST_CELLS = 240
 KAPPA_HIST_RANGE = (1e-10, 1e2)
+CSV_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -286,16 +288,21 @@ def beta_from_mu(mu: float) -> float:
 def write_grid_csv(grid: DensityGrid, path) -> None:
     """CSV export: row,col,count,density (occupied cells only)."""
     rows, cols = np.nonzero(grid.counts)
-    with atomic_write(path) as fh:
-        fh.write("row,col,count,density\n")
-        for r, c in zip(rows, cols):
-            fh.write(f"{r},{c},{int(grid.counts[r, c])},{float(grid.density[r, c])!r}\n")
+    write_curve_csv(path, "row,col,count,density", rows, cols,
+                    grid.counts[rows, cols], grid.density[rows, cols])
 
 
 def write_curve_csv(path, header: str, *columns) -> None:
-    """Generic CSV export of aligned columns (atomic write)."""
+    """CSV export of aligned array columns (atomic write), used for every
+    tabular artifact. A cell is ``str`` of its element as a Python scalar:
+    floats in shortest round-trip ``repr``, ints in decimal. Rows are
+    formatted ``CSV_CHUNK_ROWS`` at a time, with one ``%`` per chunk."""
+    columns = [np.asarray(c) for c in columns]
+    rows = min((c.size for c in columns), default=0)
+    template = ",".join(["%s"] * len(columns)) + "\n"
     with atomic_write(path) as fh:
         fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        for lo in range(0, rows, CSV_CHUNK_ROWS):
+            hi = min(lo + CSV_CHUNK_ROWS, rows)
+            cells = chain.from_iterable(zip(*(c[lo:hi].tolist() for c in columns)))
+            fh.write(template * (hi - lo) % tuple(cells))

@@ -175,9 +175,9 @@ def subspace_block(g: DirectedGraph, members: np.ndarray) -> np.ndarray:
     local = {int(node): i for i, node in enumerate(members)}
     d = members.size
     block = np.zeros((d, d))
-    out_deg = g.out_degrees
+    out_deg = g.out_offsets[members + 1] - g.out_offsets[members]
     for j, node in enumerate(members):
-        w = 1.0 / out_deg[node]
+        w = 1.0 / out_deg[j]
         for succ in g.successors(int(node)):
             block[local[int(succ)], j] = w
     return block

@@ -238,6 +238,18 @@ def test_spectrum_csv_export(tmp_path, rng):
     assert origins <= {"subspace", "core"}
     assert len(lines) == 1 + spec.all_eigenvalues.size + res.ritz_values.size
 
+    # every cell is the repr of the scalar value; the modulus is the scalar
+    # abs(lam), which np.abs of a complex array misses in the last bit for
+    # about a third of random values
+    lam = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
+    spec = SubspaceSpectrum([lam[:1500], lam[1500:]], [], 0, 0)
+    write_spectrum_csv(path, spec, res)
+    rows = [(v, 0.0, "subspace") for v in lam]
+    rows += [(v, r, "core") for v, r in zip(res.ritz_values, res.residual_norms)]
+    assert path.read_text().splitlines()[1:] == [
+        f"{float(v.real)!r},{float(v.imag)!r},{float(abs(v))!r},{float(r)!r},{origin}"
+        for v, r, origin in rows]
+
 
 def test_parameter_validation(rng):
     g = parse_edge_list(["0 1", "1 0"])

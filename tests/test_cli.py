@@ -13,6 +13,7 @@ from gmspectra import (correlator, decompose, density_2d, load_cache, pagerank,
                        subspace_spectrum, write_rank_csv, write_spectrum_csv,
                        write_vector_cache)
 from gmspectra.cli import build_parser, main
+from gmspectra.graph import GRAPH_CACHE
 from gmspectra.manifest import RunManifest
 from gmspectra.stats import write_curve_csv, write_grid_csv
 from gmspectra.subspaces import write_decomposition_json
@@ -107,6 +108,19 @@ def test_rank_corrupt_cache(tmp_path, two_cycle_cache):
     bad = tmp_path / "bad.cache"
     bad.write_bytes(bytes(blob))
     assert main(["rank", str(bad), str(tmp_path / "pr")]) == 4
+
+
+@pytest.mark.parametrize("slot", [1, 3], ids=["out-link", "in-link"])
+def test_rank_cache_with_bad_csr(tmp_path, two_cycle_cache, slot):
+    # the checksum is valid, but one link points at node 2 of a 2-node graph
+    arrays = list(GRAPH_CACHE.read(two_cycle_cache))
+    arrays[slot] = np.array([1, 2], dtype=np.uint32)
+    bad = tmp_path / "bad.cache"
+    GRAPH_CACHE.write(bad, (2, 2), arrays)
+    result = run_cli(["rank", bad, tmp_path / "pr"])
+    assert result.returncode == 4
+    assert "Traceback" not in result.stderr
+    assert not list(tmp_path.glob("pr.*"))
 
 
 def test_subspaces_command(tmp_path):
@@ -362,14 +376,22 @@ def test_stats_missing_vector(small_cache, tmp_path):
                  "--chei", str(tmp_path / "missing.vec")]) == 2
 
 
-def test_no_partial_artifacts_on_failure(tmp_path, small_cache):
-    # bad grid spec fails after the correlator outputs exist, but no .tmp
-    # files may remain
+@pytest.mark.parametrize("extra, code", [
+    (["--decomposition", "empty.json"], 4),
+    (["--grid", "bogus"], 3),
+    (["--fit-range", "x"], 3),
+    (["--grid", "linear:0:10"], 3),  # density_2d rejects a zero cell size
+    (["--decomposition", "dims.json", "--tail-range", "x"], 3),
+], ids=["decomposition", "grid-spec", "fit-range", "grid-cells", "tail-range"])
+def test_no_partial_artifacts_on_failure(tmp_path, small_cache, extra, code):
+    # stats checks every input and computes every observable before its first
+    # write, so a failing run leaves no report file and no temp file
     main(["rank", str(small_cache), str(tmp_path / "pr")])
     main(["rank", str(small_cache), str(tmp_path / "cr"), "--chei"])
-    code = main(["stats", str(small_cache), str(tmp_path / "s"),
+    (tmp_path / "empty.json").write_text("{}")
+    (tmp_path / "dims.json").write_text('{"subspaces": [{"dimension": 2}]}')
+    extra = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in extra]
+    assert main(["stats", str(small_cache), str(tmp_path / "s"),
                  "--rank", str(tmp_path / "pr.vec"),
-                 "--chei", str(tmp_path / "cr.vec"),
-                 "--grid", "bogus:1"])
-    assert code == 3
-    assert not list(tmp_path.glob("*.tmp.*"))
+                 "--chei", str(tmp_path / "cr.vec"), *extra]) == code
+    assert not list(tmp_path.glob("s.*"))

@@ -5,9 +5,10 @@ import pytest
 
 from gmspectra import (degree_stats, from_edges, invert, load_cache,
                        parse_edge_list, save_cache)
-from gmspectra.graph import (CacheChecksumError, CacheFormatError,
-                             CacheTruncatedError, CacheVersionError,
-                             EdgeListParseError, NodeRangeError)
+from gmspectra.graph import (GRAPH_CACHE, CacheChecksumError, CacheFormatError,
+                             CacheStructureError, CacheTruncatedError,
+                             CacheVersionError, EdgeListParseError,
+                             NodeRangeError)
 
 from conftest import random_graph
 
@@ -160,6 +161,17 @@ def test_cache_load_errors(tmp_path):
     bad.write_bytes(bytes(corrupted))
     with pytest.raises(CacheChecksumError):
         load_cache(bad)
+
+    # a valid checksum over malformed CSR arrays
+    g = parse_edge_list(["0 1", "0 2", "1 2", "2 0"])
+    arrays = (g.out_offsets, g.out_indices, g.in_offsets, g.in_indices)
+    for slot, array in [(3, np.array([2, 0, 0, 3])),  # in-link id 3 >= N
+                        (1, np.array([1, 2, 3, 0])),  # out-link id 3 >= N
+                        (0, g.out_offsets[[0, 2, 1, 3]])]:  # offsets 0,3,2,4
+        GRAPH_CACHE.write(bad, (g.node_count, g.edge_count),
+                          arrays[:slot] + (array,) + arrays[slot + 1:])
+        with pytest.raises(CacheStructureError):
+            load_cache(bad)
 
 
 def test_parse_idempotent_under_reserialization(rng):

@@ -5,7 +5,8 @@ from gmspectra import (beta_from_mu, correlator, degree_exponent, density_2d,
                        from_edges, n_k_counts, ng_filling, parse_edge_list,
                        powerlaw_fit, rank_indices, reference_survival,
                        subspace_fraction)
-from gmspectra.stats import KAPPA_HIST_CELLS, write_curve_csv, write_grid_csv
+from gmspectra.stats import (CSV_CHUNK_ROWS, KAPPA_HIST_CELLS, write_curve_csv,
+                             write_grid_csv)
 
 from conftest import random_graph
 
@@ -236,7 +237,25 @@ def test_grid_csv_export(tmp_path):
     assert "0,1,1,0.5" in lines
 
 
-def test_curve_csv_export(tmp_path):
+def test_curve_csv_export(tmp_path, rng):
     path = tmp_path / "curve.csv"
     write_curve_csv(path, "k,v", [1, 2], [0.5, 0.25])
     assert path.read_text().splitlines() == ["k,v", "1,0.5", "2,0.25"]
+
+    # floats render as repr (shortest round trip), ints in decimal
+    floats = np.array([-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, np.nan, np.inf, -np.inf])
+    ints = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1,
+                     1, 10**16, -(10**15), 7], dtype=np.int64)
+    write_curve_csv(path, "k,v", ints, floats)
+    assert path.read_text().splitlines() == ["k,v"] + [
+        f"{int(k)},{float(v)!r}" for k, v in zip(ints, floats)]
+    assert path.read_text().splitlines()[1:6] == [
+        "-9223372036854775808,-0.0", "9223372036854775807,5e-324", "0,1e+16",
+        "-1,1e-05", "1,0.30000000000000004"]
+
+    # rows span several formatting chunks, the last one partial
+    n = 2 * CSV_CHUNK_ROWS + 3
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    write_curve_csv(path, "i,x,label", np.arange(n), values, np.full(n, "a"))
+    assert path.read_text() == "i,x,label\n" + "".join(
+        f"{i},{float(v)!r},a\n" for i, v in enumerate(values))
