@@ -291,6 +291,7 @@ def cmd_stats(args) -> int:
     report = st.correlator(p, p_star)
     grid_specs = [(spec, *_parse_grid(spec)) for spec in (args.grid or ["log:100"])]
     fit_range = _parse_range(args.fit_range, "--fit-range", "LO:HI in log10 rank")
+    tail_range = _parse_range(args.tail_range, "--tail-range", "LO:HI")
     fits = {}
     try:
         grids = [(spec, st.density_2d(k, k_star, mode=mode, **kwargs))
@@ -310,7 +311,6 @@ def cmd_stats(args) -> int:
         manifest.add_input(args.decomposition)
         dims = _load_dimensions(args.decomposition)
         if dims.size:
-            tail_range = _parse_range(args.tail_range, "--tail-range", "LO:HI")
             curve = st.subspace_fraction(dims, tail_range=tail_range)
             manifest.set_flag("mean_subspace_dimension", curve.mean_dimension)
             if curve.tail_fit is not None:
@@ -359,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gmspectra",
         description="Google-matrix spectral analysis of directed networks")
     parser.add_argument("--threads", type=int, default=_default_threads(),
-                        help="worker count for matrix-vector stages "
+                        help="worker count, recorded in the manifests; the "
+                             "matrix-vector stages run on one thread (see README) and "
+                             "output bytes do not depend on it "
                              "(default: GMSPECTRA_THREADS or 1)")
     commands = parser.add_subparsers(dest="command", required=True)
 

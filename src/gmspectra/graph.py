@@ -201,7 +201,8 @@ def from_edges(src, dst, num_nodes=None, original_ids=None) -> DirectedGraph:
     """Build a DirectedGraph from parallel src/dst arrays.
 
     Duplicate edges collapse; self-loops are kept. ``num_nodes`` defaults to
-    max id + 1 (or the length of ``original_ids`` in remap mode).
+    max id + 1 (or the length of ``original_ids`` in remap mode); it must be
+    below 2**32, else ``NodeRangeError``.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
@@ -217,6 +218,8 @@ def from_edges(src, dst, num_nodes=None, original_ids=None) -> DirectedGraph:
     n = int(num_nodes)
     if n < 1:
         raise ValueError("graph must have at least one node")
+    if n >= 2**32:  # checked before any O(N) array: CSR indices are uint32
+        raise NodeRangeError(f"{n} nodes: node ids are stored as uint32, N must be < 2**32")
     if src.size:
         lo = min(int(src.min()), int(dst.min()))
         hi = max(int(src.max()), int(dst.max()))

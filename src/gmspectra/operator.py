@@ -2,14 +2,16 @@
 Google matrix G = alpha*S + (1-alpha)/N.
 
 Neither the dangling-column fill nor the damping term is ever materialized:
-both are rank-one corrections driven by scalar sums. Output components are
-accumulated in a fixed order (ascending predecessor id), so results are
-bitwise identical for any worker count.
+both are rank-one corrections driven by scalar sums. The sparse part sums
+each node's in-link values with one ``np.add.reduceat`` segment per nonempty
+in-row, in ascending predecessor order; the rows and their segment starts are
+found once, at construction. The sparse part runs on the calling thread:
+``np.add.reduceat`` holds the interpreter lock, and a two-thread split of the
+rows measured no faster than one pass. Results do not depend on ``threads``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,13 +24,21 @@ DEFAULT_ALPHA = 0.85
 @dataclass(frozen=True)
 class GoogleOperator:
     """Matrix-free S and G over an immutable DirectedGraph. For the
-    link-inverted network (G*, used for CheiRank) pass ``invert(graph)``."""
+    link-inverted network (G*, used for CheiRank) pass ``invert(graph)``.
+
+    ``threads`` is checked (>= 1) but not used by the matvec; see the module
+    docstring. The operator keeps an ``intp`` copy of ``in_indices``
+    (8 bytes per edge): a gather over ``intp`` indices does not convert the
+    ``uint32`` CSR indices on every call."""
 
     graph: DirectedGraph
     alpha: float = DEFAULT_ALPHA
     threads: int = 1
     _inv_out_degree: np.ndarray = field(init=False, repr=False, compare=False)
     _dangling: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _segments: np.ndarray = field(init=False, repr=False, compare=False)
+    _predecessors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -36,12 +46,21 @@ class GoogleOperator:
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         g = self.graph
+        n = g.node_count
+        if g.in_indices.size and int(g.in_indices.max()) >= n:
+            raise ValueError(f"in-link node id {int(g.in_indices.max())} outside [0, {n})")
         deg = g.out_degrees
-        inv = np.zeros(g.node_count, dtype=np.float64)
+        inv = np.zeros(n, dtype=np.float64)
         nz = deg > 0
         inv[nz] = 1.0 / deg[nz]
+        # CSR offsets are contiguous, so the starts of the nonempty rows
+        # delimit exact segments and the last one runs to the end of the links
+        rows = np.flatnonzero(g.in_offsets[:-1] < g.in_offsets[1:])
         object.__setattr__(self, "_inv_out_degree", inv)
         object.__setattr__(self, "_dangling", g.dangling_nodes)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_segments", g.in_offsets[rows])
+        object.__setattr__(self, "_predecessors", g.in_indices.astype(np.intp))
 
     @property
     def node_count(self) -> int:
@@ -56,42 +75,18 @@ class GoogleOperator:
         return v
 
     def _sparse_part(self, w, out):
-        """out[i] = sum over predecessors j of w[j], per-row reduceat order."""
-        g = self.graph
-        n = g.node_count
-        starts = g.in_offsets[:-1]
-        ends = g.in_offsets[1:]
-        nonempty = starts < ends
-        vals = w[g.in_indices]
-
-        def block(lo, hi):
-            mask = nonempty[lo:hi]
-            rows = np.arange(lo, hi)[mask]
-            if rows.size:
-                # CSR offsets are contiguous, so consecutive nonempty starts
-                # delimit exact segments; only the last segment of the block
-                # would run to the end of vals and is summed directly.
-                res = np.add.reduceat(vals, starts[rows])
-                last = rows[-1]
-                # reduceat again (not add.reduce) so the summation order of
-                # the fixed-up row matches the other rows exactly.
-                res[-1] = np.add.reduceat(vals[starts[last]:ends[last]], [0])[0]
-                out[rows] = res
-
-        if self.threads == 1 or n < 4 * self.threads:
-            block(0, n)
-        else:
-            bounds = np.linspace(0, n, self.threads + 1).astype(np.int64)
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                list(pool.map(lambda i: block(bounds[i], bounds[i + 1]),
-                              range(self.threads)))
+        """out[i] = sum over predecessors j of w[j], one reduceat segment per
+        nonempty row; rows without in-links are left as they are."""
+        if self._rows.size:
+            out[self._rows] = np.add.reduceat(np.take(w, self._predecessors),
+                                              self._segments)
         return out
 
     def apply_s(self, v: np.ndarray) -> np.ndarray:
         """S @ v: column-normalized adjacency with uniform dangling columns."""
         v = self._check(v)
         w = v * self._inv_out_degree
-        out = np.zeros(self.node_count, dtype=np.result_type(v.dtype, np.float64))
+        out = np.zeros(self.node_count, dtype=w.dtype)
         self._sparse_part(w, out)
         if self._dangling.size:
             out += np.sum(v[self._dangling]) / self.node_count

@@ -194,7 +194,8 @@ def test_spectrum_bad_vectors_exit_3(breakdown_cache, tmp_path, vectors):
 @pytest.fixture
 def stats_inputs(tmp_path):
     """A five-node cache (a 2-cycle, a self-loop, two core nodes), its PageRank and
-    CheiRank vectors, and two malformed decomposition files."""
+    CheiRank vectors, two malformed decomposition files and an edge list with
+    a node id past the uint32 range."""
     edges = tmp_path / "edges.txt"
     edges.write_text("0 1\n1 0\n2 2\n3 0\n3 4\n")
     assert main(["ingest", str(edges), str(tmp_path / "g.cache")]) == 0
@@ -202,6 +203,7 @@ def stats_inputs(tmp_path):
     assert main(["rank", str(tmp_path / "g.cache"), str(tmp_path / "cr"), "--chei"]) == 0
     (tmp_path / "nosub.json").write_text('{"node_count": 5}\n')
     (tmp_path / "notjson.json").write_text("0 1\n")
+    (tmp_path / "huge.txt").write_text("0 4294967296\n")
     return tmp_path
 
 
@@ -220,10 +222,12 @@ STATS = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/pr.vec", "--chei", "{d
     # an output prefix in a missing directory, and an output file that is a directory
     ({}, ["rank", "{d}/g.cache", "{d}/missing/out"], 3),
     ({}, ["rank", "{d}/g.cache", "{d}/taken"], 3),
+    # rejected before any O(N) allocation
+    ({}, ["ingest", "{d}/huge.txt", "{d}/huge.cache"], 4),
 ], ids=["threads-env-text-help", "threads-env-text", "threads-env-zero",
         "decomposition-no-subspaces", "decomposition-not-json", "subspaces-max-size-0",
         "spectrum-max-size-0", "spectrum-dense-limit-0", "output-dir-missing",
-        "output-is-directory"])
+        "output-is-directory", "ingest-node-id-past-uint32"])
 def test_bad_invocation_exits_with_documented_code(stats_inputs, env, argv, code):
     (stats_inputs / "taken.csv").mkdir()
     proc = run_cli([a.format(d=stats_inputs) for a in argv], **env)
@@ -382,7 +386,9 @@ def test_stats_missing_vector(small_cache, tmp_path):
     (["--fit-range", "x"], 3),
     (["--grid", "linear:0:10"], 3),  # density_2d rejects a zero cell size
     (["--decomposition", "dims.json", "--tail-range", "x"], 3),
-], ids=["decomposition", "grid-spec", "fit-range", "grid-cells", "tail-range"])
+    (["--tail-range", "x"], 3),
+], ids=["decomposition", "grid-spec", "fit-range", "grid-cells", "tail-range",
+        "tail-range-no-decomposition"])
 def test_no_partial_artifacts_on_failure(tmp_path, small_cache, extra, code):
     # stats checks every input and computes every observable before its first
     # write, so a failing run leaves no report file and no temp file

@@ -46,6 +46,14 @@ def test_dense_mode_range_error():
         parse_edge_list(["0 5"], num_nodes=3)
 
 
+def test_node_count_past_uint32_rejected():
+    # raised before any O(N) array is allocated (N + 1 offsets would be 32 GiB)
+    with pytest.raises(NodeRangeError):
+        from_edges([0], [1], num_nodes=2**32)
+    with pytest.raises(NodeRangeError):
+        parse_edge_list(["0 4294967296"])
+
+
 def test_remap_first_appearance_order():
     g = parse_edge_list(["10 7", "7 99"], id_mode="remap")
     assert g.node_count == 3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gmspectra import GoogleOperator, dense_g, dense_s, from_edges, parse_edge_list
+from gmspectra import DirectedGraph, GoogleOperator, dense_g, dense_s, from_edges, parse_edge_list
 
 from conftest import random_graph, random_probability
 
@@ -108,9 +108,79 @@ def test_spectral_bound(rng):
 def test_bitwise_identical_across_worker_counts(rng):
     g = random_graph(rng, 500, 0.02)
     v = random_probability(rng, 500)
-    base_s = GoogleOperator(g, threads=1).apply_s(v)
-    base_g = GoogleOperator(g, threads=1).apply_g(v)
+    base_s = GoogleOperator(g, threads=1).apply_s(v).tobytes()
+    base_g = GoogleOperator(g, threads=1).apply_g(v).tobytes()
     for threads in (2, 4, 7):
         op = GoogleOperator(g, threads=threads)
-        assert np.array_equal(op.apply_s(v), base_s)
-        assert np.array_equal(op.apply_g(v), base_g)
+        assert op.apply_s(v).tobytes() == base_s
+        assert op.apply_g(v).tobytes() == base_g
+
+
+def _row_by_row_s(g, v):
+    """S @ v with one reduceat per nonempty in-row, row by row."""
+    n = g.node_count
+    deg = g.out_degrees
+    w = v * np.where(deg > 0, 1.0 / np.maximum(deg, 1), 0.0)
+    out = np.zeros(n)
+    for i in range(n):
+        pred = g.predecessors(i)
+        if pred.size:
+            out[i] = np.add.reduceat(w[pred.astype(np.intp)], [0])[0]
+    dangling = g.dangling_nodes
+    if dangling.size:
+        out += np.sum(v[dangling]) / n
+    return out
+
+
+def _hub_graph(rng):
+    # node 17 holds 90 % of the in-links
+    src = rng.integers(0, 60, 600)
+    dst = np.where(rng.random(600) < 0.9, 17, rng.integers(0, 60, 600))
+    return from_edges(src, dst, 60)
+
+
+def _gap_graph(rng):
+    # in-links only into nodes 0-2 and 37-39: runs of empty in-rows before,
+    # between and after the nonempty ones
+    src = rng.integers(0, 40, 120)
+    dst = np.concatenate([rng.integers(0, 3, 60), rng.integers(37, 40, 60)])
+    return from_edges(src, dst, 40)
+
+
+@pytest.mark.parametrize("make", [
+    _hub_graph,
+    _gap_graph,
+    lambda rng: from_edges([0, 5, 9, 3], [4, 4, 2, 2], 12),  # two nonempty rows
+    lambda rng: from_edges([], [], num_nodes=5),  # no edges
+    lambda rng: random_graph(rng, 300, 0.05),
+], ids=["hub-row", "empty-row-runs", "two-rows", "no-edges", "random"])
+def test_sparse_part_matches_row_by_row_sum(rng, make):
+    g = make(rng)
+    op = GoogleOperator(g)
+    for v in (random_probability(rng, g.node_count), rng.standard_normal(g.node_count)):
+        assert op.apply_s(v).tobytes() == _row_by_row_s(g, v).tobytes()
+
+
+def test_in_link_id_past_node_count_rejected():
+    g = parse_edge_list(["0 1", "1 2", "2 0"])
+    bad = g.in_indices.copy()
+    bad[1] = g.node_count
+    broken = DirectedGraph(g.node_count, g.out_offsets, g.out_indices, g.in_offsets, bad)
+    with pytest.raises(ValueError, match="outside"):
+        GoogleOperator(broken)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.longdouble])
+def test_wide_input_dtype_is_kept(rng, dtype):
+    # the gather and the sums run in the input's dtype, never through float64
+    g = random_graph(rng, 60, 0.1)
+    op = GoogleOperator(g)
+    re, im = random_probability(rng, 60), rng.standard_normal(60)
+    v = (re + 1j * im) if dtype is np.complex128 else re.astype(np.longdouble)
+    out = op.apply_s(v)
+    assert out.dtype == dtype
+    if dtype is np.complex128:
+        np.testing.assert_allclose(out, op.apply_s(re) + 1j * op.apply_s(im), rtol=1e-15)
+    else:
+        np.testing.assert_allclose(out, dense_s(g).astype(np.longdouble) @ v,
+                                   rtol=100 * np.finfo(np.longdouble).eps)
