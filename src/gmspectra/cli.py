@@ -71,11 +71,14 @@ def _load_vector(path, n) -> np.ndarray:
     return vec
 
 
+def _manifest(args) -> RunManifest:
+    """A manifest for the command that records every parsed option."""
+    return RunManifest(args.command, {key: value for key, value in vars(args).items()
+                                      if key not in ("func", "command")})
+
+
 def cmd_ingest(args) -> int:
-    manifest = RunManifest("ingest", {
-        "edge_list": args.edge_list, "cache": args.cache,
-        "id_mode": args.id_mode, "num_nodes": args.num_nodes,
-    })
+    manifest = _manifest(args)
     _require_file(args.edge_list)
     manifest.add_input(args.edge_list)
     try:
@@ -83,6 +86,8 @@ def cmd_ingest(args) -> int:
                                num_nodes=args.num_nodes)
     except (gr.EdgeListParseError, gr.NodeRangeError) as exc:
         raise CliError(EXIT_BAD_DATA, str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(EXIT_BAD_DATA, f"{args.edge_list}: not UTF-8 text ({exc.reason})") from exc
     gr.save_cache(g, args.cache)
     manifest.add_output(args.cache)
     if g.original_ids is not None:
@@ -105,11 +110,7 @@ def cmd_rank(args) -> int:
         raise CliError(EXIT_BAD_PARAMETER, f"--alpha must be in (0, 1), got {args.alpha}")
     if args.tol <= 0 or args.max_iter < 1:
         raise CliError(EXIT_BAD_PARAMETER, "--tol must be > 0 and --max-iter >= 1")
-    manifest = RunManifest("rank", {
-        "cache": args.cache, "out": args.out, "alpha": args.alpha,
-        "tol": args.tol, "max_iter": args.max_iter, "chei": args.chei,
-        "threads": args.threads,
-    })
+    manifest = _manifest(args)
     g = _load_graph(args.cache)
     manifest.add_input(args.cache)
     compute = rk.cheirank if args.chei else rk.pagerank
@@ -131,11 +132,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_subspaces(args) -> int:
-    manifest = RunManifest("subspaces", {
-        "cache": args.cache, "out": args.out, "max_size": args.max_size,
-        "dense_limit": args.dense_limit, "inverted": args.inverted,
-        "member_limit": args.member_limit,
-    })
+    manifest = _manifest(args)
     g = _load_graph(args.cache)
     manifest.add_input(args.cache)
     if args.inverted:
@@ -163,12 +160,7 @@ def cmd_subspaces(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    manifest = RunManifest("spectrum", {
-        "cache": args.cache, "out": args.out, "arnoldi_dim": args.arnoldi_dim,
-        "inverted": args.inverted, "vectors": args.vectors,
-        "max_size": args.max_size, "dense_limit": args.dense_limit,
-        "max_ram_gb": args.max_ram, "threads": args.threads,
-    })
+    manifest = _manifest(args)
     if args.arnoldi_dim < 1:
         raise CliError(EXIT_BAD_PARAMETER, "--arnoldi-dim must be >= 1")
     vector_indices = _parse_indices(args.vectors) if args.vectors else None
@@ -270,12 +262,7 @@ def _parse_range(spec, option: str, meaning: str) -> tuple[float, float] | None:
 
 
 def cmd_stats(args) -> int:
-    manifest = RunManifest("stats", {
-        "cache": args.cache, "out": args.out, "rank": args.rank,
-        "chei": args.chei, "decomposition": args.decomposition,
-        "grids": args.grid, "fit_range": args.fit_range,
-        "tail_range": args.tail_range,
-    })
+    manifest = _manifest(args)
     g = _load_graph(args.cache)
     manifest.add_input(args.cache)
     n = g.node_count

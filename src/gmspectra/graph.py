@@ -190,11 +190,19 @@ class GraphStats:
     out_degree_histogram: np.ndarray
 
 
-def _csr_from_sorted(src, dst, n):
-    """CSR arrays from edge arrays already sorted by (src, dst), deduplicated."""
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return offsets, dst.astype(np.uint32)
+def _edge_key(src, dst):
+    """``src << 32 | dst``, one ``uint64`` per link that sorts as (src, dst); ids < 2**32."""
+    return src.astype(np.uint64) << 32 | dst.astype(np.uint64)
+
+
+def _csr(rows, entries, n):
+    """CSR arrays of the links rows[i] -> entries[i], sorted by (row, entry), repeats dropped."""
+    key = _edge_key(rows, entries)
+    key.sort()
+    keep = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    key = key[keep]
+    return np.searchsorted(key, np.arange(n + 1, dtype=np.uint64) << 32), key.astype(np.uint32)
 
 
 def from_edges(src, dst, num_nodes=None, original_ids=None) -> DirectedGraph:
@@ -226,17 +234,8 @@ def from_edges(src, dst, num_nodes=None, original_ids=None) -> DirectedGraph:
         if lo < 0 or hi >= n:
             raise NodeRangeError(f"node id {hi if hi >= n else lo} outside [0, {n})")
 
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    if src.size:
-        keep = np.empty(src.size, dtype=bool)
-        keep[0] = True
-        np.logical_or(src[1:] != src[:-1], dst[1:] != dst[:-1], out=keep[1:])
-        src, dst = src[keep], dst[keep]
-
-    out_offsets, out_indices = _csr_from_sorted(src, dst, n)
-    order = np.lexsort((src, dst))
-    in_offsets, in_indices = _csr_from_sorted(dst[order], src[order], n)
+    out_offsets, out_indices = _csr(src, dst, n)
+    in_offsets, in_indices = _csr(dst, src, n)
     ids = None
     if original_ids is not None:
         ids = np.asarray(original_ids, dtype=np.int64)
@@ -250,13 +249,16 @@ def parse_edge_list(source, id_mode="dense", num_nodes=None) -> DirectedGraph:
     Lines starting with '#' and blank lines are skipped. In ``remap`` mode
     original ids are assigned dense internal ids in first-appearance order
     and kept on the graph as ``original_ids``; in ``dense`` mode ids are used
-    as-is and must be < ``num_nodes`` when that is given.
+    as-is and must be < ``num_nodes`` when that is given. Ids must be < 2**63
+    in both modes. A path is read as UTF-8.
     """
     if id_mode not in ("dense", "remap"):
         raise ValueError(f"unknown id_mode {id_mode!r}")
+    if id_mode == "remap" and num_nodes is not None:
+        raise ValueError("num_nodes applies to dense mode only; remap mode counts the ids")
     close = False
     if isinstance(source, (str, os.PathLike)):
-        source = open(source, "r")
+        source = open(source, "r", encoding="utf-8")
         close = True
     try:
         srcs, dsts = [], []
@@ -273,6 +275,8 @@ def parse_edge_list(source, id_mode="dense", num_nodes=None) -> DirectedGraph:
                 raise EdgeListParseError(lineno, f"non-integer token in {stripped!r}") from None
             if s < 0 or d < 0:
                 raise EdgeListParseError(lineno, "negative node id")
+            if s >= 2**63 or d >= 2**63:
+                raise EdgeListParseError(lineno, "node id above 2**63 - 1")
             srcs.append(s)
             dsts.append(d)
     finally:
@@ -321,7 +325,8 @@ def save_cache(g: DirectedGraph, path) -> None:
 
 def load_cache(path) -> DirectedGraph:
     """Read a cache written by ``save_cache``; besides the container checks,
-    both link directions must be valid CSR arrays over N nodes."""
+    both link directions must be valid CSR arrays over N nodes, and they must
+    be the arrays ``from_edges`` builds for the out-links' edge set."""
     out_offsets, out_indices, in_offsets, in_indices = GRAPH_CACHE.read(path)
     n = out_offsets.size - 1
     for name, offsets, indices in (("out", out_offsets, out_indices),
@@ -333,4 +338,13 @@ def load_cache(path) -> DirectedGraph:
         if indices.size and int(indices.max()) >= n:
             raise CacheStructureError(f"{path}: {name}-link node id "
                                       f"{int(indices.max())} outside [0, {n})")
+    rows = np.repeat(np.arange(n, dtype=np.uint32), np.diff(out_offsets))
+    key = _edge_key(rows, out_indices)
+    if np.any(key[1:] <= key[:-1]):
+        raise CacheStructureError(f"{path}: out-link rows are not strictly increasing")
+    del key  # before _csr allocates its own keys
+    in_csr = _csr(out_indices, rows, n)
+    if not (np.array_equal(in_csr[0], in_offsets) and np.array_equal(in_csr[1], in_indices)):
+        raise CacheStructureError(f"{path}: in-links are not the out-links reversed "
+                                  "(sorted rows, no repeated link)")
     return DirectedGraph(n, out_offsets, out_indices, in_offsets, in_indices)

@@ -122,16 +122,13 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def decompose(g: DirectedGraph, max_size: int | None = None,
-              order: np.ndarray | None = None) -> SubspaceDecomposition:
+def decompose(g: DirectedGraph, max_size: int | None = None) -> SubspaceDecomposition:
     """Partition nodes into merged invariant subspaces and the core.
 
     The closure of any member of a completed closure is a subset of it, so
     once a closure fits it is recorded as one group and its members are
     never used as seeds again. A search aborts (seed is core) as soon as it
     meets a dangling node, a known-core node, or exceeds ``max_size``.
-    ``order`` overrides the seed iteration order; the partition does not
-    depend on it.
     """
     n = g.node_count
     if max_size is None:
@@ -141,10 +138,7 @@ def decompose(g: DirectedGraph, max_size: int | None = None,
     core = np.zeros(n, dtype=bool)
     in_subspace = np.zeros(n, dtype=bool)
     uf = _UnionFind(n)
-    seeds = np.arange(n) if order is None else np.asarray(order)
-
-    for seed in seeds:
-        seed = int(seed)
+    for seed in range(n):
         if core[seed] or in_subspace[seed]:
             continue
         closure = node_closure(g, seed, max_size, stop=core)

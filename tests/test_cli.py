@@ -55,6 +55,9 @@ def test_ingest_writes_cache_and_manifest(two_cycle_cache, tmp_path):
     assert manifest["command"] == "ingest"
     assert manifest["flags"]["node_count"] == 2
     assert str(two_cycle_cache) in manifest["outputs"]
+    # every parsed option, the global --threads too
+    assert set(manifest["parameters"]) == {"edge_list", "cache", "id_mode", "num_nodes",
+                                           "threads"}
 
 
 def test_ingest_missing_input(tmp_path):
@@ -110,11 +113,13 @@ def test_rank_corrupt_cache(tmp_path, two_cycle_cache):
     assert main(["rank", str(bad), str(tmp_path / "pr")]) == 4
 
 
-@pytest.mark.parametrize("slot", [1, 3], ids=["out-link", "in-link"])
-def test_rank_cache_with_bad_csr(tmp_path, two_cycle_cache, slot):
-    # the checksum is valid, but one link points at node 2 of a 2-node graph
+@pytest.mark.parametrize("slot, links", [(1, [1, 2]), (3, [1, 2]), (3, [0, 0])],
+                         ids=["out-link", "in-link", "in-link-wrong-predecessor"])
+def test_rank_cache_with_bad_csr(tmp_path, two_cycle_cache, slot, links):
+    # the checksum is valid, but one link points at node 2 of a 2-node graph,
+    # or the in-links list 0->0 where the out-links hold 1->0
     arrays = list(GRAPH_CACHE.read(two_cycle_cache))
-    arrays[slot] = np.array([1, 2], dtype=np.uint32)
+    arrays[slot] = np.array(links, dtype=np.uint32)
     bad = tmp_path / "bad.cache"
     GRAPH_CACHE.write(bad, (2, 2), arrays)
     result = run_cli(["rank", bad, tmp_path / "pr"])
@@ -194,8 +199,9 @@ def test_spectrum_bad_vectors_exit_3(breakdown_cache, tmp_path, vectors):
 @pytest.fixture
 def stats_inputs(tmp_path):
     """A five-node cache (a 2-cycle, a self-loop, two core nodes), its PageRank and
-    CheiRank vectors, two malformed decomposition files and an edge list with
-    a node id past the uint32 range."""
+    CheiRank vectors, two malformed decomposition files, and edge lists with
+    a node id past the uint32 range, a node id past the int64 range and a
+    byte that is not UTF-8."""
     edges = tmp_path / "edges.txt"
     edges.write_text("0 1\n1 0\n2 2\n3 0\n3 4\n")
     assert main(["ingest", str(edges), str(tmp_path / "g.cache")]) == 0
@@ -204,6 +210,8 @@ def stats_inputs(tmp_path):
     (tmp_path / "nosub.json").write_text('{"node_count": 5}\n')
     (tmp_path / "notjson.json").write_text("0 1\n")
     (tmp_path / "huge.txt").write_text("0 4294967296\n")
+    (tmp_path / "int64.txt").write_text("0 1\n1 99999999999999999999\n")
+    (tmp_path / "latin1.txt").write_bytes(b"0 1\n1 \xff\n")
     return tmp_path
 
 
@@ -224,10 +232,16 @@ STATS = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/pr.vec", "--chei", "{d
     ({}, ["rank", "{d}/g.cache", "{d}/taken"], 3),
     # rejected before any O(N) allocation
     ({}, ["ingest", "{d}/huge.txt", "{d}/huge.cache"], 4),
+    ({}, ["ingest", "{d}/int64.txt", "{d}/int64.cache"], 4),
+    ({}, ["ingest", "{d}/int64.txt", "{d}/int64.cache", "--id-mode", "remap"], 4),
+    ({}, ["ingest", "{d}/latin1.txt", "{d}/latin1.cache"], 4),
+    ({}, ["ingest", "{d}/edges.txt", "{d}/r.cache", "--id-mode", "remap",
+          "--num-nodes", "2"], 3),
 ], ids=["threads-env-text-help", "threads-env-text", "threads-env-zero",
         "decomposition-no-subspaces", "decomposition-not-json", "subspaces-max-size-0",
         "spectrum-max-size-0", "spectrum-dense-limit-0", "output-dir-missing",
-        "output-is-directory", "ingest-node-id-past-uint32"])
+        "output-is-directory", "ingest-node-id-past-uint32", "ingest-node-id-past-int64",
+        "ingest-remap-node-id-past-int64", "ingest-not-utf8", "ingest-remap-num-nodes"])
 def test_bad_invocation_exits_with_documented_code(stats_inputs, env, argv, code):
     (stats_inputs / "taken.csv").mkdir()
     proc = run_cli([a.format(d=stats_inputs) for a in argv], **env)

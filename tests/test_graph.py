@@ -8,7 +8,7 @@ from gmspectra import (degree_stats, from_edges, invert, load_cache,
 from gmspectra.graph import (GRAPH_CACHE, CacheChecksumError, CacheFormatError,
                              CacheStructureError, CacheTruncatedError,
                              CacheVersionError, EdgeListParseError,
-                             NodeRangeError)
+                             NodeRangeError, _edge_key)
 
 from conftest import random_graph
 
@@ -41,6 +41,18 @@ def test_parse_error_carries_line_number():
         parse_edge_list(["0 1 2"])
 
 
+def test_node_id_past_int64_is_a_parse_error():
+    for mode in ("dense", "remap"):
+        with pytest.raises(EdgeListParseError) as exc:
+            parse_edge_list(["0 1", "# c", "1 99999999999999999999"], id_mode=mode)
+        assert exc.value.line_number == 3
+
+
+def test_num_nodes_rejected_in_remap_mode():
+    with pytest.raises(ValueError, match="dense mode only"):
+        parse_edge_list(["10 7"], id_mode="remap", num_nodes=2)
+
+
 def test_dense_mode_range_error():
     with pytest.raises(NodeRangeError):
         parse_edge_list(["0 5"], num_nodes=3)
@@ -52,6 +64,55 @@ def test_node_count_past_uint32_rejected():
         from_edges([0], [1], num_nodes=2**32)
     with pytest.raises(NodeRangeError):
         parse_edge_list(["0 4294967296"])
+
+
+def lexsort_csr(src, dst, n):
+    """Reference CSR build: both link directions by ``np.lexsort`` of the
+    (src, dst) pairs, duplicates dropped by a two-array mask."""
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    keep = np.ones(src.size, dtype=bool)
+    keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    src, dst = src[keep], dst[keep]
+    arrays = []
+    for rows, entries in ((src, dst), (dst, src)):
+        order = np.lexsort((entries, rows))
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+        arrays += [offsets, entries[order].astype(np.uint32)]
+    return arrays
+
+
+@pytest.mark.parametrize("case", ["random", "self-loops", "sorted", "empty", "isolated-tail"])
+def test_from_edges_matches_lexsort_reference(rng, case):
+    n, m = 300, 5000  # about 5 % of the links repeat
+    src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+    if case == "self-loops":
+        dst[::3] = src[::3]
+    elif case == "sorted":
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+    elif case == "empty":
+        src, dst = src[:0], dst[:0]
+    num_nodes = n + 50 if case in ("empty", "isolated-tail") else None
+    g = from_edges(src, dst, num_nodes)
+    got = [g.out_offsets, g.out_indices, g.in_offsets, g.in_indices]
+    for array, expected in zip(got, lexsort_csr(src, dst, g.node_count)):
+        assert array.dtype == expected.dtype
+        assert np.array_equal(array, expected)
+
+
+def test_edge_key_round_trip_to_uint32_max():
+    # no graph with ids near 2**32 fits here, so the keys are checked alone;
+    # a shift in signed int64 would wrap the high word of ids >= 2**31
+    ids = np.array([0, 1, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1], dtype=np.int64)
+    src, dst = np.meshgrid(ids, ids[::-1])
+    src, dst = src.ravel(), dst.ravel()
+    key = _edge_key(src, dst)
+    assert key.dtype == np.uint64
+    assert np.array_equal(key >> 32, src) and np.array_equal(key.astype(np.uint32), dst)
+    assert np.array_equal(np.argsort(key), np.lexsort((dst, src)))
 
 
 def test_remap_first_appearance_order():
@@ -173,12 +234,19 @@ def test_cache_load_errors(tmp_path):
     # a valid checksum over malformed CSR arrays
     g = parse_edge_list(["0 1", "0 2", "1 2", "2 0"])
     arrays = (g.out_offsets, g.out_indices, g.in_offsets, g.in_indices)
-    for slot, array in [(3, np.array([2, 0, 0, 3])),  # in-link id 3 >= N
-                        (1, np.array([1, 2, 3, 0])),  # out-link id 3 >= N
-                        (0, g.out_offsets[[0, 2, 1, 3]])]:  # offsets 0,3,2,4
+    assert list(g.in_indices) == [2, 0, 0, 1]
+    for slot, array, message in [
+            (3, np.array([2, 0, 0, 3]), "outside"),  # in-link id 3 >= N
+            (1, np.array([1, 2, 3, 0]), "outside"),  # out-link id 3 >= N
+            (0, g.out_offsets[[0, 2, 1, 3]], "monotone"),  # offsets 0,3,2,4
+            (1, np.array([2, 1, 2, 0]), "not strictly increasing"),  # successors 2,1
+            (1, np.array([1, 1, 2, 0]), "not strictly increasing"),  # link 0->1 twice
+            (3, np.array([2, 0, 1, 0]), "not the out-links reversed"),  # predecessors 1,0
+            (3, np.array([2, 0, 1, 1]), "not the out-links reversed"),  # link 1->2 twice
+            (3, np.array([1, 0, 0, 1]), "not the out-links reversed")]:  # 1->0 is no link
         GRAPH_CACHE.write(bad, (g.node_count, g.edge_count),
                           arrays[:slot] + (array,) + arrays[slot + 1:])
-        with pytest.raises(CacheStructureError):
+        with pytest.raises(CacheStructureError, match=message):
             load_cache(bad)
 
 

@@ -148,15 +148,19 @@ def test_zero_block_scan(rng):
 
 
 def test_decompose_order_independent(rng):
+    # seeds are visited in id order, so a relabelled graph visits them in
+    # another order; mapped back, its partition must equal the base one
     g = random_graph(rng, 120, 0.025)
     base = decompose(g, max_size=60)
     base_sets = {frozenset(int(m) for m in s) for s in base.subspaces}
+    src, dst = g.edges()
     for seed in range(5):
-        order = rng.permutation(g.node_count)
-        shuffled = decompose(g, max_size=60, order=order)
-        sets = {frozenset(int(m) for m in s) for s in shuffled.subspaces}
+        perm = rng.permutation(g.node_count)
+        relabelled = decompose(from_edges(perm[src], perm[dst], g.node_count), max_size=60)
+        back = np.argsort(perm)  # relabelled id -> original id
+        sets = {frozenset(int(m) for m in back[s]) for s in relabelled.subspaces}
         assert sets == base_sets
-        assert np.array_equal(shuffled.core_nodes, base.core_nodes)
+        assert np.array_equal(np.sort(back[relabelled.core_nodes]), base.core_nodes)
 
 
 def test_permutation_realizes_block_order():
