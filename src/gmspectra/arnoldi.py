@@ -84,15 +84,27 @@ def _restart_vector(basis, k, rng):
     raise RuntimeError("could not find a vector outside the Krylov space")
 
 
-def memory_estimate(n_core: int, n_arnoldi: int, n_vectors: int) -> int:
-    """Bytes of the arrays ``arnoldi_core`` holds that grow with the Arnoldi
-    dimension: the Krylov basis, the Hessenberg matrix, its complex
-    eigenvector matrix, plus ``n_vectors`` complex Ritz vectors. The graph
-    and a few core-length work vectors are not counted."""
-    basis = (n_arnoldi + 1) * n_core * 8
-    hess = (n_arnoldi + 1) * n_arnoldi * 8
-    eigvecs = n_arnoldi * n_arnoldi * 16
-    return basis + hess + eigvecs + n_vectors * n_core * 16
+def memory_estimate(n_nodes: int, n_links: int, n_core: int, n_arnoldi: int,
+                    n_vectors: int) -> int:
+    """Bytes of the numpy arrays that loading the graph, decomposing it and
+    ``arnoldi_core`` with ``n_vectors`` Ritz vectors hold at once. Each term
+    counts its arrays at their largest, so the sum errs high. The
+    interpreter, numpy itself and other Python objects are not counted."""
+    # per link, the larger of two moments: in load_cache the out-link ids, their
+    # row ids and the sort keys (4 + 4 + 17 bytes); in a matvec both CSR index
+    # arrays, the operator's intp predecessor copy and its gather buffer
+    # (4 + 4 + 8 + 8 bytes)
+    links = 25 * n_links
+    # both CSR offset arrays, four N-length arrays the operator keeps, four
+    # that each matvec allocates, and the decomposition's node lists
+    nodes = 2 * 8 * (n_nodes + 1) + 9 * 8 * n_nodes
+    # the Krylov basis, three core vectors of one step and the complex Ritz vectors
+    core = (n_arnoldi + 4) * n_core * 8 + n_vectors * n_core * 16
+    # the Hessenberg matrix, eig's complex eigenvectors and their sorted copy,
+    # and the three Gram-sized matrices of the orthogonality check
+    dense = ((n_arnoldi + 1) * n_arnoldi * 8 + 2 * n_arnoldi ** 2 * 16
+             + 3 * (n_arnoldi + 1) ** 2 * 8)
+    return links + nodes + core + dense
 
 
 def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int,

@@ -131,14 +131,23 @@ def cmd_rank(args) -> int:
     return EXIT_OK
 
 
-def cmd_subspaces(args) -> int:
-    manifest = _manifest(args)
+def _decomposed_graph(args, manifest):
+    """Load the cache (link-inverted with ``--inverted``) and decompose it with
+    ``--max-size`` (default from N); returns ``(g, decomp, dense_limit)``.
+    ``--max-size`` and ``--dense-limit`` must be >= 1."""
     g = _load_graph(args.cache)
     manifest.add_input(args.cache)
     if args.inverted:
         g = gr.invert(g)
-    max_size, dense_limit = _block_limits(args, g.node_count)
-    decomp = sub.decompose(g, max_size=max_size)
+    max_size = sub.default_max_size(g.node_count) if args.max_size is None else args.max_size
+    if max_size < 1 or args.dense_limit < 1:
+        raise CliError(EXIT_BAD_PARAMETER, "--max-size and --dense-limit must be >= 1")
+    return g, sub.decompose(g, max_size=max_size), args.dense_limit
+
+
+def cmd_subspaces(args) -> int:
+    manifest = _manifest(args)
+    g, decomp, dense_limit = _decomposed_graph(args, manifest)
     spectrum = sub.subspace_spectrum(g, decomp, dense_limit=dense_limit)
     json_path = f"{args.out}.json"
     csv_path = f"{args.out}.spectrum.csv"
@@ -164,20 +173,15 @@ def cmd_spectrum(args) -> int:
     if args.arnoldi_dim < 1:
         raise CliError(EXIT_BAD_PARAMETER, "--arnoldi-dim must be >= 1")
     vector_indices = _parse_indices(args.vectors) if args.vectors else None
-    g = _load_graph(args.cache)
-    manifest.add_input(args.cache)
-    if args.inverted:
-        g = gr.invert(g)
-    max_size, dense_limit = _block_limits(args, g.node_count)
-    decomp = sub.decompose(g, max_size=max_size)
+    g, decomp, dense_limit = _decomposed_graph(args, manifest)
     if decomp.core_count == 0:
         raise CliError(EXIT_COMPUTE, "core space is empty; nothing for the Arnoldi stage")
     n_arnoldi = min(args.arnoldi_dim, decomp.core_count)
-    need = arn.memory_estimate(decomp.core_count, n_arnoldi,
+    need = arn.memory_estimate(g.node_count, g.edge_count, decomp.core_count, n_arnoldi,
                                len(set(vector_indices or ())))
     if args.max_ram is not None and need > args.max_ram * 2**30:
         raise CliError(EXIT_BAD_PARAMETER,
-                       f"Arnoldi stage needs ~{need / 2**30:.2f} GiB, "
+                       f"spectrum stage needs ~{need / 2**30:.2f} GiB of arrays, "
                        f"over the --max-ram cap of {args.max_ram} GiB")
     # arnoldi_core rejects a Ritz index >= n_arnoldi before it does any work,
     # so it runs ahead of the block spectra
@@ -205,14 +209,6 @@ def cmd_spectrum(args) -> int:
     print(f"core spectrum: {result.ritz_values.size} Ritz values, "
           f"leading |lambda| = {abs(lam1):.8f}")
     return EXIT_OK
-
-
-def _block_limits(args, n: int) -> tuple[int, int]:
-    """``--max-size`` (default from N) and ``--dense-limit``, both >= 1."""
-    max_size = sub.default_max_size(n) if args.max_size is None else args.max_size
-    if max_size < 1 or args.dense_limit < 1:
-        raise CliError(EXIT_BAD_PARAMETER, "--max-size and --dense-limit must be >= 1")
-    return max_size, args.dense_limit
 
 
 def _parse_indices(spec: str) -> list[int]:
@@ -391,10 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--dense-limit", type=int, default=sub.DEFAULT_DENSE_LIMIT)
     p.add_argument("--max-ram", type=float, default=None,
-                   help="fail fast if the Arnoldi stage would hold more than this many "
-                        "GiB: the Krylov basis (dim+1 core vectors), the Hessenberg "
-                        "matrix, its complex eigenvector matrix and the requested "
-                        "complex Ritz vectors")
+                   help="fail fast if the command's numpy arrays would exceed this many "
+                        "GiB: the graph in both link directions, the operator and its "
+                        "N-length vectors, the Krylov basis (dim+1 core vectors), the "
+                        "Hessenberg matrix and its eigenvectors, and the requested "
+                        "complex Ritz vectors; the interpreter and numpy itself are "
+                        "not counted")
     p.set_defaults(func=cmd_spectrum)
 
     p = commands.add_parser("stats", help="correlator, densities, N_K/N_G, fits")

@@ -1,8 +1,9 @@
 """Immutable directed-graph container with CSR adjacency in both link directions.
 
 The graph stores the 0/1 adjacency structure only (duplicate edges collapse,
-self-loops are kept). Both link directions are built at ingestion time so
-that the link-inverted view is a free pointer swap.
+self-loops are kept). The in-links are built from the out-links whenever a
+graph is made, so the link-inverted view is a free pointer swap and the
+binary cache stores the out-links alone.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .manifest import atomic_write
 
 CACHE_MAGIC = b"SNRK"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 _CRC = struct.Struct("<I")
 
@@ -119,7 +120,7 @@ class CheckedFormat:
 
 GRAPH_CACHE = CheckedFormat(
     "graph cache", CACHE_MAGIC, CACHE_VERSION, struct.Struct("<4sIQQ"),
-    lambda n, n_ell: [("<i8", n + 1), ("<u4", n_ell), ("<i8", n + 1), ("<u4", n_ell)])
+    lambda n, n_ell: [("<i8", n + 1), ("<u4", n_ell)])
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,8 @@ class DirectedGraph:
     """Directed graph in compressed sparse row form, both link directions.
 
     ``out_offsets``/``out_indices`` give, for each node, its sorted successor
-    list; ``in_offsets``/``in_indices`` the sorted predecessor list. The two
-    encode exactly the same edge set.
+    list; ``in_offsets``/``in_indices`` the sorted predecessor list, which
+    ``from_edges`` and ``load_cache`` build from the same edge set.
     """
 
     node_count: int
@@ -318,33 +319,26 @@ def degree_stats(g: DirectedGraph) -> GraphStats:
 
 
 def save_cache(g: DirectedGraph, path) -> None:
-    """Write the binary cache: magic, version, N, N_ell, CSR arrays, crc32."""
-    GRAPH_CACHE.write(path, (g.node_count, g.edge_count),
-                      (g.out_offsets, g.out_indices, g.in_offsets, g.in_indices))
+    """Write the binary cache: magic, version, N, N_ell, out-link CSR arrays, crc32."""
+    GRAPH_CACHE.write(path, (g.node_count, g.edge_count), (g.out_offsets, g.out_indices))
 
 
 def load_cache(path) -> DirectedGraph:
-    """Read a cache written by ``save_cache``; besides the container checks,
-    both link directions must be valid CSR arrays over N nodes, and they must
-    be the arrays ``from_edges`` builds for the out-links' edge set."""
-    out_offsets, out_indices, in_offsets, in_indices = GRAPH_CACHE.read(path)
+    """Read a cache written by ``save_cache`` and build the in-links from its
+    out-links. Besides the container checks, the out-links must be CSR arrays
+    over N nodes whose rows are sorted with no repeated link."""
+    out_offsets, out_indices = GRAPH_CACHE.read(path)
     n = out_offsets.size - 1
-    for name, offsets, indices in (("out", out_offsets, out_indices),
-                                   ("in", in_offsets, in_indices)):
-        if (offsets[0] != 0 or offsets[-1] != indices.size
-                or np.any(offsets[1:] < offsets[:-1])):
-            raise CacheStructureError(f"{path}: {name}-link offsets are not monotone "
-                                      f"from 0 to {indices.size}")
-        if indices.size and int(indices.max()) >= n:
-            raise CacheStructureError(f"{path}: {name}-link node id "
-                                      f"{int(indices.max())} outside [0, {n})")
+    if (out_offsets[0] != 0 or out_offsets[-1] != out_indices.size
+            or np.any(out_offsets[1:] < out_offsets[:-1])):
+        raise CacheStructureError(f"{path}: out-link offsets are not monotone "
+                                  f"from 0 to {out_indices.size}")
+    if out_indices.size and int(out_indices.max()) >= n:
+        raise CacheStructureError(f"{path}: out-link node id "
+                                  f"{int(out_indices.max())} outside [0, {n})")
     rows = np.repeat(np.arange(n, dtype=np.uint32), np.diff(out_offsets))
     key = _edge_key(rows, out_indices)
     if np.any(key[1:] <= key[:-1]):
         raise CacheStructureError(f"{path}: out-link rows are not strictly increasing")
     del key  # before _csr allocates its own keys
-    in_csr = _csr(out_indices, rows, n)
-    if not (np.array_equal(in_csr[0], in_offsets) and np.array_equal(in_csr[1], in_indices)):
-        raise CacheStructureError(f"{path}: in-links are not the out-links reversed "
-                                  "(sorted rows, no repeated link)")
-    return DirectedGraph(n, out_offsets, out_indices, in_offsets, in_indices)
+    return DirectedGraph(n, out_offsets, out_indices, *_csr(out_indices, rows, n))

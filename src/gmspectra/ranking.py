@@ -43,10 +43,6 @@ class RankVector:
     def node_count(self) -> int:
         return self.probabilities.size
 
-    def probability_at_rank(self, k: int) -> float:
-        """Probability of the node at 1-based rank k."""
-        return float(self.probabilities[self.node_at_rank[k - 1]])
-
 
 @dataclass(frozen=True)
 class Plateau:

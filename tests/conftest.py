@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gmspectra import from_edges
+from gmspectra.graph import GRAPH_CACHE
 
 
 def random_graph(rng, n, density):
@@ -9,6 +12,14 @@ def random_graph(rng, n, density):
     adj = rng.random((n, n)) < density
     src, dst = np.nonzero(adj)
     return from_edges(src, dst, n)
+
+
+def write_version_1_cache(g, path):
+    """The graph cache as version 1 wrote it: both link directions."""
+    v1 = dataclasses.replace(GRAPH_CACHE, version=1,
+                             layout=lambda n, n_ell: [("<i8", n + 1), ("<u4", n_ell)] * 2)
+    v1.write(path, (g.node_count, g.edge_count),
+             (g.out_offsets, g.out_indices, g.in_offsets, g.in_indices))
 
 
 def random_probability(rng, n):

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import gmspectra.arnoldi
 from gmspectra import (GoogleOperator, arnoldi_core, decompose, dense_s,
-                       eigvec_profile, from_edges, integrated_spectrum,
-                       parse_edge_list, subspace_spectrum, write_spectrum_csv)
+                       eigvec_profile, from_edges, integrated_spectrum, load_cache,
+                       memory_estimate, parse_edge_list, save_cache,
+                       subspace_spectrum, write_spectrum_csv)
 from gmspectra.subspaces import SubspaceDecomposition, SubspaceSpectrum
 
 from conftest import random_graph
@@ -261,3 +264,28 @@ def test_parameter_validation(rng):
         arnoldi_core(g2, d2, 0)
     with pytest.raises(ValueError):
         arnoldi_core(g2, d2, d2.core_count + 1)
+
+
+@pytest.mark.parametrize("links_per_node, n_arnoldi", [(40, 8), (4, 128)],
+                         ids=["link-heavy", "basis-heavy"])
+def test_memory_estimate_covers_traced_peak(rng, tmp_path, links_per_node, n_arnoldi):
+    # nodes 0-299 form 3-cycles (invariant subspaces), 300-799 are dangling,
+    # the rest link to random targets with a long-tailed out-degree
+    n = 6000
+    cycles = np.arange(300)
+    degrees = np.minimum(rng.pareto(1.5, n - 800) * links_per_node / 3 + 1, 1000).astype(int)
+    src = np.concatenate((cycles, np.repeat(np.arange(800, n), degrees)))
+    dst = np.concatenate((cycles - cycles % 3 + (cycles + 1) % 3,
+                          rng.integers(300, n, degrees.sum())))
+    path = tmp_path / "g.cache"
+    save_cache(from_edges(src, dst, n), path)
+    tracemalloc.start()
+    try:
+        g = load_cache(path)
+        d = decompose(g)
+        arnoldi_core(g, d, n_arnoldi, vector_indices=[0, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = memory_estimate(g.node_count, g.edge_count, d.core_count, n_arnoldi, 2)
+    assert peak <= need < 1.5 * peak

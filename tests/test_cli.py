@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 import gmspectra
-from gmspectra import (correlator, decompose, density_2d, load_cache, pagerank,
-                       parse_edge_list, read_vector_cache, save_cache,
-                       subspace_spectrum, write_rank_csv, write_spectrum_csv,
-                       write_vector_cache)
+from gmspectra import (correlator, decompose, density_2d, load_cache,
+                       memory_estimate, pagerank, parse_edge_list,
+                       read_vector_cache, save_cache, subspace_spectrum,
+                       write_rank_csv, write_spectrum_csv, write_vector_cache)
 from gmspectra.cli import build_parser, main
 from gmspectra.graph import GRAPH_CACHE
 from gmspectra.manifest import RunManifest
 from gmspectra.stats import write_curve_csv, write_grid_csv
 from gmspectra.subspaces import write_decomposition_json
+
+from conftest import write_version_1_cache
 
 
 def run_cli(args, **env):
@@ -113,17 +115,26 @@ def test_rank_corrupt_cache(tmp_path, two_cycle_cache):
     assert main(["rank", str(bad), str(tmp_path / "pr")]) == 4
 
 
-@pytest.mark.parametrize("slot, links", [(1, [1, 2]), (3, [1, 2]), (3, [0, 0])],
-                         ids=["out-link", "in-link", "in-link-wrong-predecessor"])
-def test_rank_cache_with_bad_csr(tmp_path, two_cycle_cache, slot, links):
-    # the checksum is valid, but one link points at node 2 of a 2-node graph,
-    # or the in-links list 0->0 where the out-links hold 1->0
-    arrays = list(GRAPH_CACHE.read(two_cycle_cache))
-    arrays[slot] = np.array(links, dtype=np.uint32)
+@pytest.mark.parametrize("offsets, links", [([0, 1, 2], [1, 2]), ([0, 3, 2], [1, 0]),
+                                            ([0, 2, 2], [1, 0]), ([0, 2, 2], [1, 1])],
+                         ids=["out-link", "out-offsets", "out-unsorted", "out-repeated"])
+def test_rank_cache_with_bad_csr(tmp_path, offsets, links):
+    # the checksum is valid, but in a 2-node graph with 2 links a link points
+    # at node 2, the offsets decrease, or node 0 lists 1,0 or 1,1
     bad = tmp_path / "bad.cache"
-    GRAPH_CACHE.write(bad, (2, 2), arrays)
+    GRAPH_CACHE.write(bad, (2, 2), (np.array(offsets), np.array(links)))
     result = run_cli(["rank", bad, tmp_path / "pr"])
     assert result.returncode == 4
+    assert "Traceback" not in result.stderr
+    assert not list(tmp_path.glob("pr.*"))
+
+
+def test_rank_version_1_cache(tmp_path, two_cycle_cache):
+    bad = tmp_path / "v1.cache"
+    write_version_1_cache(load_cache(two_cycle_cache), bad)
+    result = run_cli(["rank", bad, tmp_path / "pr"])
+    assert result.returncode == 4
+    assert "version 1, expected 2" in result.stderr
     assert "Traceback" not in result.stderr
     assert not list(tmp_path.glob("pr.*"))
 
@@ -161,17 +172,17 @@ def test_spectrum_max_ram_cap(small_cache, tmp_path):
 
 
 def test_spectrum_max_ram_counts_more_than_the_basis(small_cache, tmp_path):
-    from gmspectra import decompose, load_cache
     from gmspectra.subspaces import default_max_size
     g = load_cache(small_cache)
     core = decompose(g, max_size=default_max_size(g.node_count)).core_count
     basis_gib = 13 * core * 8 / 2**30
-    # room for the basis alone: the Hessenberg matrix and its eigenvectors
-    # do not fit
+    need_gib = memory_estimate(g.node_count, g.edge_count, core, 12, 0) / 2**30
+    # the graph and the operator count too
+    assert need_gib > 2 * basis_gib
     assert main(["spectrum", str(small_cache), str(tmp_path / "spec"),
-                 "--arnoldi-dim", "12", "--max-ram", repr(basis_gib * 1.01)]) == 3
+                 "--arnoldi-dim", "12", "--max-ram", repr(need_gib * 0.99)]) == 3
     assert main(["spectrum", str(small_cache), str(tmp_path / "spec"),
-                 "--arnoldi-dim", "12", "--max-ram", repr(basis_gib * 2)]) == 0
+                 "--arnoldi-dim", "12", "--max-ram", repr(need_gib * 1.01)]) == 0
 
 
 @pytest.fixture

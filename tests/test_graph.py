@@ -10,7 +10,7 @@ from gmspectra.graph import (GRAPH_CACHE, CacheChecksumError, CacheFormatError,
                              CacheVersionError, EdgeListParseError,
                              NodeRangeError, _edge_key)
 
-from conftest import random_graph
+from conftest import random_graph, write_version_1_cache
 
 
 def test_two_cycle():
@@ -179,11 +179,29 @@ def test_degree_stats():
     assert s.dangling_count == 0
 
 
-def test_cache_roundtrip(tmp_path):
-    g = parse_edge_list(["0 1", "1 0"])
+def test_cache_roundtrip(rng, tmp_path):
+    # the cache holds the out-links alone; the loaded in-links must equal the
+    # ones from_edges builds, in value and dtype
+    n, m = 300, 5000
+    src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+    cases = {
+        "two-cycle": ([0, 1], [1, 0], None),
+        "random": (src, dst, None),
+        "self-loops": (src, np.where(np.arange(m) % 3 == 0, src, dst), None),
+        "empty-in-rows": (src, dst % 7 * 40, n),  # in-links into 0, 40, ..., 240 only
+        "no-edges": ([], [], 50),
+    }
     path = tmp_path / "g.cache"
-    save_cache(g, path)
-    assert load_cache(path) == g
+    for name, (s, d, num_nodes) in cases.items():
+        g = from_edges(s, d, num_nodes)
+        save_cache(g, path)
+        assert path.stat().st_size == 28 + 8 * (g.node_count + 1) + 4 * g.edge_count, name
+        loaded = load_cache(path)
+        assert loaded == g, name
+        for array, expected in ((loaded.in_offsets, g.in_offsets),
+                                (loaded.in_indices, g.in_indices)):
+            assert array.dtype == expected.dtype, name
+            assert np.array_equal(array, expected), name
 
 
 def test_cache_roundtrip_single_dangling_node(tmp_path):
@@ -231,19 +249,19 @@ def test_cache_load_errors(tmp_path):
     with pytest.raises(CacheChecksumError):
         load_cache(bad)
 
+    # the version 1 layout, both link directions, is not read
+    write_version_1_cache(g, bad)
+    with pytest.raises(CacheVersionError, match="version 1, expected 2"):
+        load_cache(bad)
+
     # a valid checksum over malformed CSR arrays
     g = parse_edge_list(["0 1", "0 2", "1 2", "2 0"])
-    arrays = (g.out_offsets, g.out_indices, g.in_offsets, g.in_indices)
-    assert list(g.in_indices) == [2, 0, 0, 1]
+    arrays = (g.out_offsets, g.out_indices)
     for slot, array, message in [
-            (3, np.array([2, 0, 0, 3]), "outside"),  # in-link id 3 >= N
             (1, np.array([1, 2, 3, 0]), "outside"),  # out-link id 3 >= N
             (0, g.out_offsets[[0, 2, 1, 3]], "monotone"),  # offsets 0,3,2,4
             (1, np.array([2, 1, 2, 0]), "not strictly increasing"),  # successors 2,1
-            (1, np.array([1, 1, 2, 0]), "not strictly increasing"),  # link 0->1 twice
-            (3, np.array([2, 0, 1, 0]), "not the out-links reversed"),  # predecessors 1,0
-            (3, np.array([2, 0, 1, 1]), "not the out-links reversed"),  # link 1->2 twice
-            (3, np.array([1, 0, 0, 1]), "not the out-links reversed")]:  # 1->0 is no link
+            (1, np.array([1, 1, 2, 0]), "not strictly increasing")]:  # link 0->1 twice
         GRAPH_CACHE.write(bad, (g.node_count, g.edge_count),
                           arrays[:slot] + (array,) + arrays[slot + 1:])
         with pytest.raises(CacheStructureError, match=message):
