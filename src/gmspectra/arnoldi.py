@@ -90,13 +90,16 @@ def memory_estimate(n_nodes: int, n_links: int, n_core: int, n_arnoldi: int,
     ``arnoldi_core`` with ``n_vectors`` Ritz vectors hold at once. Each term
     counts its arrays at their largest, so the sum errs high. The
     interpreter, numpy itself and other Python objects are not counted."""
-    # per link, the larger of two moments: in load_cache the out-link ids, their
-    # row ids and the sort keys (4 + 4 + 17 bytes); in a matvec both CSR index
-    # arrays, the operator's intp predecessor copy and its gather buffer
-    # (4 + 4 + 8 + 8 bytes)
+    # per link, the largest of three moments: the load check's out-link ids,
+    # their row ids, sort keys and comparison mask (4 + 4 + 8 + 1 bytes); the
+    # operator's invert, which adds to the ids and row ids the keys, their
+    # dedup mask and the deduplicated keys (4 + 4 + 8 + 1 + 8); a matvec, with
+    # the out-link ids, the operator's intp in-link ids and its gather buffer
+    # (4 + 8 + 8)
     links = 25 * n_links
-    # both CSR offset arrays, four N-length arrays the operator keeps, four
-    # that each matvec allocates, and the decomposition's node lists
+    # the out-link offsets and the in-link offsets the operator builds, four
+    # N-length arrays the operator keeps, four that each matvec allocates,
+    # and the decomposition's node lists
     nodes = 2 * 8 * (n_nodes + 1) + 9 * 8 * n_nodes
     # the Krylov basis, three core vectors of one step and the complex Ritz vectors
     core = (n_arnoldi + 4) * n_core * 8 + n_vectors * n_core * 16

@@ -38,14 +38,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _default_threads() -> int:
-    value = os.environ.get("GMSPECTRA_THREADS", "1")
-    if not value.strip().isdecimal() or int(value) < 1:
-        raise CliError(EXIT_BAD_PARAMETER,
-                       f"GMSPECTRA_THREADS must be a positive integer, got {value!r}")
-    return int(value)
-
-
 def _require_file(path):
     if not os.path.exists(path):
         raise CliError(EXIT_MISSING_INPUT, f"input not found: {path}")
@@ -341,11 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gmspectra",
         description="Google-matrix spectral analysis of directed networks")
-    parser.add_argument("--threads", type=int, default=_default_threads(),
+    parser.add_argument("--threads", type=int, default=1,
                         help="worker count, recorded in the manifests; the "
                              "matrix-vector stages run on one thread (see README) and "
-                             "output bytes do not depend on it "
-                             "(default: GMSPECTRA_THREADS or 1)")
+                             "output bytes do not depend on it (default: 1)")
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("ingest", help="parse an edge list into a binary cache")
@@ -388,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dense-limit", type=int, default=sub.DEFAULT_DENSE_LIMIT)
     p.add_argument("--max-ram", type=float, default=None,
                    help="fail fast if the command's numpy arrays would exceed this many "
-                        "GiB: the graph in both link directions, the operator and its "
+                        "GiB: the graph, the operator's in-link index and its "
                         "N-length vectors, the Krylov basis (dim+1 core vectors), the "
                         "Hessenberg matrix and its eigenvectors, and the requested "
                         "complex Ritz vectors; the interpreter and numpy itself are "

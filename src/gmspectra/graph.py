@@ -1,9 +1,9 @@
-"""Immutable directed-graph container with CSR adjacency in both link directions.
+"""Immutable directed-graph container with CSR adjacency over the out-links.
 
 The graph stores the 0/1 adjacency structure only (duplicate edges collapse,
-self-loops are kept). The in-links are built from the out-links whenever a
-graph is made, so the link-inverted view is a free pointer swap and the
-binary cache stores the out-links alone.
+self-loops are kept), one link direction: each node's sorted successors.
+The link-inverted graph, whose out-links are the in-links, is built by
+``invert`` with one sort of the links; the binary cache stores the out-links.
 """
 
 from __future__ import annotations
@@ -125,18 +125,15 @@ GRAPH_CACHE = CheckedFormat(
 
 @dataclass(frozen=True)
 class DirectedGraph:
-    """Directed graph in compressed sparse row form, both link directions.
+    """Directed graph in compressed sparse row form over the out-links.
 
     ``out_offsets``/``out_indices`` give, for each node, its sorted successor
-    list; ``in_offsets``/``in_indices`` the sorted predecessor list, which
-    ``from_edges`` and ``load_cache`` build from the same edge set.
+    list; the predecessor lists are the successor lists of ``invert(g)``.
     """
 
     node_count: int
     out_offsets: np.ndarray  # int64, length N+1
     out_indices: np.ndarray  # uint32, length N_ell, sorted per row
-    in_offsets: np.ndarray
-    in_indices: np.ndarray
     original_ids: np.ndarray | None = field(default=None, compare=False)
 
     @property
@@ -149,7 +146,7 @@ class DirectedGraph:
 
     @property
     def in_degrees(self) -> np.ndarray:
-        return np.diff(self.in_offsets)
+        return np.bincount(self.out_indices, minlength=self.node_count)
 
     @property
     def dangling_nodes(self) -> np.ndarray:
@@ -158,9 +155,6 @@ class DirectedGraph:
 
     def successors(self, node: int) -> np.ndarray:
         return self.out_indices[self.out_offsets[node]:self.out_offsets[node + 1]]
-
-    def predecessors(self, node: int) -> np.ndarray:
-        return self.in_indices[self.in_offsets[node]:self.in_offsets[node + 1]]
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """All edges as (src, dst) arrays, sorted by (src, dst)."""
@@ -173,9 +167,7 @@ class DirectedGraph:
             return NotImplemented
         return (self.node_count == other.node_count
                 and np.array_equal(self.out_offsets, other.out_offsets)
-                and np.array_equal(self.out_indices, other.out_indices)
-                and np.array_equal(self.in_offsets, other.in_offsets)
-                and np.array_equal(self.in_indices, other.in_indices))
+                and np.array_equal(self.out_indices, other.out_indices))
 
     def __hash__(self):
         return hash((self.node_count, self.edge_count))
@@ -193,7 +185,10 @@ class GraphStats:
 
 def _edge_key(src, dst):
     """``src << 32 | dst``, one ``uint64`` per link that sorts as (src, dst); ids < 2**32."""
-    return src.astype(np.uint64) << 32 | dst.astype(np.uint64)
+    key = src.astype(np.uint64)
+    key <<= 32
+    np.bitwise_or(key, dst, out=key, dtype=np.uint64, casting="unsafe")
+    return key
 
 
 def _csr(rows, entries, n):
@@ -235,12 +230,10 @@ def from_edges(src, dst, num_nodes=None, original_ids=None) -> DirectedGraph:
         if lo < 0 or hi >= n:
             raise NodeRangeError(f"node id {hi if hi >= n else lo} outside [0, {n})")
 
-    out_offsets, out_indices = _csr(src, dst, n)
-    in_offsets, in_indices = _csr(dst, src, n)
     ids = None
     if original_ids is not None:
         ids = np.asarray(original_ids, dtype=np.int64)
-    return DirectedGraph(n, out_offsets, out_indices, in_offsets, in_indices, ids)
+    return DirectedGraph(n, *_csr(src, dst, n), ids)
 
 
 def parse_edge_list(source, id_mode="dense", num_nodes=None) -> DirectedGraph:
@@ -300,9 +293,11 @@ def parse_edge_list(source, id_mode="dense", num_nodes=None) -> DirectedGraph:
 
 
 def invert(g: DirectedGraph) -> DirectedGraph:
-    """Link-inverted view: out- and in-adjacency swap. O(1)."""
-    return DirectedGraph(g.node_count, g.in_offsets, g.in_indices,
-                         g.out_offsets, g.out_indices, g.original_ids)
+    """Link-inverted graph: each link i -> j becomes j -> i, so its out-links
+    are the in-links of ``g``. Sorts the links once."""
+    rows = np.repeat(np.arange(g.node_count, dtype=np.uint32), g.out_degrees)
+    return DirectedGraph(g.node_count, *_csr(g.out_indices, rows, g.node_count),
+                         g.original_ids)
 
 
 def degree_stats(g: DirectedGraph) -> GraphStats:
@@ -324,11 +319,13 @@ def save_cache(g: DirectedGraph, path) -> None:
 
 
 def load_cache(path) -> DirectedGraph:
-    """Read a cache written by ``save_cache`` and build the in-links from its
-    out-links. Besides the container checks, the out-links must be CSR arrays
-    over N nodes whose rows are sorted with no repeated link."""
+    """Read a cache written by ``save_cache``. Besides the container checks,
+    the out-links must be CSR arrays over N >= 1 nodes whose rows are sorted
+    with no repeated link."""
     out_offsets, out_indices = GRAPH_CACHE.read(path)
     n = out_offsets.size - 1
+    if n < 1:
+        raise CacheStructureError(f"{path}: graph has no nodes")
     if (out_offsets[0] != 0 or out_offsets[-1] != out_indices.size
             or np.any(out_offsets[1:] < out_offsets[:-1])):
         raise CacheStructureError(f"{path}: out-link offsets are not monotone "
@@ -340,5 +337,4 @@ def load_cache(path) -> DirectedGraph:
     key = _edge_key(rows, out_indices)
     if np.any(key[1:] <= key[:-1]):
         raise CacheStructureError(f"{path}: out-link rows are not strictly increasing")
-    del key  # before _csr allocates its own keys
-    return DirectedGraph(n, out_offsets, out_indices, *_csr(out_indices, rows, n))
+    return DirectedGraph(n, out_offsets, out_indices)

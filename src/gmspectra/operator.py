@@ -4,8 +4,10 @@ Google matrix G = alpha*S + (1-alpha)/N.
 Neither the dangling-column fill nor the damping term is ever materialized:
 both are rank-one corrections driven by scalar sums. The sparse part sums
 each node's in-link values with one ``np.add.reduceat`` segment per nonempty
-in-row, in ascending predecessor order; the rows and their segment starts are
-found once, at construction. The sparse part runs on the calling thread:
+in-row, in ascending predecessor order. The operator is the only user of the
+in-links: it builds them once, at construction, as the out-links of
+``invert(graph)``, and keeps only the gather index and the segment starts of
+the nonempty rows. The sparse part runs on the calling thread:
 ``np.add.reduceat`` holds the interpreter lock, and a two-thread split of the
 rows measured no faster than one pass. Results do not depend on ``threads``.
 """
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import DirectedGraph
+from .graph import DirectedGraph, invert
 
 DEFAULT_ALPHA = 0.85
 
@@ -27,9 +29,9 @@ class GoogleOperator:
     link-inverted network (G*, used for CheiRank) pass ``invert(graph)``.
 
     ``threads`` is checked (>= 1) but not used by the matvec; see the module
-    docstring. The operator keeps an ``intp`` copy of ``in_indices``
-    (8 bytes per edge): a gather over ``intp`` indices does not convert the
-    ``uint32`` CSR indices on every call."""
+    docstring. The operator keeps the in-link ids as ``intp`` (8 bytes per
+    edge): a gather over ``intp`` indices does not convert ``uint32`` CSR
+    indices on every call."""
 
     graph: DirectedGraph
     alpha: float = DEFAULT_ALPHA
@@ -38,7 +40,7 @@ class GoogleOperator:
     _dangling: np.ndarray = field(init=False, repr=False, compare=False)
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
     _segments: np.ndarray = field(init=False, repr=False, compare=False)
-    _predecessors: np.ndarray = field(init=False, repr=False, compare=False)
+    _gather_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -47,20 +49,23 @@ class GoogleOperator:
             raise ValueError("threads must be >= 1")
         g = self.graph
         n = g.node_count
-        if g.in_indices.size and int(g.in_indices.max()) >= n:
-            raise ValueError(f"in-link node id {int(g.in_indices.max())} outside [0, {n})")
+        # before invert, which files each link under its target and has no row
+        # for an id >= N
+        if g.out_indices.size and int(g.out_indices.max()) >= n:
+            raise ValueError(f"node id {int(g.out_indices.max())} outside [0, {n})")
         deg = g.out_degrees
         inv = np.zeros(n, dtype=np.float64)
         nz = deg > 0
         inv[nz] = 1.0 / deg[nz]
+        inbound = invert(g)
         # CSR offsets are contiguous, so the starts of the nonempty rows
         # delimit exact segments and the last one runs to the end of the links
-        rows = np.flatnonzero(g.in_offsets[:-1] < g.in_offsets[1:])
+        rows = np.flatnonzero(inbound.out_offsets[:-1] < inbound.out_offsets[1:])
         object.__setattr__(self, "_inv_out_degree", inv)
         object.__setattr__(self, "_dangling", g.dangling_nodes)
         object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_segments", g.in_offsets[rows])
-        object.__setattr__(self, "_predecessors", g.in_indices.astype(np.intp))
+        object.__setattr__(self, "_segments", inbound.out_offsets[rows])
+        object.__setattr__(self, "_gather_index", inbound.out_indices.astype(np.intp))
 
     @property
     def node_count(self) -> int:
@@ -75,10 +80,10 @@ class GoogleOperator:
         return v
 
     def _sparse_part(self, w, out):
-        """out[i] = sum over predecessors j of w[j], one reduceat segment per
+        """out[i] = sum of w[j] over the in-links j -> i, one reduceat segment per
         nonempty row; rows without in-links are left as they are."""
         if self._rows.size:
-            out[self._rows] = np.add.reduceat(np.take(w, self._predecessors),
+            out[self._rows] = np.add.reduceat(np.take(w, self._gather_index),
                                               self._segments)
         return out
 

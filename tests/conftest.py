@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gmspectra import from_edges
+from gmspectra import from_edges, invert
 from gmspectra.graph import GRAPH_CACHE
 
 
@@ -18,8 +18,9 @@ def write_version_1_cache(g, path):
     """The graph cache as version 1 wrote it: both link directions."""
     v1 = dataclasses.replace(GRAPH_CACHE, version=1,
                              layout=lambda n, n_ell: [("<i8", n + 1), ("<u4", n_ell)] * 2)
+    inv = invert(g)
     v1.write(path, (g.node_count, g.edge_count),
-             (g.out_offsets, g.out_indices, g.in_offsets, g.in_indices))
+             (g.out_offsets, g.out_indices, inv.out_offsets, inv.out_indices))
 
 
 def random_probability(rng, n):

@@ -3,8 +3,9 @@ import io
 import numpy as np
 import pytest
 
-from gmspectra import (degree_stats, from_edges, invert, load_cache,
-                       parse_edge_list, save_cache)
+from gmspectra import (decompose, degree_stats, from_edges, invert, load_cache,
+                       ng_filling, parse_edge_list, save_cache, subspace_spectrum)
+from gmspectra import graph as gr
 from gmspectra.graph import (GRAPH_CACHE, CacheChecksumError, CacheFormatError,
                              CacheStructureError, CacheTruncatedError,
                              CacheVersionError, EdgeListParseError,
@@ -97,7 +98,8 @@ def test_from_edges_matches_lexsort_reference(rng, case):
         src, dst = src[:0], dst[:0]
     num_nodes = n + 50 if case in ("empty", "isolated-tail") else None
     g = from_edges(src, dst, num_nodes)
-    got = [g.out_offsets, g.out_indices, g.in_offsets, g.in_indices]
+    inv = invert(g)
+    got = [g.out_offsets, g.out_indices, inv.out_offsets, inv.out_indices]
     for array, expected in zip(got, lexsort_csr(src, dst, g.node_count)):
         assert array.dtype == expected.dtype
         assert np.array_equal(array, expected)
@@ -136,8 +138,9 @@ def test_transpose_consistency_against_dense(rng):
     dense = np.zeros((n, n), dtype=bool)
     for i in range(n):
         dense[i, g.successors(i)] = True
+    inv = invert(g)
     for j in range(n):
-        assert np.array_equal(np.flatnonzero(dense[:, j]), g.predecessors(j))
+        assert np.array_equal(np.flatnonzero(dense[:, j]), inv.successors(j))
     # successor lists strictly increasing
     for i in range(n):
         succ = g.successors(i)
@@ -180,8 +183,8 @@ def test_degree_stats():
 
 
 def test_cache_roundtrip(rng, tmp_path):
-    # the cache holds the out-links alone; the loaded in-links must equal the
-    # ones from_edges builds, in value and dtype
+    # the loaded out-link arrays must equal the ones from_edges builds, in
+    # value and dtype
     n, m = 300, 5000
     src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
     cases = {
@@ -198,10 +201,28 @@ def test_cache_roundtrip(rng, tmp_path):
         assert path.stat().st_size == 28 + 8 * (g.node_count + 1) + 4 * g.edge_count, name
         loaded = load_cache(path)
         assert loaded == g, name
-        for array, expected in ((loaded.in_offsets, g.in_offsets),
-                                (loaded.in_indices, g.in_indices)):
+        for array, expected in ((loaded.out_offsets, g.out_offsets),
+                                (loaded.out_indices, g.out_indices)):
             assert array.dtype == expected.dtype, name
             assert np.array_equal(array, expected), name
+
+
+def test_out_link_commands_never_sort_the_links(rng, tmp_path, monkeypatch):
+    # subspaces and stats read the out-links alone: loading, decomposing,
+    # the block spectra and N_G filling must not build the in-links
+    g = random_graph(rng, 200, 0.01)
+    path = tmp_path / "g.cache"
+    save_cache(g, path)
+
+    def no_sort(*args):
+        raise AssertionError("links sorted")
+
+    monkeypatch.setattr(gr, "_csr", no_sort)
+    loaded = load_cache(path)
+    subspace_spectrum(loaded, decompose(loaded))
+    ng_filling(loaded, rng.permutation(200) + 1, [1, 10, 100])
+    with pytest.raises(AssertionError, match="links sorted"):
+        invert(loaded)
 
 
 def test_cache_roundtrip_single_dangling_node(tmp_path):
@@ -266,6 +287,14 @@ def test_cache_load_errors(tmp_path):
                           arrays[:slot] + (array,) + arrays[slot + 1:])
         with pytest.raises(CacheStructureError, match=message):
             load_cache(bad)
+
+
+def test_cache_with_no_nodes_rejected(tmp_path):
+    # from_edges refuses N < 1, so only a hand-written cache holds N = 0
+    path = tmp_path / "z.cache"
+    GRAPH_CACHE.write(path, (0, 0), (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.uint32)))
+    with pytest.raises(CacheStructureError, match="no nodes"):
+        load_cache(path)
 
 
 def test_parse_idempotent_under_reserialization(rng):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gmspectra import DirectedGraph, GoogleOperator, dense_g, dense_s, from_edges, parse_edge_list
+from gmspectra import (DirectedGraph, GoogleOperator, dense_g, dense_s, from_edges, invert,
+                       parse_edge_list)
 
 from conftest import random_graph, random_probability
 
@@ -122,8 +123,9 @@ def _row_by_row_s(g, v):
     deg = g.out_degrees
     w = v * np.where(deg > 0, 1.0 / np.maximum(deg, 1), 0.0)
     out = np.zeros(n)
+    inv = invert(g)
     for i in range(n):
-        pred = g.predecessors(i)
+        pred = inv.successors(i)
         if pred.size:
             out[i] = np.add.reduceat(w[pred.astype(np.intp)], [0])[0]
     dangling = g.dangling_nodes
@@ -163,9 +165,9 @@ def test_sparse_part_matches_row_by_row_sum(rng, make):
 
 def test_in_link_id_past_node_count_rejected():
     g = parse_edge_list(["0 1", "1 2", "2 0"])
-    bad = g.in_indices.copy()
+    bad = g.out_indices.copy()
     bad[1] = g.node_count
-    broken = DirectedGraph(g.node_count, g.out_offsets, g.out_indices, g.in_offsets, bad)
+    broken = DirectedGraph(g.node_count, g.out_offsets, bad)
     with pytest.raises(ValueError, match="outside"):
         GoogleOperator(broken)
 

@@ -50,7 +50,7 @@ def reachability_oracle(g, max_size):
     dangling = g.out_degrees == 0
     groups: list[set] = []
     for node in range(n):
-        reach = csgraph.breadth_first_order(adj, node, return_predecessors=False)
+        reach = csgraph.breadth_first_order(adj, node)[0]
         if reach.size > max_size or dangling[reach].any():
             continue
         merged = set(reach.tolist())
