@@ -88,15 +88,15 @@ def memory_estimate(n_nodes: int, n_links: int, n_core: int, n_arnoldi: int,
                     n_vectors: int) -> int:
     """Bytes of the numpy arrays that loading the graph, decomposing it and
     ``arnoldi_core`` with ``n_vectors`` Ritz vectors hold at once. Each term
-    counts its arrays at their largest, so the sum errs high. The
+    counts its arrays at their largest, so the estimate errs high. The
     interpreter, numpy itself and other Python objects are not counted."""
-    # per link, the largest of three moments: the load check's out-link ids,
-    # their row ids, sort keys and comparison mask (4 + 4 + 8 + 1 bytes); the
-    # operator's invert, which adds to the ids and row ids the keys, their
-    # dedup mask and the deduplicated keys (4 + 4 + 8 + 1 + 8); a matvec, with
-    # the out-link ids, the operator's intp in-link ids and its gather buffer
-    # (4 + 8 + 8)
-    links = 25 * n_links
+    # per link, the load check holds the out-link ids and one bool each
+    # (4 + 1 bytes); the operator's invert adds to the ids their row ids,
+    # the sort keys, their dedup mask and the deduplicated keys
+    # (4 + 4 + 8 + 1 + 8); a matvec holds the out-link ids, the operator's
+    # intp in-link ids and its gather buffer (4 + 8 + 8)
+    build = 25 * n_links
+    matvec = 20 * n_links
     # the out-link offsets and the in-link offsets the operator builds, four
     # N-length arrays the operator keeps, four that each matvec allocates,
     # and the decomposition's node lists
@@ -107,19 +107,22 @@ def memory_estimate(n_nodes: int, n_links: int, n_core: int, n_arnoldi: int,
     # and the three Gram-sized matrices of the orthogonality check
     dense = ((n_arnoldi + 1) * n_arnoldi * 8 + 2 * n_arnoldi ** 2 * 16
              + 3 * (n_arnoldi + 1) ** 2 * 8)
-    return links + nodes + core + dense
+    # the operator's invert ends before the Krylov basis is allocated, so
+    # the two moments never overlap
+    return nodes + max(build, matvec + core + dense)
 
 
 def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int,
-                 start=None, vector_indices=None, on_breakdown: str = "stop",
+                 vector_indices=None, on_breakdown: str = "stop",
                  check: bool = True, threads: int = 1) -> ArnoldiResult:
-    """Arnoldi iteration of the projected core block.
+    """Arnoldi iteration of the projected core block, started from the
+    uniform vector on the core.
 
-    ``start`` is uniform on the core by default. On happy breakdown,
-    ``on_breakdown="stop"`` returns the exact invariant-subspace result of
-    the dimension reached (flagged); ``"restart"`` continues with a fresh
-    deterministic vector orthogonal to the basis, which with
-    ``n_arnoldi == core size`` yields the complete core spectrum.
+    On happy breakdown, ``on_breakdown="stop"`` returns the exact
+    invariant-subspace result of the dimension reached (flagged);
+    ``"restart"`` continues with a fresh deterministic vector orthogonal to
+    the basis, which with ``n_arnoldi == core size`` yields the complete core
+    spectrum.
     Ritz vectors are materialized only for ``vector_indices`` (indices into
     the modulus-sorted Ritz order); an index outside ``[0, n_arnoldi)``, or
     at or past the dimension reached at a breakdown, raises ``ValueError``.
@@ -149,19 +152,8 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
         embed[core] = v_core
         return op.apply_s(embed)[core]
 
-    if start is None:
-        v0 = np.full(n_core, 1.0 / np.sqrt(n_core))
-    else:
-        v0 = np.asarray(start, dtype=np.float64)
-        if v0.shape != (n_core,):
-            raise ValueError("start vector must have core-space length")
-        norm = _norm(v0)
-        if norm == 0.0:
-            raise ValueError("start vector is zero")
-        v0 = v0 / norm
-
     basis = np.zeros((n_arnoldi + 1, n_core))
-    basis[0] = v0
+    basis[0] = 1.0 / np.sqrt(n_core)
     hess = np.zeros((n_arnoldi + 1, n_arnoldi))
     rng = np.random.default_rng(0x5eed)
     breakdown = False

@@ -2,8 +2,10 @@
 
 The graph stores the 0/1 adjacency structure only (duplicate edges collapse,
 self-loops are kept), one link direction: each node's sorted successors.
-The link-inverted graph, whose out-links are the in-links, is built by
-``invert`` with one sort of the links; the binary cache stores the out-links.
+``_csr`` is the one place that sorts links: ``from_edges`` builds the
+out-links with it, and ``invert`` builds the link-inverted graph, whose
+out-links are the in-links, with one sort. The binary cache stores the
+out-links; loading it checks them by comparing neighbouring ids.
 """
 
 from __future__ import annotations
@@ -236,6 +238,9 @@ def from_edges(src, dst, num_nodes=None, original_ids=None) -> DirectedGraph:
     return DirectedGraph(n, *_csr(src, dst, n), ids)
 
 
+_PARSE_CHUNK = 1 << 16  # edge-list lines per int64 chunk in parse_edge_list
+
+
 def parse_edge_list(source, id_mode="dense", num_nodes=None) -> DirectedGraph:
     """Parse a "src dst" edge list into a DirectedGraph.
 
@@ -255,7 +260,9 @@ def parse_edge_list(source, id_mode="dense", num_nodes=None) -> DirectedGraph:
         source = open(source, "r", encoding="utf-8")
         close = True
     try:
-        srcs, dsts = [], []
+        # ids wait as Python ints for at most one chunk of lines, then move to
+        # int64 arrays: a list holds ~40 bytes per id, an array 8
+        srcs, dsts, chunks = [], [], []
         for lineno, line in enumerate(source, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -273,12 +280,18 @@ def parse_edge_list(source, id_mode="dense", num_nodes=None) -> DirectedGraph:
                 raise EdgeListParseError(lineno, "node id above 2**63 - 1")
             srcs.append(s)
             dsts.append(d)
+            if len(srcs) == _PARSE_CHUNK:
+                chunks.append((np.array(srcs, dtype=np.int64), np.array(dsts, dtype=np.int64)))
+                srcs.clear()
+                dsts.clear()
     finally:
         if close:
             source.close()
 
-    src = np.asarray(srcs, dtype=np.int64)
-    dst = np.asarray(dsts, dtype=np.int64)
+    chunks.append((np.array(srcs, dtype=np.int64), np.array(dsts, dtype=np.int64)))
+    src = np.concatenate([c[0] for c in chunks])
+    dst = np.concatenate([c[1] for c in chunks])
+    del chunks
     if id_mode == "remap":
         originals, first_pos, inverse = np.unique(
             np.concatenate([src, dst]), return_index=True, return_inverse=True)
@@ -294,10 +307,13 @@ def parse_edge_list(source, id_mode="dense", num_nodes=None) -> DirectedGraph:
 
 def invert(g: DirectedGraph) -> DirectedGraph:
     """Link-inverted graph: each link i -> j becomes j -> i, so its out-links
-    are the in-links of ``g``. Sorts the links once."""
-    rows = np.repeat(np.arange(g.node_count, dtype=np.uint32), g.out_degrees)
-    return DirectedGraph(g.node_count, *_csr(g.out_indices, rows, g.node_count),
-                         g.original_ids)
+    are the in-links of ``g``. Sorts the links once. A successor id >= N
+    raises ``ValueError``: no row would hold its link."""
+    n = g.node_count
+    if g.out_indices.size and int(g.out_indices.max()) >= n:
+        raise ValueError(f"node id {int(g.out_indices.max())} outside [0, {n})")
+    rows = np.repeat(np.arange(n, dtype=np.uint32), g.out_degrees)
+    return DirectedGraph(n, *_csr(g.out_indices, rows, n), g.original_ids)
 
 
 def degree_stats(g: DirectedGraph) -> GraphStats:
@@ -321,7 +337,8 @@ def save_cache(g: DirectedGraph, path) -> None:
 def load_cache(path) -> DirectedGraph:
     """Read a cache written by ``save_cache``. Besides the container checks,
     the out-links must be CSR arrays over N >= 1 nodes whose rows are sorted
-    with no repeated link."""
+    with no repeated link. The row check compares neighbouring ids, one bool
+    per link; the first link of each row is exempt."""
     out_offsets, out_indices = GRAPH_CACHE.read(path)
     n = out_offsets.size - 1
     if n < 1:
@@ -333,8 +350,11 @@ def load_cache(path) -> DirectedGraph:
     if out_indices.size and int(out_indices.max()) >= n:
         raise CacheStructureError(f"{path}: out-link node id "
                                   f"{int(out_indices.max())} outside [0, {n})")
-    rows = np.repeat(np.arange(n, dtype=np.uint32), np.diff(out_offsets))
-    key = _edge_key(rows, out_indices)
-    if np.any(key[1:] <= key[:-1]):
+    # ok[k]: link k is the first of its row or above the link before it;
+    # the offsets run from 0 to the link count, so ok has one spare slot
+    ok = np.empty(out_indices.size + 1, dtype=bool)
+    np.greater(out_indices[1:], out_indices[:-1], out=ok[1:-1])
+    ok[out_offsets] = True
+    if not ok.all():
         raise CacheStructureError(f"{path}: out-link rows are not strictly increasing")
     return DirectedGraph(n, out_offsets, out_indices)

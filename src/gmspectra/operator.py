@@ -49,10 +49,6 @@ class GoogleOperator:
             raise ValueError("threads must be >= 1")
         g = self.graph
         n = g.node_count
-        # before invert, which files each link under its target and has no row
-        # for an id >= N
-        if g.out_indices.size and int(g.out_indices.max()) >= n:
-            raise ValueError(f"node id {int(g.out_indices.max())} outside [0, {n})")
         deg = g.out_degrees
         inv = np.zeros(n, dtype=np.float64)
         nz = deg > 0

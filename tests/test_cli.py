@@ -12,6 +12,7 @@ from gmspectra import (correlator, decompose, density_2d, load_cache,
                        memory_estimate, pagerank, parse_edge_list,
                        read_vector_cache, save_cache, subspace_spectrum,
                        write_rank_csv, write_spectrum_csv, write_vector_cache)
+from gmspectra import graph as gr
 from gmspectra.cli import build_parser, main
 from gmspectra.graph import GRAPH_CACHE
 from gmspectra.manifest import RunManifest
@@ -186,6 +187,70 @@ def test_spectrum_max_ram_counts_more_than_the_basis(small_cache, tmp_path):
                  "--arnoldi-dim", "12", "--max-ram", repr(need_gib * 0.99)]) == 3
     assert main(["spectrum", str(small_cache), str(tmp_path / "spec"),
                  "--arnoldi-dim", "12", "--max-ram", repr(need_gib * 1.01)]) == 0
+
+
+@pytest.fixture
+def subspace_edges(tmp_path):
+    """An edge list and its reversal: three 3-cycles beside a random core of
+    60 nodes. The first has a link in from the core, the second a link out to
+    it, so each is a closed set in one link direction only; the third is
+    closed in both."""
+    rng = np.random.default_rng(11)
+    cycles = np.arange(9)
+    src = np.concatenate((cycles, rng.integers(9, 69, 500), [9, 3]))
+    dst = np.concatenate((cycles - cycles % 3 + (cycles + 1) % 3, rng.integers(9, 69, 500),
+                          [0, 9]))
+    paths = tmp_path / "edges.txt", tmp_path / "reversed.txt"
+    for path, pairs in zip(paths, ((src, dst), (dst, src))):
+        path.write_text("".join(f"{a} {b}\n" for a, b in zip(*pairs)))
+    return paths
+
+
+def test_inverted_commands_match_the_reversed_edge_list(subspace_edges, tmp_path):
+    edges, reversed_edges = subspace_edges
+    runs = {}
+    for name, path, flags in (("inv", edges, ["--inverted"]), ("rev", reversed_edges, []),
+                              ("out", edges, [])):
+        cache, out = tmp_path / f"{name}.cache", tmp_path / name
+        out.mkdir()
+        assert main(["ingest", str(path), str(cache)]) == 0
+        assert main(["subspaces", str(cache), str(out / "dec"), *flags]) == 0
+        assert main(["spectrum", str(cache), str(out / "spec"), "--arnoldi-dim", "12",
+                     "--vectors", "0", *flags]) == 0
+        runs[name] = {p.name: p.read_bytes() for p in out.iterdir()
+                      if not p.name.endswith(".manifest.json")}
+    assert sorted(runs["inv"]) == ["dec.json", "dec.spectrum.csv", "spec.csv", "spec.vec0.csv"]
+    assert json.loads(runs["inv"]["dec.json"])["subspace_count"] > 0
+    assert runs["inv"] == runs["rev"]
+    # the link direction changes the decomposition
+    assert runs["inv"]["dec.json"] != runs["out"]["dec.json"]
+
+
+def test_each_command_sorts_the_links_only_where_it_must(subspace_edges, tmp_path,
+                                                          monkeypatch):
+    calls = {"_csr": 0, "_edge_key": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(gr, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(gr, name, counted)
+    edges, cache, out = str(subspace_edges[0]), str(tmp_path / "g.cache"), str(tmp_path)
+    for argv, sorts in [
+            (["ingest", edges, cache], 1),
+            (["rank", cache, f"{out}/pr"], 1),
+            # cheirank inverts the graph, then its operator inverts that back
+            (["rank", cache, f"{out}/cr", "--chei"], 2),
+            (["subspaces", cache, f"{out}/dec"], 0),
+            (["subspaces", cache, f"{out}/deci", "--inverted"], 1),
+            (["spectrum", cache, f"{out}/spec", "--arnoldi-dim", "8"], 1),
+            # --inverted inverts the graph, then the operator inverts that back
+            (["spectrum", cache, f"{out}/speci", "--arnoldi-dim", "8", "--inverted"], 2),
+            (["stats", cache, f"{out}/st", "--rank", f"{out}/pr.vec",
+              "--chei", f"{out}/cr.vec"], 0)]:
+        calls.update(_csr=0, _edge_key=0)
+        assert main(argv) == 0
+        # the link keys are built where the links are sorted and nowhere else
+        assert calls == {"_csr": sorts, "_edge_key": sorts}, argv
 
 
 @pytest.fixture

@@ -302,3 +302,14 @@ def test_parse_idempotent_under_reserialization(rng):
     src, dst = g.edges()
     lines = [f"{s} {d}" for s, d in zip(src, dst)]
     assert parse_edge_list(lines, num_nodes=50) == g
+
+
+@pytest.mark.parametrize("mode", ["dense", "remap"])
+def test_parse_across_chunk_boundaries(rng, monkeypatch, mode):
+    lines = [f"{s} {d}" for s, d in rng.integers(0, 40, (23, 2))]
+    lines.insert(5, "# comment")
+    whole = parse_edge_list(lines, id_mode=mode)
+    monkeypatch.setattr(gr, "_PARSE_CHUNK", 4)
+    chunked = parse_edge_list(lines, id_mode=mode)
+    assert chunked == whole
+    assert np.array_equal(chunked.original_ids, whole.original_ids)

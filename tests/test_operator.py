@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gmspectra import (DirectedGraph, GoogleOperator, dense_g, dense_s, from_edges, invert,
-                       parse_edge_list)
+from gmspectra import (DirectedGraph, GoogleOperator, cheirank, dense_g, dense_s, from_edges,
+                       invert, parse_edge_list)
 
 from conftest import random_graph, random_probability
 
@@ -170,6 +170,14 @@ def test_in_link_id_past_node_count_rejected():
     broken = DirectedGraph(g.node_count, g.out_offsets, bad)
     with pytest.raises(ValueError, match="outside"):
         GoogleOperator(broken)
+
+
+@pytest.mark.parametrize("compute", [invert, cheirank])
+def test_invert_rejects_id_past_node_count(compute):
+    # the link 1 -> 3 of a 3-node graph has no row in the inverted graph
+    broken = DirectedGraph(3, np.array([0, 1, 2, 3]), np.array([1, 3, 0], dtype=np.uint32))
+    with pytest.raises(ValueError, match="outside"):
+        compute(broken)
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.longdouble])
