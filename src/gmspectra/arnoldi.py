@@ -91,10 +91,13 @@ def memory_estimate(n_nodes: int, n_links: int, n_core: int, n_arnoldi: int,
     counts its arrays at their largest, so the estimate errs high. The
     interpreter, numpy itself and other Python objects are not counted."""
     # per link, the load check holds the out-link ids and one bool each
-    # (4 + 1 bytes); the operator's invert adds to the ids their row ids,
-    # the sort keys, their dedup mask and the deduplicated keys
-    # (4 + 4 + 8 + 1 + 8); a matvec holds the out-link ids, the operator's
-    # intp in-link ids and its gather buffer (4 + 8 + 8)
+    # (4 + 1 bytes); an invert (decompose's, for its sweep from the dangling
+    # nodes, and the operator's) adds to the ids their row ids, the sort
+    # keys, their dedup mask and the deduplicated keys (4 + 4 + 8 + 1 + 8);
+    # a level of the sweep holds the out-link ids, the in-link ids and at
+    # most one int64 position and one uint32 id per link (4 + 4 + 8 + 4); a
+    # matvec holds the out-link ids, the operator's intp in-link ids and its
+    # gather buffer (4 + 8 + 8)
     build = 25 * n_links
     matvec = 20 * n_links
     # the out-link offsets and the in-link offsets the operator builds, four
@@ -107,8 +110,8 @@ def memory_estimate(n_nodes: int, n_links: int, n_core: int, n_arnoldi: int,
     # and the three Gram-sized matrices of the orthogonality check
     dense = ((n_arnoldi + 1) * n_arnoldi * 8 + 2 * n_arnoldi ** 2 * 16
              + 3 * (n_arnoldi + 1) ** 2 * 8)
-    # the operator's invert ends before the Krylov basis is allocated, so
-    # the two moments never overlap
+    # both inverts and the sweep end before the Krylov basis is allocated,
+    # so the two moments never overlap
     return nodes + max(build, matvec + core + dense)
 
 

@@ -6,6 +6,10 @@ cutoff and never touches a dangling node (a dangling column is uniform, so
 its closure is the whole network). Closures sharing members merge; all
 remaining nodes form the core space, whose projected block is strictly
 substochastic.
+
+``decompose`` works in two steps. A backward sweep from the dangling nodes
+over the in-links marks, in numpy, every node with a path to a dangling node:
+all of them are core. Only the nodes it leaves unmarked get a closure search.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedGraph
+from .graph import DirectedGraph, invert
 from .manifest import atomic_write
 
 DEFAULT_DENSE_LIMIT = 4000
@@ -122,24 +126,64 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
+def _reaches_dangling(g: DirectedGraph) -> np.ndarray:
+    """Boolean mask of the nodes with a path to a dangling node (dangling
+    nodes included), found level by level over the in-links of ``invert(g)``.
+
+    Each level gathers the in-links of the frontier, so every link is read
+    once. A level holds one int64 position and one uint32 id per link it
+    gathers, under the moment ``invert`` itself needs.
+    """
+    inverse = invert(g)
+    offsets, preds = inverse.out_offsets, inverse.out_indices
+    marked = g.out_degrees == 0
+    frontier = np.flatnonzero(marked)
+    while frontier.size:
+        lo, hi = offsets[frontier], offsets[frontier + 1]
+        fed = hi > lo
+        lo, hi = lo[fed], hi[fed]
+        if not lo.size:
+            break
+        # positions lo[0]..hi[0]-1, lo[1]..hi[1]-1, ...: ones, with a jump
+        # to lo[i] at the start of each run, summed up
+        pos = np.ones(int((hi - lo).sum()), dtype=np.int64)
+        pos[0] = lo[0]
+        pos[np.cumsum(hi[:-1] - lo[:-1])] = lo[1:] - hi[:-1] + 1
+        np.cumsum(pos, out=pos)
+        found = preds[pos]
+        del pos
+        found = found[~marked[found]]
+        found.sort()
+        first = np.ones(found.size, dtype=bool)
+        np.not_equal(found[1:], found[:-1], out=first[1:])
+        frontier = found[first]
+        marked[frontier] = True
+    return marked
+
+
 def decompose(g: DirectedGraph, max_size: int | None = None) -> SubspaceDecomposition:
     """Partition nodes into merged invariant subspaces and the core.
 
+    A backward sweep from the dangling nodes first marks as core every node
+    that can reach one: its closure holds a uniform column. Every other node
+    is a seed of the closure search, with the marked nodes as known core.
     The closure of any member of a completed closure is a subset of it, so
     once a closure fits it is recorded as one group and its members are
     never used as seeds again. A search aborts (seed is core) as soon as it
     meets a dangling node, a known-core node, or exceeds ``max_size``.
+    Neither membership nor grouping depends on which seeds are searched or
+    in what order, so the sweep changes no result.
     """
     n = g.node_count
     if max_size is None:
         max_size = default_max_size(n)
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    core = np.zeros(n, dtype=bool)
+    core = _reaches_dangling(g)
     in_subspace = np.zeros(n, dtype=bool)
     uf = _UnionFind(n)
-    for seed in range(n):
-        if core[seed] or in_subspace[seed]:
+    for seed in np.flatnonzero(~core):
+        if in_subspace[seed]:
             continue
         closure = node_closure(g, seed, max_size, stop=core)
         if closure is OVERFLOW:

@@ -240,11 +240,15 @@ def test_each_command_sorts_the_links_only_where_it_must(subspace_edges, tmp_pat
             (["rank", cache, f"{out}/pr"], 1),
             # cheirank inverts the graph, then its operator inverts that back
             (["rank", cache, f"{out}/cr", "--chei"], 2),
-            (["subspaces", cache, f"{out}/dec"], 0),
-            (["subspaces", cache, f"{out}/deci", "--inverted"], 1),
-            (["spectrum", cache, f"{out}/spec", "--arnoldi-dim", "8"], 1),
-            # --inverted inverts the graph, then the operator inverts that back
-            (["spectrum", cache, f"{out}/speci", "--arnoldi-dim", "8", "--inverted"], 2),
+            # decompose inverts the graph for its sweep from the dangling nodes
+            (["subspaces", cache, f"{out}/dec"], 1),
+            # --inverted inverts the graph, then decompose inverts that back
+            (["subspaces", cache, f"{out}/deci", "--inverted"], 2),
+            # decompose inverts the graph, then the operator builds its own copy
+            (["spectrum", cache, f"{out}/spec", "--arnoldi-dim", "8"], 2),
+            # --inverted inverts the graph, then decompose and the operator
+            # each invert that back
+            (["spectrum", cache, f"{out}/speci", "--arnoldi-dim", "8", "--inverted"], 3),
             (["stats", cache, f"{out}/st", "--rank", f"{out}/pr.vec",
               "--chei", f"{out}/cr.vec"], 0)]:
         calls.update(_csr=0, _edge_key=0)

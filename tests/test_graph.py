@@ -208,18 +208,28 @@ def test_cache_roundtrip(rng, tmp_path):
 
 
 def test_out_link_commands_never_sort_the_links(rng, tmp_path, monkeypatch):
-    # subspaces and stats read the out-links alone: loading, decomposing,
-    # the block spectra and N_G filling must not build the in-links
+    # loading, the block spectra and N_G filling read the out-links alone and
+    # must not build the in-links; decompose builds them once, for its sweep
     g = random_graph(rng, 200, 0.01)
     path = tmp_path / "g.cache"
     save_cache(g, path)
+    loaded = load_cache(path)
+    sorts = []
+
+    def counted(*args, original=gr._csr):
+        sorts.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(gr, "_csr", counted)
+    decomp = decompose(loaded)
+    assert len(sorts) == 1
 
     def no_sort(*args):
         raise AssertionError("links sorted")
 
     monkeypatch.setattr(gr, "_csr", no_sort)
     loaded = load_cache(path)
-    subspace_spectrum(loaded, decompose(loaded))
+    subspace_spectrum(loaded, decomp)
     ng_filling(loaded, rng.permutation(200) + 1, [1, 10, 100])
     with pytest.raises(AssertionError, match="links sorted"):
         invert(loaded)

@@ -253,3 +253,69 @@ def test_max_size_validation():
         decompose(g, max_size=0)
     with pytest.raises(ValueError):
         node_closure(g, 0, 0)
+
+
+def _planted_power_law_graph(rng, n, hub_links):
+    """Power-law graph with closed cycles of 3-8 nodes planted among free and
+    dangling nodes, randomly relabelled; returns ``(g, cycles)``.
+
+    Every free node links to a dangling node or to a free node placed before
+    it, so every free node reaches a dangling node, many of them over several
+    links. The first free node is a hub that links to ``hub_links`` dangling
+    nodes, so the first level of a backward sweep meets it that many times."""
+    sizes = rng.integers(3, 9, n // 50)
+    n_cycle = int(sizes.sum())
+    n_dangling = n // 10
+    first_free = n_cycle + n_dangling
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    member = np.arange(n_cycle)
+    block_start = np.repeat(starts, sizes)
+    block_size = np.repeat(sizes, sizes)
+    src = [member]
+    dst = [block_start + (member - block_start + 1) % block_size]
+    free = np.arange(first_free, n)
+    # a tree towards the dangling nodes: each free node links back to an
+    # earlier free node, or to a dangling node if it is among the first
+    back = np.where(free - first_free < 20, rng.integers(n_cycle, first_free, free.size),
+                    rng.integers(first_free, np.maximum(free, first_free + 1)))
+    src.append(free)
+    dst.append(back)
+    degrees = np.minimum(rng.pareto(1.2, free.size) + 1, 200).astype(np.int64)
+    weights = rng.pareto(1.1, n) + 1
+    targets = np.searchsorted(np.cumsum(weights), rng.random(degrees.sum()) * weights.sum())
+    src.append(np.repeat(free, degrees))
+    dst.append(np.minimum(targets, n - 1))
+    src.append(np.full(hub_links, first_free))
+    dst.append(rng.choice(np.arange(n_cycle, first_free), hub_links, replace=False))
+    perm = rng.permutation(n)
+    g = from_edges(perm[np.concatenate(src)], perm[np.concatenate(dst)], n)
+    cycles = sorted((np.sort(perm[start:start + size]).tolist()
+                     for start, size in zip(starts, sizes)), key=lambda c: c[0])
+    return g, cycles
+
+
+def test_decompose_core_is_every_ancestor_of_a_dangling_node(rng):
+    nx = pytest.importorskip("networkx")
+    for n in (2000, 3500, 5000):
+        g, cycles = _planted_power_law_graph(rng, n, hub_links=n // 20)
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(zip(*(a.tolist() for a in g.edges())))
+        graph.add_edges_from((int(node), "sink") for node in g.dangling_nodes)
+        reaches = sorted(nx.ancestors(graph, "sink"))
+        d = decompose(g, max_size=n)
+        assert d.core_nodes.tolist() == reaches
+        assert [s.tolist() for s in d.subspaces] == cycles
+
+
+@pytest.mark.parametrize("rising", [True, False], ids=["rising", "falling"])
+def test_decompose_long_path_to_a_dangling_node(rising):
+    # the sweep takes one level per link of the path; a sweep whose cost
+    # grows as path length times unmarked nodes would take minutes here
+    n = 20_000
+    ids = np.arange(n) if rising else np.arange(n)[::-1]
+    g = from_edges(ids[:-1], ids[1:], n)
+    assert g.dangling_nodes.tolist() == [ids[-1]]
+    d = decompose(g)
+    assert d.subspace_count == 0
+    assert d.core_nodes.tolist() == list(range(n))
