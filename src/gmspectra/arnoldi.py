@@ -95,9 +95,10 @@ def memory_estimate(n_nodes: int, n_links: int, n_core: int, n_arnoldi: int,
     # nodes, and the operator's) adds to the ids their row ids, the sort
     # keys, their dedup mask and the deduplicated keys (4 + 4 + 8 + 1 + 8);
     # a level of the sweep holds the out-link ids, the in-link ids and at
-    # most one int64 position and one uint32 id per link (4 + 4 + 8 + 4); a
-    # matvec holds the out-link ids, the operator's intp in-link ids and its
-    # gather buffer (4 + 8 + 8)
+    # most one int64 position and one uint32 id per link (4 + 4 + 8 + 4); the
+    # subspace labelling holds the out-link ids and, per labelled link, four
+    # uint32 ids and a bool (4 + 17); a matvec holds the out-link ids, the
+    # operator's intp in-link ids and its gather buffer (4 + 8 + 8)
     build = 25 * n_links
     matvec = 20 * n_links
     # the out-link offsets and the in-link offsets the operator builds, four

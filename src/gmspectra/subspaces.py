@@ -3,9 +3,9 @@
 A node belongs to an invariant subspace when the set of nodes reachable from
 it through S stays finite and small: the out-link closure fits under a size
 cutoff and never touches a dangling node (a dangling column is uniform, so
-its closure is the whole network). Closures sharing members merge; all
-remaining nodes form the core space, whose projected block is strictly
-substochastic.
+its closure is the whole network). The subspaces are the weakly connected
+components of the links out of subspace nodes; all remaining nodes form the
+core space, whose projected block is strictly substochastic.
 
 ``decompose`` works in two steps. A backward sweep from the dangling nodes
 over the in-links marks, in numpy, every node with a path to a dangling node:
@@ -108,22 +108,16 @@ def node_closure(g: DirectedGraph, seed: int, max_size: int, *,
     return frozenset(seen)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = np.arange(n, dtype=np.int64)
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+def _links_of(g: DirectedGraph, rows: np.ndarray) -> np.ndarray:
+    """Out-link ids of ``rows``, row by row, gathered through one int64
+    position per link: ones, a jump at each nonempty row's start, summed."""
+    offsets = g.out_offsets
+    fed = rows[offsets[rows + 1] > offsets[rows]]
+    lo, hi = offsets[fed], offsets[fed + 1]
+    pos = np.ones(int((hi - lo).sum()), dtype=np.int64)
+    pos[:1] = lo[:1]
+    pos[np.cumsum(hi[:-1] - lo[:-1])] = lo[1:] - hi[:-1] + 1
+    return g.out_indices[np.cumsum(pos, out=pos)]
 
 
 def _reaches_dangling(g: DirectedGraph) -> np.ndarray:
@@ -135,23 +129,10 @@ def _reaches_dangling(g: DirectedGraph) -> np.ndarray:
     gathers, under the moment ``invert`` itself needs.
     """
     inverse = invert(g)
-    offsets, preds = inverse.out_offsets, inverse.out_indices
     marked = g.out_degrees == 0
     frontier = np.flatnonzero(marked)
     while frontier.size:
-        lo, hi = offsets[frontier], offsets[frontier + 1]
-        fed = hi > lo
-        lo, hi = lo[fed], hi[fed]
-        if not lo.size:
-            break
-        # positions lo[0]..hi[0]-1, lo[1]..hi[1]-1, ...: ones, with a jump
-        # to lo[i] at the start of each run, summed up
-        pos = np.ones(int((hi - lo).sum()), dtype=np.int64)
-        pos[0] = lo[0]
-        pos[np.cumsum(hi[:-1] - lo[:-1])] = lo[1:] - hi[:-1] + 1
-        np.cumsum(pos, out=pos)
-        found = preds[pos]
-        del pos
+        found = _links_of(inverse, frontier)
         found = found[~marked[found]]
         found.sort()
         first = np.ones(found.size, dtype=bool)
@@ -161,18 +142,46 @@ def _reaches_dangling(g: DirectedGraph) -> np.ndarray:
     return marked
 
 
+def _components(g: DirectedGraph, mask: np.ndarray) -> list[np.ndarray]:
+    """Weakly connected components of the out-links of the nodes in
+    ``mask``, which all end in it: sorted member arrays, by smallest member.
+
+    Labels index the masked nodes and only fall, so each component ends
+    labelled by its smallest member. A round hooks every root onto the
+    smallest root it meets over a link, then jumps pointers until every
+    label is a root, which keeps the rounds few even on long chains."""
+    nodes = np.flatnonzero(mask)
+    label = np.arange(nodes.size, dtype=np.uint32)  # fits: node ids are < 2**32
+    src = np.repeat(label, g.out_degrees[nodes])
+    dst = (np.cumsum(mask, dtype=np.uint32) - 1)[_links_of(g, nodes)]
+    while True:
+        ru, rv = label[src], label[dst]
+        if np.array_equal(ru, rv):
+            break
+        np.minimum.at(label, ru, rv)
+        np.minimum.at(label, rv, ru)
+        del ru, rv  # else the next round gathers its roots beside them
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1)).tolist()
+    return [nodes[order[a:b]] for a, b in zip(starts, starts[1:] + [nodes.size])]
+
+
 def decompose(g: DirectedGraph, max_size: int | None = None) -> SubspaceDecomposition:
-    """Partition nodes into merged invariant subspaces and the core.
+    """Partition nodes into invariant subspaces and the core.
 
     A backward sweep from the dangling nodes first marks as core every node
     that can reach one: its closure holds a uniform column. Every other node
     is a seed of the closure search, with the marked nodes as known core.
-    The closure of any member of a completed closure is a subset of it, so
-    once a closure fits it is recorded as one group and its members are
-    never used as seeds again. A search aborts (seed is core) as soon as it
-    meets a dangling node, a known-core node, or exceeds ``max_size``.
-    Neither membership nor grouping depends on which seeds are searched or
-    in what order, so the sweep changes no result.
+    A closure holds the closure of each of its members, so the members of a
+    fitting closure are never seeds again. A search aborts (seed is core) on
+    a dangling node, a known-core node, or more than ``max_size`` nodes.
+    Each closure is weakly connected and holds every link out of its
+    members, so the subspaces are the weakly connected components of the
+    links out of subspace nodes. Neither membership nor grouping depends on
+    which seeds are searched or in what order, so the sweep changes no result.
     """
     n = g.node_count
     if max_size is None:
@@ -181,26 +190,16 @@ def decompose(g: DirectedGraph, max_size: int | None = None) -> SubspaceDecompos
         raise ValueError("max_size must be >= 1")
     core = _reaches_dangling(g)
     in_subspace = np.zeros(n, dtype=bool)
-    uf = _UnionFind(n)
     for seed in np.flatnonzero(~core):
         if in_subspace[seed]:
             continue
         closure = node_closure(g, seed, max_size, stop=core)
         if closure is OVERFLOW:
             core[seed] = True
-            continue
-        for member in closure:
-            in_subspace[member] = True
-            uf.union(seed, member)
-
-    subspace_ids = np.flatnonzero(in_subspace)
-    groups: dict[int, list[int]] = {}
-    for node in subspace_ids:
-        groups.setdefault(uf.find(int(node)), []).append(int(node))
-    subspaces = sorted((np.array(sorted(members), dtype=np.int64)
-                        for members in groups.values()),
-                       key=lambda a: int(a[0]))
-    return SubspaceDecomposition(subspaces, np.flatnonzero(~in_subspace), n)
+        else:
+            in_subspace[list(closure)] = True
+    return SubspaceDecomposition(_components(g, in_subspace),
+                                 np.flatnonzero(~in_subspace), n)
 
 
 def subspace_block(g: DirectedGraph, members: np.ndarray) -> np.ndarray:

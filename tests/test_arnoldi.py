@@ -266,17 +266,24 @@ def test_parameter_validation(rng):
         arnoldi_core(g2, d2, d2.core_count + 1)
 
 
-@pytest.mark.parametrize("links_per_node, n_arnoldi", [(40, 8), (4, 128)],
-                         ids=["link-heavy", "basis-heavy"])
-def test_memory_estimate_covers_traced_peak(rng, tmp_path, links_per_node, n_arnoldi):
-    # nodes 0-299 form 3-cycles (invariant subspaces), 300-799 are dangling,
-    # the rest link to random targets with a long-tailed out-degree
+@pytest.mark.parametrize("links_per_node, n_arnoldi, n_subspace",
+                         [(40, 8, 300), (4, 128, 300), (4, 8, 2400)],
+                         ids=["link-heavy", "basis-heavy", "subspace-rich"])
+def test_memory_estimate_covers_traced_peak(rng, tmp_path, links_per_node, n_arnoldi,
+                                            n_subspace):
+    # nodes 0-299 form 3-cycles and the rest of the first n_subspace nodes
+    # in-trees that feed them (invariant subspaces), the next 500 are
+    # dangling, the rest link to random targets with a long-tailed out-degree
     n = 6000
+    first_core = n_subspace + 500
     cycles = np.arange(300)
-    degrees = np.minimum(rng.pareto(1.5, n - 800) * links_per_node / 3 + 1, 1000).astype(int)
-    src = np.concatenate((cycles, np.repeat(np.arange(800, n), degrees)))
+    trees = np.arange(300, n_subspace)
+    degrees = np.minimum(rng.pareto(1.5, n - first_core) * links_per_node / 3 + 1,
+                         1000).astype(int)
+    src = np.concatenate((cycles, np.repeat(np.arange(first_core, n), degrees), trees))
     dst = np.concatenate((cycles - cycles % 3 + (cycles + 1) % 3,
-                          rng.integers(300, n, degrees.sum())))
+                          rng.integers(n_subspace, n, degrees.sum()),
+                          (rng.random(trees.size) * trees).astype(int)))
     path = tmp_path / "g.cache"
     save_cache(from_edges(src, dst, n), path)
     tracemalloc.start()

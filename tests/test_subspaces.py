@@ -319,3 +319,16 @@ def test_decompose_long_path_to_a_dangling_node(rising):
     d = decompose(g)
     assert d.subspace_count == 0
     assert d.core_nodes.tolist() == list(range(n))
+
+
+def test_decompose_cycle_fed_by_a_long_path_is_one_subspace(rng):
+    # a 2e4-node cycle and a 2e4-node path into it, both with random ids:
+    # the component labelling joins one group along chains of 2e4 links
+    n = 40_000
+    ids = rng.permutation(n)
+    cycle, path = ids[:n // 2], ids[n // 2:]
+    src = np.concatenate((cycle, path))
+    dst = np.concatenate((np.roll(cycle, -1), path[1:], cycle[:1]))
+    d = decompose(from_edges(src, dst, n), max_size=n)
+    assert [s.tolist() for s in d.subspaces] == [list(range(n))]
+    assert d.core_count == 0
