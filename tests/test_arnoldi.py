@@ -14,7 +14,8 @@ from conftest import random_graph
 
 
 def _pair_distance(a, b):
-    """Max distance under optimal pairing of two equal-size complex multisets."""
+    """Max distance under the optimal pairing of each element of the complex
+    multiset ``a`` with a distinct element of ``b`` (``b`` no smaller)."""
     from scipy.optimize import linear_sum_assignment
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
@@ -179,6 +180,45 @@ def test_fifty_by_fifty_dense_oracle(rng):
     s = dense_s(g)
     oracle = np.linalg.eigvals(s[np.ix_(d.core_nodes, d.core_nodes)])
     assert _pair_distance(res.ritz_values, oracle) < 1e-10
+
+
+def _core_block_operator(g, core):
+    """The projected core block of S as a scipy operator, built without
+    GoogleOperator: the core links weighted 1/outdeg(src), plus 1/N from
+    every dangling core column to every core row."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import LinearOperator
+    n = core.size
+    local = np.full(g.node_count, -1)
+    local[core] = np.arange(n)
+    src, dst = g.edges()
+    inside = (local[src] >= 0) & (local[dst] >= 0)
+    src, dst = src[inside], dst[inside]
+    block = csr_matrix((1.0 / g.out_degrees[src], (local[dst], local[src])), shape=(n, n))
+    dangling = local[g.dangling_nodes]
+    dangling = dangling[dangling >= 0]
+    return LinearOperator((n, n), dtype=np.float64,
+                          matvec=lambda x: block @ x + x[dangling].sum() / g.node_count)
+
+
+def test_converged_ritz_values_match_arpack_on_a_large_core():
+    # ARPACK (implicitly restarted Arnoldi, its own orthogonalisation) is the
+    # oracle at a core size no dense eigensolve reaches
+    from scipy.sparse.linalg import eigs
+    from perfbench.generator import generate
+    planted = generate(16_000, 0.02, 4, 1)
+    g = from_edges(planted.src, planted.dst, planted.node_count)
+    d = decompose(g)
+    assert d.core_count > 15_000
+    res = arnoldi_core(g, d, 256, check=False)
+    oracle = eigs(_core_block_operator(g, d.core_nodes), k=20, ncv=80, tol=1e-12,
+                  v0=np.ones(d.core_count), return_eigenvectors=False)
+    # only converged values above the smallest ARPACK modulus have a partner;
+    # the margin drops the conjugate of a pair that eigs cut in half there
+    floor = np.min(np.abs(oracle)) + 1e-9
+    compared = res.ritz_values[res.converged_mask & (np.abs(res.ritz_values) > floor)]
+    assert compared.size >= 15
+    assert _pair_distance(compared, oracle) < 1e-11
 
 
 def test_integrated_spectrum_trivial():
