@@ -3,11 +3,14 @@
 The core-block matvec embeds a core-supported vector into the full network,
 applies S, and truncates back to the core: contributions leaking into the
 invariant subspaces are exactly the discarded coupling block, so this is the
-projected core operator. Classical Gram-Schmidt applied twice (CGS2, "twice
-is enough": Giraud, Langou & Rozloznik 2005) keeps the basis orthonormal to
-~1e-14. Its block products, like the Ritz-vector products, are fixed-order
-``np.einsum`` reductions rather than BLAS calls, whose summation order can
-depend on the BLAS thread count.
+projected core operator. Each step orthogonalises by one classical
+Gram-Schmidt pass and repeats the pass only if the first one kept less than
+1/sqrt(2) of the vector's norm (the DGKS criterion of Daniel, Gragg, Kaufman
+& Stewart 1976, as in ARPACK's ``dnaitr``), which keeps the basis
+orthonormal to ~1e-14. Its block products, like the Ritz-vector products,
+are fixed-order ``np.einsum`` reductions rather than BLAS calls, whose
+summation order can depend on the BLAS thread count. Only the Arnoldi
+relation check, whose value reaches the manifest alone, uses BLAS.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from .stats import write_curve_csv
 from .subspaces import SubspaceDecomposition, SubspaceSpectrum
 
 BREAKDOWN_TOL = 1e-14
+# a Gram-Schmidt pass is repeated when it leaves less of the norm than this
+DGKS_THRESHOLD = 1 / np.sqrt(2)
 CONVERGED_RESIDUAL = 1e-6
 
 
@@ -60,16 +65,20 @@ def _norm(a):
     return float(np.sqrt(np.sum(np.abs(a) ** 2)))
 
 
-def _cgs2(v, w):
-    """Project ``w`` in place off the orthonormal rows of ``v`` by two
-    classical Gram-Schmidt passes; returns the summed coefficients ``v @ w``.
+def _orthogonalise(v, w):
+    """Project ``w`` in place off the orthonormal rows of ``v`` by one
+    classical Gram-Schmidt pass, and by a second one only if the first left
+    less than ``DGKS_THRESHOLD`` of its norm; returns the summed coefficients.
 
     Each pass reads the basis block twice and allocates only vectors."""
+    before = _norm(w)
     h = np.einsum("ij,j->i", v, w)
     w -= np.einsum("i,ij->j", h, v)
-    c = np.einsum("ij,j->i", v, w)
-    w -= np.einsum("i,ij->j", c, v)
-    return h + c
+    if _norm(w) < DGKS_THRESHOLD * before:
+        c = np.einsum("ij,j->i", v, w)
+        w -= np.einsum("i,ij->j", c, v)
+        h += c
+    return h
 
 
 def _restart_vector(basis, k, rng):
@@ -77,7 +86,7 @@ def _restart_vector(basis, k, rng):
     n = basis.shape[1]
     for _ in range(10):
         v = rng.standard_normal(n)
-        _cgs2(basis[:k + 1], v)
+        _orthogonalise(basis[:k + 1], v)
         norm = _norm(v)
         if norm > BREAKDOWN_TOL:
             return v / norm
@@ -167,7 +176,7 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
     for k in range(n_arnoldi):
         av = matvec(basis[k])
         w = av.copy()
-        hess[:k + 1, k] = _cgs2(basis[:k + 1], w)
+        hess[:k + 1, k] = _orthogonalise(basis[:k + 1], w)
         norm = _norm(w)
         happy = norm < BREAKDOWN_TOL
         if not happy:
@@ -177,7 +186,8 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
             # Arnoldi relation A v_k = V h_k against this step's own matvec;
             # the matvec is deterministic, so re-running it gives equal bits.
             # A restart vector enters with coefficient 0 and is not needed yet.
-            av -= np.einsum("i,ij->j", hess[:k + 2, k], basis[:k + 2])
+            # The residual reaches only the manifest, so BLAS may sum it.
+            av -= hess[:k + 2, k] @ basis[:k + 2]
             defect = max(defect, float(np.max(np.abs(av))))
         if happy and k + 1 < n_arnoldi:
             if on_breakdown == "stop":

@@ -221,6 +221,36 @@ def test_converged_ritz_values_match_arpack_on_a_large_core():
     assert _pair_distance(compared, oracle) < 1e-11
 
 
+def _orthonormal_rows(rng, k, n):
+    return np.ascontiguousarray(np.linalg.qr(rng.standard_normal((n, k)))[0].T)
+
+
+def _one_pass(v, w):
+    h = np.einsum("ij,j->i", v, w)
+    return h, w - np.einsum("i,ij->j", h, v)
+
+
+def test_orthogonalise_repeats_the_pass_after_cancellation(rng):
+    v = _orthonormal_rows(rng, 20, 500)
+    w = v.T @ rng.standard_normal(20) + 1e-10 * rng.standard_normal(500)
+    start = w.copy()
+    _, once = _one_pass(v, w)
+    # one pass keeps ~1e-10 of the norm and leaves its rounding unremoved
+    assert np.linalg.norm(once) < 1e-8 * np.linalg.norm(w)
+    assert np.linalg.norm(v @ once) > 1e-13 * np.linalg.norm(once)
+    h = gmspectra.arnoldi._orthogonalise(v, w)
+    assert np.linalg.norm(v @ w) <= 1e-13 * np.linalg.norm(w)
+    assert np.max(np.abs(h @ v + w - start)) < 1e-14
+
+
+def test_orthogonalise_runs_one_pass_on_a_well_conditioned_vector(rng):
+    v = _orthonormal_rows(rng, 20, 500)
+    w = rng.standard_normal(500)
+    h_once, once = _one_pass(v, w)
+    h = gmspectra.arnoldi._orthogonalise(v, w)
+    assert np.array_equal(h, h_once) and np.array_equal(w, once)
+
+
 def test_integrated_spectrum_trivial():
     spec = SubspaceSpectrum([np.array([1.0 + 0j, -1.0 + 0j])], [], 2, 1)
     curve = integrated_spectrum(spec, None, node_count=2)
