@@ -9,8 +9,9 @@ Gram-Schmidt pass and repeats the pass only if the first one kept less than
 & Stewart 1976, as in ARPACK's ``dnaitr``), which keeps the basis
 orthonormal to ~1e-14. Its block products, like the Ritz-vector products,
 are fixed-order ``np.einsum`` reductions rather than BLAS calls, whose
-summation order can depend on the BLAS thread count. Only the Arnoldi
-relation check, whose value reaches the manifest alone, uses BLAS.
+summation order can depend on the BLAS thread count. Only the
+orthogonality and relation checks, whose values reach the manifest alone,
+use BLAS.
 """
 
 from __future__ import annotations
