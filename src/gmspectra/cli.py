@@ -78,6 +78,9 @@ def cmd_ingest(args) -> int:
                                num_nodes=args.num_nodes)
     except (gr.EdgeListParseError, gr.NodeRangeError) as exc:
         raise CliError(EXIT_BAD_DATA, str(exc)) from exc
+    except gr.EmptyEdgeListError as exc:
+        raise CliError(EXIT_BAD_DATA, f"{args.edge_list}: no edge, and no --num-nodes "
+                                      "to give the graph its nodes") from exc
     except UnicodeDecodeError as exc:
         raise CliError(EXIT_BAD_DATA, f"{args.edge_list}: not UTF-8 text ({exc.reason})") from exc
     gr.save_cache(g, args.cache)
@@ -85,7 +88,7 @@ def cmd_ingest(args) -> int:
     if g.original_ids is not None:
         ids_path = f"{args.cache}.ids"
         with atomic_write(ids_path) as fh:
-            fh.writelines(f"{i}\n" for i in g.original_ids)
+            st.write_rows(fh, g.original_ids)
         manifest.add_output(ids_path)
     stats = gr.degree_stats(g)
     manifest.set_flag("node_count", stats.node_count)

@@ -10,6 +10,7 @@ out-links; loading it checks them by comparing neighbouring ids.
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 import zlib
@@ -32,6 +33,10 @@ class EdgeListParseError(ValueError):
     def __init__(self, line_number, message):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+
+
+class EmptyEdgeListError(ValueError):
+    """Edge list with no edge, parsed without a declared node count."""
 
 
 class NodeRangeError(ValueError):
@@ -238,7 +243,104 @@ def from_edges(src, dst, num_nodes=None, original_ids=None) -> DirectedGraph:
     return DirectedGraph(n, *_csr(src, dst, n), ids)
 
 
-_PARSE_CHUNK = 1 << 16  # edge-list lines per int64 chunk in parse_edge_list
+_PARSE_CHUNK = 1 << 16  # ids per int64 chunk
+_BLOCK_BYTES = 1 << 16  # bytes read at a time from an edge-list file
+_BLOCK_ALPHABET = b"0123456789 \t\n"  # the bytes a block decoded in numpy may hold
+_MAX_BLOCK_DIGITS = 18  # ids of up to 18 digits are below 2**63
+
+
+def _parse_lines(lines, lineno=0):
+    """Per-line parser: yields the ids of ``lines`` as ``int64`` arrays of
+    alternating src and dst, ``_PARSE_CHUNK`` ids at most each, numbering
+    the lines from ``lineno + 1``; returns the number of the last line. Ids
+    wait as Python ints for at most one chunk: a list holds ~40 bytes per
+    id, an array 8."""
+    ids = []
+    for lineno, line in enumerate(lines, start=lineno + 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise EdgeListParseError(lineno, f"expected 2 tokens, got {len(parts)}")
+        try:
+            s, d = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EdgeListParseError(lineno, f"non-integer token in {stripped!r}") from None
+        if s < 0 or d < 0:
+            raise EdgeListParseError(lineno, "negative node id")
+        if s >= 2**63 or d >= 2**63:
+            raise EdgeListParseError(lineno, "node id above 2**63 - 1")
+        ids += (s, d)
+        if len(ids) == _PARSE_CHUNK:
+            yield np.array(ids, dtype=np.int64)
+            ids.clear()
+    yield np.array(ids, dtype=np.int64)
+    return lineno
+
+
+def _decode_block(block: bytes):
+    """The ids of a block of whole "src dst" lines in file order, as one
+    ``int64`` array of alternating src and dst, or None if the block needs
+    the per-line parser: it holds a byte other than a digit, space, tab or
+    newline, a non-blank line without exactly two ids, or an id of more than
+    ``_MAX_BLOCK_DIGITS`` digits."""
+    if block.translate(None, _BLOCK_ALPHABET):
+        return None
+    raw = np.frombuffer(block, dtype=np.uint8)
+    digits = raw - np.uint8(48)  # blanks wrap to values above 9
+    # runs of digits start and end where "is a digit" flips
+    bounds = np.flatnonzero(np.diff(digits < 10, prepend=False, append=False))
+    starts, ends = bounds[0::2], bounds[1::2]
+    # line of each run; two runs on each non-blank line
+    steps = np.diff(np.searchsorted(np.flatnonzero(raw == 10), starts))
+    if starts.size % 2 or steps[0::2].any() or not steps[1::2].all():
+        return None
+    lengths = ends - starts
+    longest = int(lengths.max(initial=0))
+    if longest > _MAX_BLOCK_DIGITS:
+        return None
+    # Horner's rule over the runs aligned at their last digit; a run shorter
+    # than k digits gets 0 at its k-th place from the end, as from a leading 0
+    ids = np.zeros(starts.size, dtype=np.int64)
+    for k in range(longest, 0, -1):
+        place = digits.take(ends - k, mode="clip")
+        place[lengths < k] = 0
+        ids *= 10
+        ids += place
+    return ids
+
+
+def _file_blocks(fh):
+    """The bytes of a binary file, ``_BLOCK_BYTES`` read at a time, in blocks
+    of whole lines: each block ends at the last newline of a read."""
+    tail = b""
+    while data := fh.read(_BLOCK_BYTES):
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield tail + data[:cut]
+            tail = data[cut:]
+        else:  # a line longer than a read
+            tail += data
+    if tail:  # the last line has no newline
+        yield tail
+
+
+def _parse_file(path):
+    """Yields the ids of an edge-list file as ``int64`` arrays of alternating
+    src and dst. Each block of whole lines is decoded by ``_decode_block`` or,
+    where that declines, decoded as UTF-8 and read by ``_parse_lines`` with
+    universal newlines, as a text stream would be."""
+    lineno = 0
+    with open(path, "rb") as fh:
+        for block in _file_blocks(fh):
+            ids = _decode_block(block)
+            if ids is None:
+                text = io.StringIO(block.decode("utf-8"), newline=None)
+                lineno = yield from _parse_lines(text, lineno)
+            else:
+                yield ids
+                lineno += block.count(b"\n")
 
 
 def parse_edge_list(source, id_mode="dense", num_nodes=None) -> DirectedGraph:
@@ -247,62 +349,59 @@ def parse_edge_list(source, id_mode="dense", num_nodes=None) -> DirectedGraph:
     ``source`` may be a path, an open text stream, or an iterable of lines.
     Lines starting with '#' and blank lines are skipped. In ``remap`` mode
     original ids are assigned dense internal ids in first-appearance order
-    and kept on the graph as ``original_ids``; in ``dense`` mode ids are used
-    as-is and must be < ``num_nodes`` when that is given. Ids must be < 2**63
-    in both modes. A path is read as UTF-8.
+    (first in the src column, then in the dst column) and kept on the graph
+    as ``original_ids``; in ``dense`` mode ids are used as-is and must be <
+    ``num_nodes`` when that is given. Ids must be < 2**63 in both modes. An
+    edge list with no edge raises ``EmptyEdgeListError`` unless ``num_nodes``
+    is given.
+
+    A path is read as bytes, in blocks cut at a newline. A block of digits,
+    spaces, tabs and newlines with two ids of at most 18 digits on every
+    non-blank line is decoded whole in numpy (``_decode_block``); any other
+    block is decoded as UTF-8 and read line by line, with universal
+    newlines, as a text stream is. Both give the same ids, and a malformed
+    line raises ``EdgeListParseError`` with its line number either way.
     """
     if id_mode not in ("dense", "remap"):
         raise ValueError(f"unknown id_mode {id_mode!r}")
     if id_mode == "remap" and num_nodes is not None:
         raise ValueError("num_nodes applies to dense mode only; remap mode counts the ids")
-    close = False
-    if isinstance(source, (str, os.PathLike)):
-        source = open(source, "r", encoding="utf-8")
-        close = True
-    try:
-        # ids wait as Python ints for at most one chunk of lines, then move to
-        # int64 arrays: a list holds ~40 bytes per id, an array 8
-        srcs, dsts, chunks = [], [], []
-        for lineno, line in enumerate(source, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise EdgeListParseError(lineno, f"expected 2 tokens, got {len(parts)}")
-            try:
-                s, d = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeListParseError(lineno, f"non-integer token in {stripped!r}") from None
-            if s < 0 or d < 0:
-                raise EdgeListParseError(lineno, "negative node id")
-            if s >= 2**63 or d >= 2**63:
-                raise EdgeListParseError(lineno, "node id above 2**63 - 1")
-            srcs.append(s)
-            dsts.append(d)
-            if len(srcs) == _PARSE_CHUNK:
-                chunks.append((np.array(srcs, dtype=np.int64), np.array(dsts, dtype=np.int64)))
-                srcs.clear()
-                dsts.clear()
-    finally:
-        if close:
-            source.close()
-
-    chunks.append((np.array(srcs, dtype=np.int64), np.array(dsts, dtype=np.int64)))
-    src = np.concatenate([c[0] for c in chunks])
-    dst = np.concatenate([c[1] for c in chunks])
-    del chunks
-    if id_mode == "remap":
-        originals, first_pos, inverse = np.unique(
-            np.concatenate([src, dst]), return_index=True, return_inverse=True)
-        # first-appearance order, not sorted order; first positions are distinct
-        order = np.argsort(first_pos)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        remapped = rank[inverse]
-        src, dst = remapped[:src.size], remapped[src.size:]
-        return from_edges(src, dst, num_nodes=originals.size, original_ids=originals[order])
-    return from_edges(src, dst, num_nodes=num_nodes)
+    arrays = (_parse_file(source) if isinstance(source, (str, os.PathLike))
+              else _parse_lines(source))
+    # the arrays are joined in chunks of at least _PARSE_CHUNK ids: the
+    # allocator maps arrays that large to pages of their own and unmaps them
+    # when they are freed, where the heap that small arrays share would keep
+    # their memory. Each chunk is freed once copied into ids.
+    chunks, pending, waiting = [], [], 0
+    for ids in arrays:
+        pending.append(ids)
+        waiting += ids.size
+        if waiting >= _PARSE_CHUNK:
+            chunks.append(np.concatenate(pending))
+            pending, waiting = [], 0
+    chunks += pending
+    ids = np.empty(sum(chunk.size for chunk in chunks), dtype=np.int64)
+    at = 0
+    for k in range(len(chunks)):
+        ids[at:at + chunks[k].size] = chunks[k]
+        at += chunks[k].size
+        chunks[k] = None
+    del chunks, pending
+    if ids.size == 0 and num_nodes is None:
+        raise EmptyEdgeListError("edge list holds no edge")
+    if id_mode == "dense":
+        return from_edges(ids[0::2], ids[1::2], num_nodes=num_nodes)
+    ids = ids.reshape(-1, 2).T.ravel()  # the src column, then the dst column
+    originals, first_pos, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    del ids
+    # first-appearance order, not sorted order; first positions are distinct
+    order = np.argsort(first_pos)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    remapped = rank[inverse]
+    half = remapped.size // 2
+    return from_edges(remapped[:half], remapped[half:], num_nodes=originals.size,
+                      original_ids=originals[order])
 
 
 def invert(g: DirectedGraph) -> DirectedGraph:

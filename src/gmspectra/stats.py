@@ -293,16 +293,23 @@ def write_grid_csv(grid: DensityGrid, path) -> None:
 
 
 def write_curve_csv(path, header: str, *columns) -> None:
-    """CSV export of aligned array columns (atomic write), used for every
-    tabular artifact. A cell is ``str`` of its element as a Python scalar:
-    floats in shortest round-trip ``repr``, ints in decimal. Rows are
-    formatted ``CSV_CHUNK_ROWS`` at a time, with one ``%`` per chunk."""
+    """CSV export of aligned array columns (atomic write): the header line,
+    then the rows as ``write_rows`` formats them. Used for every tabular
+    artifact."""
+    with atomic_write(path) as fh:
+        fh.write(header + "\n")
+        write_rows(fh, *columns)
+
+
+def write_rows(fh, *columns) -> None:
+    """Writes aligned array columns to a text file, one comma-separated line
+    per row. A cell is ``str`` of its element as a Python scalar: floats in
+    shortest round-trip ``repr``, ints in decimal. Rows are formatted
+    ``CSV_CHUNK_ROWS`` at a time, with one ``%`` per chunk."""
     columns = [np.asarray(c) for c in columns]
     rows = min((c.size for c in columns), default=0)
     template = ",".join(["%s"] * len(columns)) + "\n"
-    with atomic_write(path) as fh:
-        fh.write(header + "\n")
-        for lo in range(0, rows, CSV_CHUNK_ROWS):
-            hi = min(lo + CSV_CHUNK_ROWS, rows)
-            cells = chain.from_iterable(zip(*(c[lo:hi].tolist() for c in columns)))
-            fh.write(template * (hi - lo) % tuple(cells))
+    for lo in range(0, rows, CSV_CHUNK_ROWS):
+        hi = min(lo + CSV_CHUNK_ROWS, rows)
+        cells = chain.from_iterable(zip(*(c[lo:hi].tolist() for c in columns)))
+        fh.write(template * (hi - lo) % tuple(cells))

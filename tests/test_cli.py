@@ -16,7 +16,7 @@ from gmspectra import graph as gr
 from gmspectra.cli import build_parser, main
 from gmspectra.graph import GRAPH_CACHE
 from gmspectra.manifest import RunManifest
-from gmspectra.stats import write_curve_csv, write_grid_csv
+from gmspectra.stats import CSV_CHUNK_ROWS, write_curve_csv, write_grid_csv
 from gmspectra.subspaces import write_decomposition_json
 
 from conftest import write_version_1_cache
@@ -80,6 +80,30 @@ def test_ingest_remap_sidecar(tmp_path):
     cache = tmp_path / "g.cache"
     assert main(["ingest", str(edges), str(cache), "--id-mode", "remap"]) == 0
     assert (tmp_path / "g.cache.ids").read_text() == "100\n200\n"
+
+
+def test_ingest_remap_sidecar_spans_chunks(tmp_path):
+    # more ids than one formatting chunk, up to 2**63 - 1; the bytes are
+    # those of one decimal line per id
+    ids = np.random.default_rng(5).integers(0, 2**63 - 1, 2 * CSV_CHUNK_ROWS + 7,
+                                            dtype=np.int64, endpoint=True)
+    ids[:2] = 2**63 - 1, 0
+    edges = tmp_path / "edges.txt"
+    edges.write_text("".join(f"{s} {d}\n" for s, d in zip(ids[:-1], ids[1:])))
+    cache = tmp_path / "g.cache"
+    assert main(["ingest", str(edges), str(cache), "--id-mode", "remap"]) == 0
+    first = ids[np.sort(np.unique(ids, return_index=True)[1])]
+    assert (tmp_path / "g.cache.ids").read_text() == "".join(f"{i}\n" for i in first)
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"], ids=["empty", "comments-only"])
+def test_ingest_no_edge_with_num_nodes_gives_dangling_nodes(tmp_path, text):
+    edges = tmp_path / "edges.txt"
+    edges.write_text(text)
+    cache = tmp_path / "g.cache"
+    assert main(["ingest", str(edges), str(cache), "--num-nodes", "3"]) == 0
+    g = load_cache(cache)
+    assert g.node_count == 3 and g.edge_count == 0
 
 
 def test_rank_two_cycle(two_cycle_cache, tmp_path):
@@ -295,6 +319,8 @@ def stats_inputs(tmp_path):
     (tmp_path / "huge.txt").write_text("0 4294967296\n")
     (tmp_path / "int64.txt").write_text("0 1\n1 99999999999999999999\n")
     (tmp_path / "latin1.txt").write_bytes(b"0 1\n1 \xff\n")
+    (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "comments.txt").write_text("# no edge\n\n")
     return tmp_path
 
 
@@ -317,16 +343,22 @@ STATS = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/pr.vec", "--chei", "{d
     (["ingest", "{d}/latin1.txt", "{d}/latin1.cache"], 4),
     (["ingest", "{d}/edges.txt", "{d}/r.cache", "--id-mode", "remap",
       "--num-nodes", "2"], 3),
+    # no edge and no --num-nodes: the data is at fault, not a parameter
+    (["ingest", "{d}/empty.txt", "{d}/empty.cache"], 4),
+    (["ingest", "{d}/comments.txt", "{d}/comments.cache"], 4),
 ], ids=["decomposition-no-subspaces", "decomposition-not-json", "subspaces-max-size-0",
         "spectrum-max-size-0", "spectrum-dense-limit-0", "output-dir-missing",
         "output-is-directory", "ingest-node-id-past-uint32", "ingest-node-id-past-int64",
-        "ingest-remap-node-id-past-int64", "ingest-not-utf8", "ingest-remap-num-nodes"])
+        "ingest-remap-node-id-past-int64", "ingest-not-utf8", "ingest-remap-num-nodes",
+        "ingest-empty", "ingest-comments-only"])
 def test_bad_invocation_exits_with_documented_code(stats_inputs, argv, code):
     (stats_inputs / "taken.csv").mkdir()
     proc = run_cli([a.format(d=stats_inputs) for a in argv])
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("gmspectra: ")
+    if argv[1].endswith(("empty.txt", "comments.txt")):  # the message names the file
+        assert argv[1].format(d=stats_inputs) in proc.stderr
     assert not list(stats_inputs.rglob("*.tmp.*"))
 
 

@@ -9,6 +9,7 @@ from gmspectra import graph as gr
 from gmspectra.graph import (GRAPH_CACHE, CacheChecksumError, CacheFormatError,
                              CacheStructureError, CacheTruncatedError,
                              CacheVersionError, EdgeListParseError,
+                             EmptyEdgeListError,
                              NodeRangeError, _edge_key)
 
 from conftest import random_graph, write_version_1_cache
@@ -28,25 +29,167 @@ def test_duplicate_edges_collapse_and_dangling():
     assert list(g.dangling_nodes) == [2]
 
 
-def test_comments_blank_lines_whitespace():
+@pytest.fixture(params=["lines", "file"])
+def edge_source(request, tmp_path):
+    """Turns edge-list text into a parse source: a list of lines, or a file,
+    which ``parse_edge_list`` reads as bytes."""
+    def make(text):
+        if request.param == "lines":
+            return text.splitlines()
+        path = tmp_path / "edges.txt"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+    return make
+
+
+def test_comments_blank_lines_whitespace(edge_source):
     text = "# header\n\n 0\t1 \n#c\n1 0\n"
-    g = parse_edge_list(io.StringIO(text))
+    g = parse_edge_list(edge_source(text))
     assert g.edge_count == 2
+    assert g == parse_edge_list(io.StringIO(text))
 
 
-def test_parse_error_carries_line_number():
+def test_parse_error_carries_line_number(edge_source):
     with pytest.raises(EdgeListParseError) as exc:
-        parse_edge_list(["0 1", "0 one"])
+        parse_edge_list(edge_source("0 1\n0 one\n"))
     assert exc.value.line_number == 2
     with pytest.raises(EdgeListParseError):
-        parse_edge_list(["0 1 2"])
+        parse_edge_list(edge_source("0 1 2\n"))
 
 
-def test_node_id_past_int64_is_a_parse_error():
+def test_node_id_past_int64_is_a_parse_error(edge_source):
     for mode in ("dense", "remap"):
         with pytest.raises(EdgeListParseError) as exc:
-            parse_edge_list(["0 1", "# c", "1 99999999999999999999"], id_mode=mode)
+            parse_edge_list(edge_source("0 1\n# c\n1 99999999999999999999\n"), id_mode=mode)
         assert exc.value.line_number == 3
+
+
+def _parse_outcome(source, id_mode):
+    """The graph and original ids ``parse_edge_list`` gives, or the type,
+    message and line number of the error it raises."""
+    try:
+        g = parse_edge_list(source, id_mode=id_mode)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    ids = None if g.original_ids is None else g.original_ids.tolist()
+    return g.node_count, g.out_offsets.tolist(), g.out_indices.tolist(), ids
+
+
+def _file_outcome(tmp_path, text, id_mode="dense"):
+    path = tmp_path / "edges.txt"
+    path.write_bytes(text.encode("utf-8"))
+    return _parse_outcome(path, id_mode)
+
+
+def _text_outcome(text, id_mode="dense"):
+    return _parse_outcome(io.StringIO(text, newline=None), id_mode)
+
+
+@pytest.mark.parametrize("text, edges", [
+    ("0 1\r\n1 2\r\n", [(0, 1), (1, 2)]),  # CRLF
+    ("0 1\r1 2\r2 0", [(0, 1), (1, 2), (2, 0)]),  # lone CR, no final newline
+    ("007 0010\n", [(7, 10)]),  # leading zeros
+    ("0 1\n1 2", [(0, 1), (1, 2)]),  # no final newline
+    ("0\x0b1\n1\x1c2\n2\x853\n", [(0, 1), (1, 2), (2, 3)]),  # str.split blanks
+], ids=["crlf", "lone-cr", "leading-zeros", "no-final-newline", "unicode-blanks"])
+def test_file_matches_text_stream(tmp_path, text, edges):
+    got = _file_outcome(tmp_path, text)
+    assert got == _text_outcome(text)
+    src, dst = zip(*edges)
+    assert parse_edge_list(tmp_path / "edges.txt") == from_edges(src, dst)
+
+
+def test_file_errors_match_text_stream(tmp_path):
+    # a byte-order mark is no blank to str.strip, so line 1 is malformed, as
+    # in a text stream; a CR ends a line for the line count
+    for text, line in [("\ufeff0 1\n", 1), ("0 1\r1 2\r\n2 x\n", 3)]:
+        got = _file_outcome(tmp_path, text)
+        assert got == _text_outcome(text)
+        assert got[0] is EdgeListParseError and got[2] == line
+
+
+def test_file_id_of_19_digits_in_remap_mode(tmp_path):
+    text = "1000000000000000000 5\n5 9223372036854775807\n"
+    got = _file_outcome(tmp_path, text, "remap")
+    assert got == _text_outcome(text, "remap")
+    assert got[3] == [10**18, 5, 2**63 - 1]
+
+
+def test_plain_file_blocks_skip_the_line_parser(tmp_path, monkeypatch):
+    path = tmp_path / "edges.txt"
+    path.write_bytes(b"0 1\n\n 1\t2 \n2 0")
+
+    def no_lines(*args):
+        raise AssertionError("per-line parser used")
+
+    monkeypatch.setattr(gr, "_parse_lines", no_lines)
+    assert parse_edge_list(path) == from_edges([0, 1, 2], [1, 2, 0])
+    path.write_bytes(b"0 1\r\n")
+    with pytest.raises(AssertionError, match="per-line parser"):
+        parse_edge_list(path)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 3, 7, 64])
+def test_file_error_line_after_many_blocks(tmp_path, monkeypatch, block_bytes):
+    # reads of a few bytes cut lines across reads; blocks before the bad
+    # line mix CRLF (per-line parser) and plain lines (numpy)
+    lines = [f"{i} {i + 1}" + ("\r\n" if i % 7 == 3 else "\n") for i in range(60)]
+    lines.insert(41, "# comment\n")
+    lines.insert(56, "12 -4\n")
+    text = "".join(lines)
+    monkeypatch.setattr(gr, "_BLOCK_BYTES", block_bytes)
+    got = _file_outcome(tmp_path, text)
+    assert got == _text_outcome(text)
+    assert got[0] is EdgeListParseError and got[2] == 57
+
+
+def test_empty_edge_list(edge_source):
+    for text in ("", "# c\n\n"):
+        with pytest.raises(EmptyEdgeListError):
+            parse_edge_list(edge_source(text))
+        with pytest.raises(EmptyEdgeListError):
+            parse_edge_list(edge_source(text), id_mode="remap")
+        g = parse_edge_list(edge_source(text), num_nodes=4)
+        assert g.node_count == 4 and g.edge_count == 0
+
+
+# tokens and separators of the differential test: ids that take the numpy
+# path and ids that need the per-line parser (19 digits, 2**63, signs, "_",
+# non-ASCII digits), and blanks and line ends that only the latter takes
+_TOKENS = ["0", "1", "7", "42", "0042", "65535", "4294967295", "123456789012345678",
+           "1000000000000000000", "9223372036854775807", "9223372036854775808",
+           "99999999999999999999", "+5", "-3", "1_0", "x", "\u0663", "#", "#7 8"]
+_SEPARATORS = [" ", " ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u3000"]
+_LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r", "\n\n"]
+
+
+def _random_edge_text(rng):
+    lines = []
+    for _ in range(rng.integers(0, 12)):
+        count = rng.choice([2, 2, 2, 2, 1, 3, 0])
+        # mostly plain lines, so whole blocks of them take the numpy path
+        plain = rng.random() < 0.7
+        tokens = [(_TOKENS[rng.integers(0, 6)] if plain else rng.choice(_TOKENS))
+                  for _ in range(count)]
+        seps = [" " if plain else rng.choice(_SEPARATORS) for _ in range(count + 1)]
+        edge = (seps[0] if rng.random() < 0.2 else "") + "".join(
+            tok + sep for tok, sep in zip(tokens, seps[1:]))
+        lines.append(edge + ("\n" if plain else rng.choice(_LINE_ENDS)))
+    text = "".join(lines)
+    return text[:-1] if text and rng.random() < 0.2 else text
+
+
+def test_file_parse_matches_text_stream_on_random_texts(tmp_path, monkeypatch):
+    rng = np.random.default_rng(13)
+    compared = {"graph": 0, "error": 0}
+    for i in range(2000):
+        text = _random_edge_text(rng)
+        id_mode = "remap" if i % 2 else "dense"
+        monkeypatch.setattr(gr, "_BLOCK_BYTES", int(rng.choice([1, 2, 5, 16, 64, 1 << 16])))
+        got = _file_outcome(tmp_path, text, id_mode)
+        assert got == _text_outcome(text, id_mode), repr(text)
+        compared["graph" if isinstance(got[0], int) else "error"] += 1
+    assert min(compared.values()) > 200
 
 
 def test_num_nodes_rejected_in_remap_mode():
