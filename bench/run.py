@@ -1,10 +1,21 @@
-"""Time ``decompose`` and ``arnoldi_core`` on seeded graphs of ~2e5 nodes.
+"""Time ingest, ``decompose`` and ``arnoldi_core`` on seeded graphs of 2e5-2e6 nodes.
 
     python3 bench/run.py --out BENCH_<n>.json --label change
     python3 bench/run.py --out BENCH_<n>.json --label parent --root ../parent
+    python3 bench/run.py --out BENCH_<n>.json --label change --layers ingest
 
 The graphs come from ``perfbench.generator.generate`` with seed 11:
 
+* ``ingest`` on two power-law graphs of 2e5 nodes / 1.9e6 links and 2e6
+  nodes / 2.0e7 links, written as "src dst" edge lists ``WRITE_SLICE``
+  edges at a time, in dense (``--num-nodes N``) and remap id modes. In this
+  process ``parse_edge_list`` is timed ``INGEST_REPEATS`` times and the
+  minimum kept, with the ``from_edges`` call inside it timed apart, so that
+  ``parse_us_per_line`` is the parser's own time per line. The ``ingest``
+  command then runs once as a child process, through
+  ``perfbench/launcher.py``, which reports its ``wait4`` peak RSS; SHA-256
+  of the ``.cache`` and ``.ids`` it writes let two checkouts be checked for
+  equal output.
 * ``decompose`` on two ~2e6-link graphs, one with 40 % of its nodes in
   planted blocks (subspace-rich) and one with 1 % (core-heavy). Each call is
   timed three times and the minimum kept; a SHA-256 of the decomposition
@@ -16,14 +27,15 @@ The graphs come from ``perfbench.generator.generate`` with seed 11:
   three ``eig`` calls on the Hessenberg matrix, and ``ortho_s`` the
   remainder, the Gram-Schmidt orthogonalisation.
 
-``--root`` is the checkout whose ``src/gmspectra`` is timed (default: this
-one), so the same script measures a parent checkout and a change on the
-same host. Each run is stored in the ``runs`` list of ``--out`` under its
-``--label``, replacing an earlier run of that label, with the machine
-record of ``perfbench.machine.environment``. That record's ``git_commit``
-is the checkout's HEAD, so the run also records ``src_dirty`` (whether
-``git status`` lists changes under ``src/``; null outside a git checkout)
-and ``src_sha256``, a hash of the ``src/`` files timed.
+``--layers`` picks the layers to time (default: all three). ``--root`` is
+the checkout whose ``src/gmspectra`` is timed (default: this one), so the
+same script measures a parent checkout and a change on the same host. Each
+run is stored in the ``runs`` list of ``--out`` under its ``--label``,
+replacing an earlier run of that label, with the machine record of
+``perfbench.machine.environment``. That record's ``git_commit`` is the
+checkout's HEAD, so the run also records ``src_dirty`` (whether ``git
+status`` lists changes under ``src/``; null outside a git checkout) and
+``src_sha256``, a hash of the ``src/`` files timed.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -46,8 +59,15 @@ DECOMPOSE_GRAPHS = {  # name: (node_count, block_share, min_out_degree)
     "core-heavy": (150_000, 0.01, 6),
 }
 ARNOLDI_GRAPH = (200_000, 0.02, 4)
+INGEST_GRAPHS = {  # name: (node_count, block_share, min_out_degree)
+    "2e6-links": (200_000, 0.01, 4),
+    "2e7-links": (2_000_000, 0.01, 4),
+}
+INGEST_REPEATS = 2
+WRITE_SLICE = 1_000_000  # edges formatted at a time: the whole 2e7 list would be a 4e7-item tuple
 N_ARNOLDI = 640
 SEED = 11
+LAYERS = ("ingest", "decompose", "arnoldi")
 
 
 def source_state(root: Path) -> dict:
@@ -62,6 +82,86 @@ def source_state(root: Path) -> dict:
     for path in sorted((root / "src").rglob("*.py")):
         digest.update(str(path.relative_to(root)).encode() + b"\0" + path.read_bytes())
     return {"src_dirty": dirty, "src_sha256": digest.hexdigest()}
+
+
+def sha256_file(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def write_edge_list(planted, path: Path) -> None:
+    """The bytes of ``planted.edge_list_text()``, written ``WRITE_SLICE`` edges at a time."""
+    import numpy as np
+
+    with open(path, "w") as fh:
+        for lo in range(0, planted.edge_count, WRITE_SLICE):
+            hi = min(lo + WRITE_SLICE, planted.edge_count)
+            pairs = np.column_stack((planted.src[lo:hi], planted.dst[lo:hi])).ravel().tolist()
+            fh.write(("%d %d\n" * (hi - lo)) % tuple(pairs))
+
+
+def time_parse(gm, path: Path, id_mode: str, num_nodes) -> tuple[float, float]:
+    """Seconds of one ``parse_edge_list`` call and of the ``from_edges`` call inside it."""
+    from_edges = gm.graph.from_edges
+    inner = []
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        g = from_edges(*args, **kwargs)
+        inner.append(time.perf_counter() - start)
+        return g
+
+    gm.graph.from_edges = timed
+    try:
+        start = time.perf_counter()
+        gm.parse_edge_list(path, id_mode=id_mode, num_nodes=num_nodes)
+        total = time.perf_counter() - start
+    finally:
+        gm.graph.from_edges = from_edges
+    return total, inner[0]
+
+
+def time_ingest(gm, generate, launcher, work: Path) -> dict:
+    graphs = {}
+    for name, (nodes, block_share, min_out_degree) in INGEST_GRAPHS.items():
+        planted = generate(nodes, block_share, min_out_degree, SEED)
+        lines = planted.edge_count
+        edges = work / f"{name}.txt"
+        write_edge_list(planted, edges)
+        del planted
+        record = {"node_count": nodes, "edge_count": lines,
+                  "file_bytes": edges.stat().st_size, "modes": {}}
+        for mode, num_nodes in (("dense", nodes), ("remap", None)):
+            runs = [time_parse(gm, edges, mode, num_nodes) for _ in range(INGEST_REPEATS)]
+            total, inner = min(runs)
+            cache = work / f"{name}.{mode}.cache"
+            argv = [sys.executable, "-m", "gmspectra.cli", "ingest", str(edges), str(cache)]
+            argv += ["--num-nodes", str(nodes)] if mode == "dense" else ["--id-mode", "remap"]
+            reply = launcher.run(argv, work / f"{name}.{mode}")
+            if reply["rc"]:
+                raise RuntimeError(f"ingest {name} {mode} exited {reply['rc']}")
+            record["modes"][mode] = {
+                "parse_edge_list_s": total,
+                "parse_edge_list_runs_s": [t for t, _ in runs],
+                "from_edges_s": inner,
+                "parse_self_s": total - inner,
+                "parse_us_per_line": 1e6 * (total - inner) / lines,
+                "ingest_child_s": reply["wall_s"],
+                "ingest_child_peak_rss_mib": reply["maxrss_kib"] / 1024,
+                "cache_sha256": sha256_file(cache),
+                "ids_sha256": sha256_file(Path(f"{cache}.ids")) if mode == "remap" else None,
+            }
+            print(f"ingest {name} {mode}: parse {1e6 * (total - inner) / lines:.3f} us/line "
+                  f"(+ from_edges {inner:.2f} s), child {reply['wall_s']:.1f} s, "
+                  f"{reply['maxrss_kib'] / 1024:.1f} MiB", flush=True)
+            for path in work.glob(f"{name}.{mode}.cache*"):
+                path.unlink()
+        edges.unlink()
+        graphs[name] = record
+    return graphs
 
 
 def time_decompose(gm, generate) -> dict:
@@ -149,6 +249,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--label", required=True)
     parser.add_argument("--root", type=Path, default=HERE)
+    parser.add_argument("--layers", nargs="+", choices=LAYERS, default=list(LAYERS))
     args = parser.parse_args(argv)
     root = args.root.resolve()
 
@@ -159,13 +260,25 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(root / "src"))
 
     import gmspectra
+    from perfbench.bench import Launcher
     from perfbench.generator import generate
     from perfbench.machine import environment
 
+    # started before any graph exists: a child's wait4 peak includes the
+    # peak of the process that spawned it
+    launcher = Launcher(root, dict(os.environ, PYTHONPATH=str(root / "src")))
     record = {"label": args.label, "seed": SEED, "repeats": REPEATS,
-              "environment": environment(root) | source_state(root),
-              "graphs": time_decompose(gmspectra, generate),
-              "arnoldi": time_arnoldi(gmspectra, generate)}
+              "environment": environment(root) | source_state(root)}
+    try:
+        with tempfile.TemporaryDirectory(prefix="gmspectra-bench-") as work:
+            if "ingest" in args.layers:
+                record["ingest"] = time_ingest(gmspectra, generate, launcher, Path(work))
+    finally:
+        launcher.close()
+    if "decompose" in args.layers:
+        record["graphs"] = time_decompose(gmspectra, generate)
+    if "arnoldi" in args.layers:
+        record["arnoldi"] = time_arnoldi(gmspectra, generate)
     bench = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
     bench["runs"] = [r for r in bench["runs"] if r["label"] != args.label] + [record]
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
