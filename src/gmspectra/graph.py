@@ -243,7 +243,8 @@ def from_edges(src, dst, num_nodes=None, original_ids=None) -> DirectedGraph:
     return DirectedGraph(n, *_csr(src, dst, n), ids)
 
 
-_PARSE_CHUNK = 1 << 16  # ids per int64 chunk
+_PARSE_CHUNK = 1 << 16  # ids per int64 chunk of the per-line parser
+_JOIN_CHUNK = 1 << 18  # ids per buffer of _joined (2 MiB)
 _BLOCK_BYTES = 1 << 16  # bytes read at a time from an edge-list file
 _BLOCK_ALPHABET = b"0123456789 \t\n"  # the bytes a block decoded in numpy may hold
 _MAX_BLOCK_DIGITS = 18  # ids of up to 18 digits are below 2**63
@@ -343,6 +344,30 @@ def _parse_file(path):
                 lineno += block.count(b"\n")
 
 
+def _joined(arrays) -> np.ndarray:
+    """The ``int64`` arrays of an iterable joined in order. They are copied
+    into buffers of ``_JOIN_CHUNK`` ids as they come, then the buffers into
+    one array, each freed once copied: buffers that large get pages of their
+    own from the allocator, which it returns when they are freed, where
+    smaller arrays would leave their memory to the heap. (glibc maps blocks
+    larger than any mapped block freed before; ``ingest`` frees 1 MiB blocks
+    when it hashes the edge list.)"""
+    buffers, used = [np.empty(_JOIN_CHUNK, dtype=np.int64)], 0
+    for ids in arrays:
+        while ids.size:
+            take = min(ids.size, _JOIN_CHUNK - used)
+            buffers[-1][used:used + take] = ids[:take]
+            ids, used = ids[take:], used + take
+            if used == _JOIN_CHUNK:
+                buffers.append(np.empty(_JOIN_CHUNK, dtype=np.int64))
+                used = 0
+    joined = np.empty((len(buffers) - 1) * _JOIN_CHUNK + used, dtype=np.int64)
+    for k in range(len(buffers)):
+        joined[k * _JOIN_CHUNK:(k + 1) * _JOIN_CHUNK] = buffers[k][:joined.size - k * _JOIN_CHUNK]
+        buffers[k] = None
+    return joined
+
+
 def parse_edge_list(source, id_mode="dense", num_nodes=None) -> DirectedGraph:
     """Parse a "src dst" edge list into a DirectedGraph.
 
@@ -368,25 +393,7 @@ def parse_edge_list(source, id_mode="dense", num_nodes=None) -> DirectedGraph:
         raise ValueError("num_nodes applies to dense mode only; remap mode counts the ids")
     arrays = (_parse_file(source) if isinstance(source, (str, os.PathLike))
               else _parse_lines(source))
-    # the arrays are joined in chunks of at least _PARSE_CHUNK ids: the
-    # allocator maps arrays that large to pages of their own and unmaps them
-    # when they are freed, where the heap that small arrays share would keep
-    # their memory. Each chunk is freed once copied into ids.
-    chunks, pending, waiting = [], [], 0
-    for ids in arrays:
-        pending.append(ids)
-        waiting += ids.size
-        if waiting >= _PARSE_CHUNK:
-            chunks.append(np.concatenate(pending))
-            pending, waiting = [], 0
-    chunks += pending
-    ids = np.empty(sum(chunk.size for chunk in chunks), dtype=np.int64)
-    at = 0
-    for k in range(len(chunks)):
-        ids[at:at + chunks[k].size] = chunks[k]
-        at += chunks[k].size
-        chunks[k] = None
-    del chunks, pending
+    ids = _joined(arrays)
     if ids.size == 0 and num_nodes is None:
         raise EmptyEdgeListError("edge list holds no edge")
     if id_mode == "dense":

@@ -186,6 +186,7 @@ def test_file_parse_matches_text_stream_on_random_texts(tmp_path, monkeypatch):
         text = _random_edge_text(rng)
         id_mode = "remap" if i % 2 else "dense"
         monkeypatch.setattr(gr, "_BLOCK_BYTES", int(rng.choice([1, 2, 5, 16, 64, 1 << 16])))
+        monkeypatch.setattr(gr, "_JOIN_CHUNK", int(rng.choice([1, 2, 6, 1 << 18])))
         got = _file_outcome(tmp_path, text, id_mode)
         assert got == _text_outcome(text, id_mode), repr(text)
         compared["graph" if isinstance(got[0], int) else "error"] += 1
@@ -463,6 +464,7 @@ def test_parse_across_chunk_boundaries(rng, monkeypatch, mode):
     lines.insert(5, "# comment")
     whole = parse_edge_list(lines, id_mode=mode)
     monkeypatch.setattr(gr, "_PARSE_CHUNK", 4)
+    monkeypatch.setattr(gr, "_JOIN_CHUNK", 6)
     chunked = parse_edge_list(lines, id_mode=mode)
     assert chunked == whole
     assert np.array_equal(chunked.original_ids, whole.original_ids)
