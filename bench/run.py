@@ -1,10 +1,11 @@
-"""Time ingest, ``decompose`` and ``arnoldi_core`` on seeded graphs of 2e5-2e6 nodes.
+"""Time ingest, ``decompose`` and ``arnoldi_core`` on seeded graphs of 2e4-2e6 nodes.
 
     python3 bench/run.py --out BENCH_<n>.json --label change
     python3 bench/run.py --out BENCH_<n>.json --label parent --root ../parent
     python3 bench/run.py --out BENCH_<n>.json --label change --layers ingest
 
-The graphs come from ``perfbench.generator.generate`` with seed 11:
+The graphs are drawn with seed 11, by ``perfbench.generator.generate``
+unless said otherwise:
 
 * ``ingest`` on two power-law graphs of 2e5 nodes / 1.9e6 links and 2e6
   nodes / 2.0e7 links, written as "src dst" edge lists ``WRITE_SLICE``
@@ -17,9 +18,13 @@ The graphs come from ``perfbench.generator.generate`` with seed 11:
   of the ``.cache`` and ``.ids`` it writes let two checkouts be checked for
   equal output.
 * ``decompose`` on two ~2e6-link graphs, one with 40 % of its nodes in
-  planted blocks (subspace-rich) and one with 1 % (core-heavy). Each call is
-  timed three times and the minimum kept; a SHA-256 of the decomposition
-  lets the runs of two checkouts be checked for equal output.
+  planted blocks (subspace-rich) and one with 1 % (core-heavy), and on two
+  graphs without a dangling node, built here, where the sweep from the
+  dangling nodes marks nothing: an id-ordered cycle of 2e4 nodes at
+  ``max_size`` 2000, and 2e5 nodes with five links each to uniform random
+  targets, at the default ``max_size``. Each call is timed three times and the minimum kept; a
+  SHA-256 of the decomposition lets the runs of two checkouts be checked
+  for equal output.
 * ``arnoldi_core`` at n_A = 640, without its check, on the ~1.96e5-node
   core of a 2e5-node graph (the Krylov basis takes ~1 GB), timed once. Its
   time is split as in ``perfbench/layers.py``: ``matvec_s`` is n_A times the
@@ -58,6 +63,8 @@ DECOMPOSE_GRAPHS = {  # name: (node_count, block_share, min_out_degree)
     "subspace-rich": (236_000, 0.40, 6),
     "core-heavy": (150_000, 0.01, 6),
 }
+CYCLE_GRAPH = (20_000, 2000)  # (node_count, max_size)
+NO_DANGLING_GRAPH = (200_000, 5)  # (node_count, links_per_node)
 ARNOLDI_GRAPH = (200_000, 0.02, 4)
 INGEST_GRAPHS = {  # name: (node_count, block_share, min_out_degree)
     "2e6-links": (200_000, 0.01, 4),
@@ -164,16 +171,28 @@ def time_ingest(gm, generate, launcher, work: Path) -> dict:
     return graphs
 
 
-def time_decompose(gm, generate) -> dict:
-    graphs = {}
+def decompose_graphs(gm, generate):
+    """Yield ``(name, graph, max_size, block_share)`` for each ``decompose`` graph."""
+    import numpy as np
+
     for name, (nodes, block_share, min_out_degree) in DECOMPOSE_GRAPHS.items():
         planted = generate(nodes, block_share, min_out_degree, SEED)
-        g = gm.from_edges(planted.src, planted.dst, planted.node_count)
-        del planted
+        yield name, gm.from_edges(planted.src, planted.dst, planted.node_count), None, block_share
+    nodes, max_size = CYCLE_GRAPH
+    yield "cycle", gm.from_edges(np.arange(nodes), np.roll(np.arange(nodes), -1), nodes), max_size, None
+    nodes, links_per_node = NO_DANGLING_GRAPH
+    src = np.repeat(np.arange(nodes), links_per_node)
+    dst = np.random.default_rng(SEED).integers(0, nodes, src.size)
+    yield "no-dangling", gm.from_edges(src, dst, nodes), None, None
+
+
+def time_decompose(gm, generate) -> dict:
+    graphs = {}
+    for name, g, max_size, block_share in decompose_graphs(gm, generate):
         times = []
         for _ in range(REPEATS):
             start = time.perf_counter()
-            d = gm.decompose(g)
+            d = gm.decompose(g, max_size)
             times.append(time.perf_counter() - start)
         digest = hashlib.sha256(d.permutation.astype("<i8").tobytes())
         digest.update(d.dimensions.astype("<i8").tobytes())
@@ -181,6 +200,7 @@ def time_decompose(gm, generate) -> dict:
             "node_count": g.node_count,
             "edge_count": g.edge_count,
             "block_share": block_share,
+            "max_size": max_size,
             "subspace_count": d.subspace_count,
             "core_count": d.core_count,
             "decompose_s": min(times),

@@ -101,14 +101,15 @@ def memory_estimate(n_nodes: int, n_links: int, n_core: int, n_arnoldi: int,
     counts its arrays at their largest, so the estimate errs high. The
     interpreter, numpy itself and other Python objects are not counted."""
     # per link, the load check holds the out-link ids and one bool each
-    # (4 + 1 bytes); an invert (decompose's, for its sweep from the dangling
-    # nodes, and the operator's) adds to the ids their row ids, the sort
-    # keys, their dedup mask and the deduplicated keys (4 + 4 + 8 + 1 + 8);
-    # a level of the sweep holds the out-link ids, the in-link ids and at
-    # most one int64 position and one uint32 id per link (4 + 4 + 8 + 4); the
-    # subspace labelling holds the out-link ids and, per labelled link, four
-    # uint32 ids and a bool (4 + 17); a matvec holds the out-link ids, the
-    # operator's intp in-link ids and its gather buffer (4 + 8 + 8)
+    # (4 + 1 bytes); an invert (decompose's, for its ancestor sweeps, and the
+    # operator's) adds to the ids their row ids, the sort keys, their dedup
+    # mask and the in-link ids (4 + 4 + 8 + 1 + 4), the keys never copied as
+    # no link repeats; a level of a sweep holds the out-link ids, the in-link
+    # ids and at most one int64 position and one uint32 id per link (4 + 4 +
+    # 8 + 4); the component labelling holds the out-link and in-link ids and,
+    # per labelled link, four uint32 ids and a bool (4 + 4 + 17); a matvec
+    # holds the out-link ids, the operator's intp in-link ids and its gather
+    # buffer (4 + 8 + 8)
     build = 25 * n_links
     matvec = 20 * n_links
     # the out-link offsets and the in-link offsets the operator builds, four
@@ -121,7 +122,7 @@ def memory_estimate(n_nodes: int, n_links: int, n_core: int, n_arnoldi: int,
     # and the three Gram-sized matrices of the orthogonality check
     dense = ((n_arnoldi + 1) * n_arnoldi * 8 + 2 * n_arnoldi ** 2 * 16
              + 3 * (n_arnoldi + 1) ** 2 * 8)
-    # both inverts and the sweep end before the Krylov basis is allocated,
+    # both inverts and decompose end before the Krylov basis is allocated,
     # so the two moments never overlap
     return nodes + max(build, matvec + core + dense)
 

@@ -204,7 +204,8 @@ def _csr(rows, entries, n):
     key.sort()
     keep = np.ones(key.size, dtype=bool)
     np.not_equal(key[1:], key[:-1], out=keep[1:])
-    key = key[keep]
+    if not keep.all():  # never in ``invert``: its links are already distinct
+        key = key[keep]
     return np.searchsorted(key, np.arange(n + 1, dtype=np.uint64) << 32), key.astype(np.uint32)
 
 

@@ -196,8 +196,10 @@ def ng_filling(g: DirectedGraph, k: np.ndarray, k_values) -> FillingCurve:
     k = _check_permutation(k, "K")
     if k.size != g.node_count:
         raise ValueError("rank permutation does not match graph")
-    src, dst = g.edges()
-    worst = np.sort(np.maximum(k[src], k[dst]))
+    # per link, the larger rank of its two ends, without int64 copies of the ends
+    worst = np.repeat(k, g.out_degrees)
+    np.maximum(worst, k[g.out_indices], out=worst)
+    worst.sort()
     k_values = np.asarray(k_values, dtype=np.int64)
     n_g = np.searchsorted(worst, k_values, side="right").astype(np.int64)
     kf = k_values.astype(np.float64)

@@ -7,9 +7,11 @@ its closure is the whole network). The subspaces are the weakly connected
 components of the links out of subspace nodes; all remaining nodes form the
 core space, whose projected block is strictly substochastic.
 
-``decompose`` works in two steps. A backward sweep from the dangling nodes
+``decompose`` works on components. A backward sweep from the dangling nodes
 over the in-links marks, in numpy, every node with a path to a dangling node:
-all of them are core. Only the nodes it leaves unmarked get a closure search.
+all of them are core. The unmarked nodes split into weakly connected
+components, and a component of at most ``max_size`` nodes is one subspace.
+Only the nodes of larger components get a closure search.
 """
 
 from __future__ import annotations
@@ -82,12 +84,9 @@ def default_max_size(n: int) -> int:
     return max(1, min(100_000, n // 10))
 
 
-def node_closure(g: DirectedGraph, seed: int, max_size: int, *,
-                 stop: np.ndarray | None = None):
+def node_closure(g: DirectedGraph, seed: int, max_size: int):
     """Out-link closure of ``seed``; OVERFLOW (None) if it exceeds
-    ``max_size``, touches a dangling node or touches a node where the boolean
-    mask ``stop`` is true (a node already known to be core: its closure
-    overflows, so any closure containing it does too)."""
+    ``max_size`` or touches a dangling node."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     offsets, indices = g.out_offsets, g.out_indices
@@ -96,7 +95,7 @@ def node_closure(g: DirectedGraph, seed: int, max_size: int, *,
     while queue:
         node = queue.popleft()
         lo, hi = offsets[node], offsets[node + 1]
-        if lo == hi or (stop is not None and stop[node]):
+        if lo == hi:
             return OVERFLOW
         for nxt in indices[lo:hi]:
             nxt = int(nxt)
@@ -120,17 +119,17 @@ def _links_of(g: DirectedGraph, rows: np.ndarray) -> np.ndarray:
     return g.out_indices[np.cumsum(pos, out=pos)]
 
 
-def _reaches_dangling(g: DirectedGraph) -> np.ndarray:
-    """Boolean mask of the nodes with a path to a dangling node (dangling
-    nodes included), found level by level over the in-links of ``invert(g)``.
+def _mark_ancestors(inverse: DirectedGraph, marked: np.ndarray,
+                    frontier: np.ndarray) -> None:
+    """Mark in ``marked``, in place, the nodes of ``frontier`` and every node
+    with a path into it, level by level over the out-links of ``inverse``,
+    the in-links of the graph. Marked nodes stop the sweep.
 
     Each level gathers the in-links of the frontier, so every link is read
     once. A level holds one int64 position and one uint32 id per link it
     gathers, under the moment ``invert`` itself needs.
     """
-    inverse = invert(g)
-    marked = g.out_degrees == 0
-    frontier = np.flatnonzero(marked)
+    marked[frontier] = True
     while frontier.size:
         found = _links_of(inverse, frontier)
         found = found[~marked[found]]
@@ -139,7 +138,6 @@ def _reaches_dangling(g: DirectedGraph) -> np.ndarray:
         np.not_equal(found[1:], found[:-1], out=first[1:])
         frontier = found[first]
         marked[frontier] = True
-    return marked
 
 
 def _components(g: DirectedGraph, mask: np.ndarray) -> list[np.ndarray]:
@@ -173,50 +171,62 @@ def decompose(g: DirectedGraph, max_size: int | None = None) -> SubspaceDecompos
     """Partition nodes into invariant subspaces and the core.
 
     A backward sweep from the dangling nodes first marks as core every node
-    that can reach one: its closure holds a uniform column. Every other node
-    is a seed of the closure search, with the marked nodes as known core.
-    A closure holds the closure of each of its members, so the members of a
-    fitting closure are never seeds again. A search aborts (seed is core) on
-    a dangling node, a known-core node, or more than ``max_size`` nodes.
-    Each closure is weakly connected and holds every link out of its
-    members, so the subspaces are the weakly connected components of the
-    links out of subspace nodes. Neither membership nor grouping depends on
-    which seeds are searched or in what order, so the sweep changes no result.
+    that can reach one: its closure holds a uniform column. The unmarked
+    nodes are closed under out-links, so each weakly connected component of
+    their links holds the closure of every member. A component of at most
+    ``max_size`` nodes is therefore one subspace, taken whole. Only the
+    members of a larger component are seeds of the closure search. A seed
+    whose closure overflows (more than ``max_size`` nodes) is core, and so
+    is every node that reaches it: the same sweep marks them. A closure that
+    fits holds the closure of each of its members, so they are never seeds
+    again. The core thus stays closed under ancestors, and no search can
+    meet a core node. Each closure is weakly connected and holds every link
+    out of its members, so the subspaces are the weakly connected components
+    of the links out of the nodes left unmarked. Neither membership nor
+    grouping depends on which seeds are searched or in what order.
+
+    Residual worst case: a rising path of more than ``max_size`` nodes into
+    a small closed set. Each of its first nodes walks ``max_size`` nodes
+    before it overflows, and its ancestors are already core, so its sweep
+    saves no search.
     """
     n = g.node_count
     if max_size is None:
         max_size = default_max_size(n)
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    core = _reaches_dangling(g)
+    inverse = invert(g)
+    core = g.out_degrees == 0
+    _mark_ancestors(inverse, core, np.flatnonzero(core))
+    groups = _components(g, ~core)
+    large = [members for members in groups if members.size > max_size]
     in_subspace = np.zeros(n, dtype=bool)
-    for seed in np.flatnonzero(~core):
-        if in_subspace[seed]:
+    for seed in (np.concatenate(large) if large else ()):
+        if core[seed] or in_subspace[seed]:
             continue
-        closure = node_closure(g, seed, max_size, stop=core)
+        closure = node_closure(g, seed, max_size)
         if closure is OVERFLOW:
-            core[seed] = True
+            _mark_ancestors(inverse, core, np.array([seed]))
         else:
             in_subspace[list(closure)] = True
-    return SubspaceDecomposition(_components(g, in_subspace),
-                                 np.flatnonzero(~in_subspace), n)
+    if large:
+        groups = _components(g, ~core)
+    return SubspaceDecomposition(groups, np.flatnonzero(core), n)
 
 
 def subspace_block(g: DirectedGraph, members: np.ndarray) -> np.ndarray:
-    """Dense column-normalized block of S restricted to one subspace.
+    """Dense column-normalized block of S restricted to one subspace, whose
+    ``members`` must be sorted (every ``SubspaceDecomposition`` lists them so).
 
     Closure guarantees every successor of a member is a member and that no
     member is dangling, so the block is exactly column-stochastic.
     """
     members = np.asarray(members, dtype=np.int64)
-    local = {int(node): i for i, node in enumerate(members)}
     d = members.size
+    deg = g.out_offsets[members + 1] - g.out_offsets[members]
     block = np.zeros((d, d))
-    out_deg = g.out_offsets[members + 1] - g.out_offsets[members]
-    for j, node in enumerate(members):
-        w = 1.0 / out_deg[j]
-        for succ in g.successors(int(node)):
-            block[local[int(succ)], j] = w
+    block[np.searchsorted(members, _links_of(g, members)),
+          np.repeat(np.arange(d), deg)] = np.repeat(1.0 / deg, deg)
     return block
 
 

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gmspectra import (decompose, dense_s, from_edges, node_closure,
-                       parse_edge_list, subspace_block, subspace_spectrum)
+from gmspectra import (decompose, dense_s, from_edges, load_cache, memory_estimate,
+                       node_closure, parse_edge_list, save_cache, subspace_block,
+                       subspace_spectrum)
 from gmspectra.subspaces import (OVERFLOW, decomposition_to_json,
                                  write_decomposition_json)
 
@@ -27,15 +29,6 @@ def test_closure_size_cutoff():
     assert node_closure(g, 0, 10) == {0, 1}
     assert node_closure(g, 2, 3) is OVERFLOW
     assert node_closure(g, 2, 4) == {0, 1, 2, 3}
-
-
-def test_closure_stops_at_known_core():
-    g = parse_edge_list(["0 1", "1 0", "2 0", "2 3", "3 2"])
-    stop = np.zeros(g.node_count, dtype=bool)
-    assert node_closure(g, 2, 4, stop=stop) == {0, 1, 2, 3}
-    stop[1] = True
-    assert node_closure(g, 2, 4, stop=stop) is OVERFLOW
-    assert node_closure(g, 3, 4, stop=stop) is OVERFLOW
 
 
 def reachability_oracle(g, max_size):
@@ -332,3 +325,67 @@ def test_decompose_cycle_fed_by_a_long_path_is_one_subspace(rng):
     d = decompose(from_edges(src, dst, n), max_size=n)
     assert [s.tolist() for s in d.subspaces] == [list(range(n))]
     assert d.core_count == 0
+
+
+def test_decompose_id_ordered_cycle_above_max_size_is_all_core():
+    # the sweep marks nothing and the one component is above max_size: the
+    # first seed overflows and the ancestor sweep marks the whole cycle
+    n = 20_000
+    g = from_edges(np.arange(n), np.roll(np.arange(n), -1), n)
+    d = decompose(g, max_size=2000)
+    assert d.subspace_count == 0
+    assert d.core_nodes.tolist() == list(range(n))
+
+
+def _no_dangling_graph(rng, n, links_per_node):
+    src = np.repeat(np.arange(n), links_per_node)
+    return from_edges(src, rng.integers(0, n, src.size), n)
+
+
+def test_decompose_no_dangling_random_graph_is_all_core(rng):
+    g = _no_dangling_graph(rng, 200_000, 5)
+    assert g.dangling_nodes.size == 0
+    d = decompose(g)
+    assert d.subspace_count == 0
+    assert d.core_count == g.node_count
+
+
+def test_decompose_small_component_without_dangling_node_is_one_subspace(rng):
+    # a ring through every node keeps the graph one weak component
+    n = 500
+    src = np.concatenate((np.arange(n), rng.integers(0, n, 2 * n)))
+    dst = np.concatenate((np.roll(np.arange(n), -1), rng.integers(0, n, 2 * n)))
+    g = from_edges(src, dst, n)
+    for max_size in (n, 2 * n):
+        d = decompose(g, max_size=max_size)
+        assert [s.tolist() for s in d.subspaces] == [list(range(n))]
+        assert d.core_count == 0
+
+
+def test_decompose_rising_path_into_a_cycle_matches_reachability_oracle():
+    # node i of the path reaches 303 - i nodes: the first 103 overflow, each
+    # after walking max_size nodes, and the rest join the 3-cycle's subspace
+    src = list(range(300)) + [300, 301, 302]
+    dst = list(range(1, 301)) + [301, 302, 300]
+    g = from_edges(src, dst, 303)
+    _assert_matches_oracle(g, 200)
+    assert decompose(g, max_size=200).core_nodes.tolist() == list(range(103))
+
+
+@pytest.mark.parametrize("max_size", [50, 400_000], ids=["searched", "whole"])
+def test_decompose_without_dangling_nodes_fits_the_memory_estimate(rng, tmp_path,
+                                                                   max_size):
+    # the sweep marks nothing, so every link is labelled while the in-links
+    # are alive; "searched" then sweeps the ancestors of an overflowing seed
+    path = tmp_path / "g.cache"
+    save_cache(_no_dangling_graph(rng, 100_000, 4), path)
+    tracemalloc.start()
+    try:
+        g = load_cache(path)
+        d = decompose(g, max_size=max_size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (d.core_count == g.node_count) is (max_size == 50)
+    # no core block and no Arnoldi stage: the node and build terms alone
+    assert peak <= memory_estimate(g.node_count, g.edge_count, 0, 0, 0)
