@@ -22,9 +22,9 @@ unless said otherwise:
   graphs without a dangling node, built here, where the sweep from the
   dangling nodes marks nothing: an id-ordered cycle of 2e4 nodes at
   ``max_size`` 2000, and 2e5 nodes with five links each to uniform random
-  targets, at the default ``max_size``. Each call is timed three times and the minimum kept; a
-  SHA-256 of the decomposition lets the runs of two checkouts be checked
-  for equal output.
+  targets, at the default ``max_size``. Each call is timed three times and
+  the minimum kept; a SHA-256 of the decomposition lets the runs of two
+  checkouts be checked for equal output.
 * ``arnoldi_core`` at n_A = 640, without its check, on the ~1.96e5-node
   core of a 2e5-node graph (the Krylov basis takes ~1 GB), timed once. Its
   time is split as in ``perfbench/layers.py``: ``matvec_s`` is n_A times the
@@ -179,7 +179,8 @@ def decompose_graphs(gm, generate):
         planted = generate(nodes, block_share, min_out_degree, SEED)
         yield name, gm.from_edges(planted.src, planted.dst, planted.node_count), None, block_share
     nodes, max_size = CYCLE_GRAPH
-    yield "cycle", gm.from_edges(np.arange(nodes), np.roll(np.arange(nodes), -1), nodes), max_size, None
+    ring = np.arange(nodes)
+    yield "cycle", gm.from_edges(ring, np.roll(ring, -1), nodes), max_size, None
     nodes, links_per_node = NO_DANGLING_GRAPH
     src = np.repeat(np.arange(nodes), links_per_node)
     dst = np.random.default_rng(SEED).integers(0, nodes, src.size)
