@@ -1,8 +1,8 @@
-"""Time ingest, ``decompose`` and ``arnoldi_core`` on seeded graphs of 2e4-2e6 nodes.
+"""Time ingest, ranking, ``decompose`` and ``arnoldi_core`` on seeded graphs of 2e4-2e6 nodes.
 
     python3 bench/run.py --out BENCH_<n>.json --label change
     python3 bench/run.py --out BENCH_<n>.json --label parent --root ../parent
-    python3 bench/run.py --out BENCH_<n>.json --label change --layers ingest
+    python3 bench/run.py --out BENCH_<n>.json --label change --layers ingest rank
 
 The graphs are drawn with seed 11, by ``perfbench.generator.generate``
 unless said otherwise:
@@ -17,6 +17,14 @@ unless said otherwise:
   ``perfbench/launcher.py``, which reports its ``wait4`` peak RSS; SHA-256
   of the ``.cache`` and ``.ids`` it writes let two checkouts be checked for
   equal output.
+* ``rank`` on the same two graphs, built here with ``from_edges``. It times
+  the ``GoogleOperator`` build and records the bytes per link the operator
+  keeps (``tracemalloc``, a second build), ``apply_g`` as ns/link (the
+  median of ``MATVEC_REPEATS`` calls on the uniform vector) and the
+  ``tracemalloc`` peak of one more call, and one ``pagerank`` with its
+  iteration count. The ``rank`` command then runs once as a launcher child
+  on the graph's cache, with its ``wait4`` peak RSS and the SHA-256 of the
+  ``.vec`` it writes.
 * ``decompose`` on two ~2e6-link graphs, one with 40 % of its nodes in
   planted blocks (subspace-rich) and one with 1 % (core-heavy), and on two
   graphs without a dangling node, built here, where the sweep from the
@@ -32,7 +40,7 @@ unless said otherwise:
   three ``eig`` calls on the Hessenberg matrix, and ``ortho_s`` the
   remainder, the Gram-Schmidt orthogonalisation.
 
-``--layers`` picks the layers to time (default: all three). ``--root`` is
+``--layers`` picks the layers to time (default: all four). ``--root`` is
 the checkout whose ``src/gmspectra`` is timed (default: this one), so the
 same script measures a parent checkout and a change on the same host. Each
 run is stored in the ``runs`` list of ``--out`` under its ``--label``,
@@ -54,6 +62,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
@@ -74,7 +83,7 @@ INGEST_REPEATS = 2
 WRITE_SLICE = 1_000_000  # edges formatted at a time: the whole 2e7 list would be a 4e7-item tuple
 N_ARNOLDI = 640
 SEED = 11
-LAYERS = ("ingest", "decompose", "arnoldi")
+LAYERS = ("ingest", "rank", "decompose", "arnoldi")
 
 
 def source_state(root: Path) -> dict:
@@ -168,6 +177,76 @@ def time_ingest(gm, generate, launcher, work: Path) -> dict:
                 path.unlink()
         edges.unlink()
         graphs[name] = record
+    return graphs
+
+
+def time_rank(gm, generate, launcher, work: Path) -> dict:
+    import numpy as np
+
+    graphs = {}
+    for name, (nodes, block_share, min_out_degree) in INGEST_GRAPHS.items():
+        planted = generate(nodes, block_share, min_out_degree, SEED)
+        g = gm.from_edges(planted.src, planted.dst, planted.node_count)
+        del planted
+        links = g.edge_count
+        cache = work / f"{name}.cache"
+        gm.save_cache(g, cache)
+        start = time.perf_counter()
+        op = gm.GoogleOperator(g)
+        build_s = time.perf_counter() - start
+        del op
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            op = gm.GoogleOperator(g)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        v = np.full(g.node_count, 1.0 / g.node_count)
+        matvecs = []
+        for _ in range(MATVEC_REPEATS):
+            start = time.perf_counter()
+            op.apply_g(v)
+            matvecs.append(time.perf_counter() - start)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            op.apply_g(v)
+            matvec_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        del op
+        start = time.perf_counter()
+        rv = gm.pagerank(g)
+        pagerank_s = time.perf_counter() - start
+        del g
+        prefix = work / f"{name}.pr"
+        reply = launcher.run([sys.executable, "-m", "gmspectra.cli", "rank", str(cache),
+                              str(prefix)], work / f"{name}.rank")
+        if reply["rc"]:
+            raise RuntimeError(f"rank {name} exited {reply['rc']}")
+        ns_per_link = 1e9 * statistics.median(matvecs) / links
+        graphs[name] = {
+            "node_count": nodes,
+            "edge_count": links,
+            "operator_build_s": build_s,
+            "operator_kept_bytes_per_link": kept / links,
+            "apply_g_ns_per_link": ns_per_link,
+            "apply_g_runs_s": matvecs,
+            "apply_g_peak_bytes_per_link": matvec_peak / links,
+            "pagerank_s": pagerank_s,
+            "pagerank_iterations": rv.iterations_used,
+            "pagerank_converged": rv.converged,
+            "rank_child_s": reply["wall_s"],
+            "rank_child_peak_rss_mib": reply["maxrss_kib"] / 1024,
+            "pr_vec_sha256": sha256_file(Path(f"{prefix}.vec")),
+        }
+        print(f"rank {name}: operator {build_s:.2f} s, {kept / links:.2f} B/link kept, "
+              f"apply_g {ns_per_link:.2f} ns/link, pagerank {pagerank_s:.1f} s "
+              f"({rv.iterations_used} iterations), child {reply['wall_s']:.1f} s, "
+              f"{reply['maxrss_kib'] / 1024:.1f} MiB", flush=True)
+        for path in work.glob(f"{name}.*"):
+            path.unlink()
     return graphs
 
 
@@ -294,6 +373,8 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory(prefix="gmspectra-bench-") as work:
             if "ingest" in args.layers:
                 record["ingest"] = time_ingest(gmspectra, generate, launcher, Path(work))
+            if "rank" in args.layers:
+                record["rank"] = time_rank(gmspectra, generate, launcher, Path(work))
     finally:
         launcher.close()
     if "decompose" in args.layers:

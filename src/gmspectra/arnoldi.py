@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DirectedGraph
-from .operator import GoogleOperator
+from .operator import GATHER_CHUNK, GoogleOperator
 from .stats import write_curve_csv
 from .subspaces import SubspaceDecomposition, SubspaceSpectrum
 
@@ -108,10 +108,12 @@ def memory_estimate(n_nodes: int, n_links: int, n_core: int, n_arnoldi: int,
     # ids and at most one int64 position and one uint32 id per link (4 + 4 +
     # 8 + 4); the component labelling holds the out-link and in-link ids and,
     # per labelled link, four uint32 ids and a bool (4 + 4 + 17); a matvec
-    # holds the out-link ids, the operator's intp in-link ids and its gather
-    # buffer (4 + 8 + 8)
+    # holds the out-link ids and the operator's in-link ids (4 + 4), and one
+    # chunk's intp index and gather buffer, or its gather buffer and row sums
+    # (8 + 8 per link of the chunk); a chunk is shorter than GATHER_CHUNK
+    # plus its last row, which holds at most N links
     build = 25 * n_links
-    matvec = 20 * n_links
+    matvec = 8 * n_links + 16 * min(n_links, GATHER_CHUNK + n_nodes)
     # the out-link offsets and the in-link offsets the operator builds, four
     # N-length arrays the operator keeps, four that each matvec allocates,
     # and the decomposition's node lists
@@ -199,6 +201,8 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
                 hess = hess[:k_used + 1, :k_used]
                 break
             basis[k + 1] = _restart_vector(basis, k, rng)
+    # the operator's arrays go before the dense tail allocates
+    del op, embed, matvec
 
     if vector_indices and max(vector_indices) >= k_used:
         raise ValueError(f"Ritz index {max(vector_indices)} is out of range: the "

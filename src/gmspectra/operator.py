@@ -6,10 +6,13 @@ both are rank-one corrections driven by scalar sums. The sparse part sums
 each node's in-link values with one ``np.add.reduceat`` segment per nonempty
 in-row, in ascending predecessor order. The operator is the only user of the
 in-links: it builds them once, at construction, as the out-links of
-``invert(graph)``, and keeps only the gather index and the segment starts of
-the nonempty rows. The sparse part runs on the calling thread:
-``np.add.reduceat`` holds the interpreter lock, and a two-thread split of the
-rows measured no faster than one pass. Results do not depend on ``threads``.
+``invert(graph)``, and keeps their ``uint32`` ids, the nonempty rows and the
+row-aligned chunks they are gathered in. A chunk of about ``GATHER_CHUNK``
+links is gathered and summed at a time, so a matvec's buffers stay small
+and in cache; a row is never split, so the sums are those of one whole
+gather. The sparse part runs on the calling thread: ``np.add.reduceat``
+holds the interpreter lock, and a two-thread split of the rows measured no
+faster than one pass. Results do not depend on ``threads``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ import numpy as np
 from .graph import DirectedGraph, invert
 
 DEFAULT_ALPHA = 0.85
+# links gathered at a time; a chunk ends at the first row start at or past a
+# multiple of it, so a row longer than this is a chunk of its own
+GATHER_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -29,18 +35,18 @@ class GoogleOperator:
     link-inverted network (G*, used for CheiRank) pass ``invert(graph)``.
 
     ``threads`` is checked (>= 1) but not used by the matvec; see the module
-    docstring. The operator keeps the in-link ids as ``intp`` (8 bytes per
-    edge): a gather over ``intp`` indices does not convert ``uint32`` CSR
-    indices on every call."""
+    docstring. The operator keeps the in-link ids as ``invert`` builds them,
+    ``uint32`` (4 bytes per edge). Each chunk is a triple of views: its
+    in-link ids, its segment starts counted from the chunk's first link, and
+    its rows. The gather uses ``mode="wrap"``, which skips numpy's bounds
+    pass; it never wraps, as ``invert`` rejects an id >= N."""
 
     graph: DirectedGraph
     alpha: float = DEFAULT_ALPHA
     threads: int = 1
     _inv_out_degree: np.ndarray = field(init=False, repr=False, compare=False)
     _dangling: np.ndarray = field(init=False, repr=False, compare=False)
-    _rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _segments: np.ndarray = field(init=False, repr=False, compare=False)
-    _gather_index: np.ndarray = field(init=False, repr=False, compare=False)
+    _chunks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -54,14 +60,23 @@ class GoogleOperator:
         nz = deg > 0
         inv[nz] = 1.0 / deg[nz]
         inbound = invert(g)
+        offsets, ids = inbound.out_offsets, inbound.out_indices
         # CSR offsets are contiguous, so the starts of the nonempty rows
         # delimit exact segments and the last one runs to the end of the links
-        rows = np.flatnonzero(inbound.out_offsets[:-1] < inbound.out_offsets[1:])
+        rows = np.flatnonzero(offsets[:-1] < offsets[1:])
+        starts = offsets[rows]
+        bounds = np.append(starts, ids.size)
+        # the first row of each chunk, then the end; a long row repeats a cut
+        cuts = np.searchsorted(starts, np.arange(0, ids.size, GATHER_CHUNK))
+        cuts = np.append(cuts, rows.size).tolist()
+        chunks = []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            if lo < hi:
+                first = bounds[lo]
+                chunks.append((ids[first:bounds[hi]], starts[lo:hi] - first, rows[lo:hi]))
         object.__setattr__(self, "_inv_out_degree", inv)
         object.__setattr__(self, "_dangling", g.dangling_nodes)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_segments", inbound.out_offsets[rows])
-        object.__setattr__(self, "_gather_index", inbound.out_indices.astype(np.intp))
+        object.__setattr__(self, "_chunks", tuple(chunks))
 
     @property
     def node_count(self) -> int:
@@ -77,10 +92,9 @@ class GoogleOperator:
 
     def _sparse_part(self, w, out):
         """out[i] = sum of w[j] over the in-links j -> i, one reduceat segment per
-        nonempty row; rows without in-links are left as they are."""
-        if self._rows.size:
-            out[self._rows] = np.add.reduceat(np.take(w, self._gather_index),
-                                              self._segments)
+        nonempty row, chunk by chunk; rows without in-links are left as they are."""
+        for ids, local, rows in self._chunks:
+            out[rows] = np.add.reduceat(np.take(w, ids, mode="wrap"), local)
         return out
 
     def apply_s(self, v: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gmspectra import (DirectedGraph, GoogleOperator, cheirank, dense_g, dense_s, from_edges,
-                       invert, parse_edge_list)
+                       invert, operator, parse_edge_list)
 
 from conftest import random_graph, random_probability
 
@@ -149,18 +151,57 @@ def _gap_graph(rng):
     return from_edges(src, dst, 40)
 
 
-@pytest.mark.parametrize("make", [
+row_sum_graphs = pytest.mark.parametrize("make", [
     _hub_graph,
     _gap_graph,
     lambda rng: from_edges([0, 5, 9, 3], [4, 4, 2, 2], 12),  # two nonempty rows
     lambda rng: from_edges([], [], num_nodes=5),  # no edges
     lambda rng: random_graph(rng, 300, 0.05),
 ], ids=["hub-row", "empty-row-runs", "two-rows", "no-edges", "random"])
+
+
+@row_sum_graphs
 def test_sparse_part_matches_row_by_row_sum(rng, make):
     g = make(rng)
     op = GoogleOperator(g)
     for v in (random_probability(rng, g.node_count), rng.standard_normal(g.node_count)):
         assert op.apply_s(v).tobytes() == _row_by_row_s(g, v).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+@row_sum_graphs
+def test_chunked_gather_matches_row_by_row_sum(rng, monkeypatch, make, chunk):
+    # the hub row spans many chunks' worth of links and empty rows fall at
+    # chunk ends; the chunks are cut at construction
+    monkeypatch.setattr(operator, "GATHER_CHUNK", chunk)
+    g = make(rng)
+    op = GoogleOperator(g)
+    assert sum(ids.size for ids, _, _ in op._chunks) == g.edge_count
+    for v in (random_probability(rng, g.node_count), rng.standard_normal(g.node_count)):
+        assert op.apply_s(v).tobytes() == _row_by_row_s(g, v).tobytes()
+
+
+def test_operator_and_matvec_memory_per_link():
+    # 1e4 nodes, ~1e6 links: the operator keeps the uint32 in-link ids and
+    # N-length arrays, and a matvec allocates N-length arrays and one chunk
+    rng = np.random.default_rng(7)
+    n = 10_000
+    g = from_edges(rng.integers(0, n, 1_050_000), rng.integers(0, n, 1_050_000), n)
+    v = random_probability(rng, n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        op = GoogleOperator(g)
+        kept = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        op.apply_g(v)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count > 990_000
+    assert kept <= 5 * g.edge_count + 48 * n
+    assert peak < g.edge_count
 
 
 def test_in_link_id_past_node_count_rejected():
