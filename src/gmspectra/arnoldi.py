@@ -37,10 +37,10 @@ class ArnoldiResult:
 
     ritz_values: np.ndarray  # complex
     residual_norms: np.ndarray  # aligned with ritz_values
-    krylov_dimension: int  # dimension actually used
+    krylov_dimension: int  # always n_arnoldi
     hessenberg: np.ndarray  # (k+1) x k
     core_nodes: np.ndarray
-    breakdown: bool
+    breakdown: bool  # a happy breakdown restarted the iteration
     ortho_defect: float | None
     relation_residual: float | None
     ritz_vectors: dict[int, np.ndarray] | None  # index in ritz order -> core vector
@@ -82,16 +82,17 @@ def _orthogonalise(v, w):
     return h
 
 
-def _restart_vector(basis, k, rng):
-    """Deterministic replacement vector orthogonal to the current basis."""
-    n = basis.shape[1]
-    for _ in range(10):
-        v = rng.standard_normal(n)
-        _orthogonalise(basis[:k + 1], v)
-        norm = _norm(v)
-        if norm > BREAKDOWN_TOL:
-            return v / norm
-    raise RuntimeError("could not find a vector outside the Krylov space")
+def _restart_vector(basis, k):
+    """The coordinate vector e_j whose column of the basis rows ``0..k`` has
+    the least norm, projected off those rows and normalised. The squared
+    column norms sum to k + 1, so the projection keeps a squared norm of at
+    least 1 - (k + 1)/n, which is positive whenever k + 1 < n."""
+    rows = basis[:k + 1]
+    v = np.zeros(basis.shape[1])
+    v[np.argmin(np.einsum("ij,ij->j", rows, rows))] = 1.0
+    _orthogonalise(rows, v)
+    v /= _norm(v)
+    return v
 
 
 def memory_estimate(n_nodes: int, n_links: int, n_core: int, n_arnoldi: int,
@@ -130,24 +131,21 @@ def memory_estimate(n_nodes: int, n_links: int, n_core: int, n_arnoldi: int,
 
 
 def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int,
-                 vector_indices=None, on_breakdown: str = "stop",
-                 check: bool = True, threads: int = 1) -> ArnoldiResult:
+                 vector_indices=None, check: bool = True,
+                 threads: int = 1) -> ArnoldiResult:
     """Arnoldi iteration of the projected core block, started from the
     uniform vector on the core.
 
-    On happy breakdown, ``on_breakdown="stop"`` returns the exact
-    invariant-subspace result of the dimension reached (flagged);
-    ``"restart"`` continues with a fresh deterministic vector orthogonal to
-    the basis, which with ``n_arnoldi == core size`` yields the complete core
-    spectrum.
+    On happy breakdown before step ``n_arnoldi`` the iteration continues from
+    a coordinate vector projected off the basis and flags ``breakdown``; so
+    it always returns ``n_arnoldi`` Ritz values, and with
+    ``n_arnoldi == core size`` the complete core spectrum.
     Ritz vectors are materialized only for ``vector_indices`` (indices into
-    the modulus-sorted Ritz order); an index outside ``[0, n_arnoldi)``, or
-    at or past the dimension reached at a breakdown, raises ``ValueError``.
+    the modulus-sorted Ritz order); an index outside ``[0, n_arnoldi)``
+    raises ``ValueError``.
     ``check`` records the orthogonality defect and the Arnoldi relation
     residual; it costs no extra matvecs.
     """
-    if on_breakdown not in ("stop", "restart"):
-        raise ValueError(f"unknown on_breakdown {on_breakdown!r}")
     core = decomp.core_nodes
     n_core = core.size
     if n_core == 0:
@@ -172,9 +170,7 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
     basis = np.zeros((n_arnoldi + 1, n_core))
     basis[0] = 1.0 / np.sqrt(n_core)
     hess = np.zeros((n_arnoldi + 1, n_arnoldi))
-    rng = np.random.default_rng(0x5eed)
     breakdown = False
-    k_used = n_arnoldi
     defect = 0.0
 
     for k in range(n_arnoldi):
@@ -194,24 +190,14 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
             av -= hess[:k + 2, k] @ basis[:k + 2]
             defect = max(defect, float(np.max(np.abs(av))))
         if happy and k + 1 < n_arnoldi:
-            if on_breakdown == "stop":
-                breakdown = True
-                k_used = k + 1
-                basis = basis[:k_used + 1]
-                hess = hess[:k_used + 1, :k_used]
-                break
-            basis[k + 1] = _restart_vector(basis, k, rng)
+            breakdown = True
+            basis[k + 1] = _restart_vector(basis, k)
     # the operator's arrays go before the dense tail allocates
     del op, embed, matvec
 
-    if vector_indices and max(vector_indices) >= k_used:
-        raise ValueError(f"Ritz index {max(vector_indices)} is out of range: the "
-                         f"Krylov space broke down at dimension {k_used}")
-
-    square = hess[:k_used, :k_used]
-    values, vecs = np.linalg.eig(square)
-    h_last = abs(hess[k_used, k_used - 1]) if hess.shape[0] > k_used else 0.0
-    residuals = h_last * np.abs(vecs[-1, :])
+    values, vecs = np.linalg.eig(hess[:n_arnoldi])
+    # zero after a happy breakdown at the last step
+    residuals = abs(hess[n_arnoldi, n_arnoldi - 1]) * np.abs(vecs[-1, :])
 
     order = np.argsort(-np.abs(values), kind="stable")
     values = values[order]
@@ -224,19 +210,19 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
         ritz_vectors = {}
         for idx in vector_indices:
             vec = np.empty(n_core, dtype=np.complex128)
-            vec.real = np.einsum("i,ij->j", vecs[:, idx].real, basis[:k_used])
-            vec.imag = np.einsum("i,ij->j", vecs[:, idx].imag, basis[:k_used])
+            vec.real = np.einsum("i,ij->j", vecs[:, idx].real, basis[:n_arnoldi])
+            vec.imag = np.einsum("i,ij->j", vecs[:, idx].imag, basis[:n_arnoldi])
             ritz_vectors[idx] = vec
 
     ortho_defect = relation_residual = None
     if check:
-        # the final basis row is zero after a terminal happy breakdown
-        rows = k_used + 1 if hess[k_used, k_used - 1] != 0.0 else k_used
+        # the final basis row is zero after a happy breakdown at the last step
+        rows = n_arnoldi + 1 if hess[n_arnoldi, n_arnoldi - 1] != 0.0 else n_arnoldi
         gram = basis[:rows] @ basis[:rows].T
         ortho_defect = float(np.max(np.abs(gram - np.eye(rows))))
         relation_residual = defect
 
-    return ArnoldiResult(values, residuals, k_used, hess, core,
+    return ArnoldiResult(values, residuals, n_arnoldi, hess, core,
                          breakdown, ortho_defect, relation_residual, ritz_vectors)
 
 

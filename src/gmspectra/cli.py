@@ -90,13 +90,13 @@ def cmd_ingest(args) -> int:
         with atomic_write(ids_path) as fh:
             st.write_rows(fh, g.original_ids)
         manifest.add_output(ids_path)
-    stats = gr.degree_stats(g)
-    manifest.set_flag("node_count", stats.node_count)
-    manifest.set_flag("edge_count", stats.edge_count)
-    manifest.set_flag("dangling_count", stats.dangling_count)
+    dangling_count = g.dangling_nodes.size
+    manifest.set_flag("node_count", g.node_count)
+    manifest.set_flag("edge_count", g.edge_count)
+    manifest.set_flag("dangling_count", dangling_count)
     manifest.write(f"{args.cache}.manifest.json")
-    print(f"ingested {stats.node_count} nodes, {stats.edge_count} edges "
-          f"({stats.dangling_count} dangling) -> {args.cache}")
+    print(f"ingested {g.node_count} nodes, {g.edge_count} edges "
+          f"({dangling_count} dangling) -> {args.cache}")
     return EXIT_OK
 
 
@@ -180,11 +180,8 @@ def cmd_spectrum(args) -> int:
                        f"over the --max-ram cap of {args.max_ram} GiB")
     # arnoldi_core rejects a Ritz index >= n_arnoldi before it does any work,
     # so it runs ahead of the block spectra
-    try:
-        result = arn.arnoldi_core(g, decomp, n_arnoldi, vector_indices=vector_indices,
-                                  threads=args.threads)
-    except RuntimeError as exc:
-        raise CliError(EXIT_COMPUTE, str(exc)) from exc
+    result = arn.arnoldi_core(g, decomp, n_arnoldi, vector_indices=vector_indices,
+                              threads=args.threads)
     spectrum = sub.subspace_spectrum(g, decomp, dense_limit=dense_limit)
     csv_path = f"{args.out}.csv"
     arn.write_spectrum_csv(csv_path, spectrum, result)
@@ -280,7 +277,8 @@ def cmd_stats(args) -> int:
                 fits[name] = st.powerlaw_fit(ranks, np.sort(vec)[::-1], fit_range).to_json()
     except ValueError as exc:
         raise CliError(EXIT_BAD_PARAMETER, str(exc)) from exc
-    k_values = np.unique(np.round(np.logspace(0, np.log10(n), 64)).astype(np.int64))
+    k_values = np.round(np.logspace(0, np.log10(n), 64)).astype(np.int64)
+    k_values = k_values[np.append(True, k_values[1:] != k_values[:-1])]
     nk = st.n_k_counts(k, k_star, k_values)
     filling = st.ng_filling(g, k, k_values)
     curve = None

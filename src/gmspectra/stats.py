@@ -257,9 +257,9 @@ def subspace_fraction(dimensions, tail_range: tuple[float, float] | None = None
     if np.any(dims < 1):
         raise ValueError("subspace dimensions must be >= 1")
     mean = float(dims.mean())
-    distinct = np.unique(dims)
-    x = distinct / mean
     sorted_dims = np.sort(dims)
+    distinct = sorted_dims[np.append(True, sorted_dims[1:] != sorted_dims[:-1])]
+    x = distinct / mean
     # F(x) with x = d/<d>: strict survival, fraction of dims > d
     fraction = 1.0 - np.searchsorted(sorted_dims, distinct, side="right") / dims.size
     tail_fit = None

@@ -150,7 +150,7 @@ def test_spectrum_union_oracle():
         d = gm.decompose(g, max_size=n)
         assert d.core_count > 0
         spec = gm.subspace_spectrum(g, d)
-        res = gm.arnoldi_core(g, d, d.core_count, on_breakdown="restart")
+        res = gm.arnoldi_core(g, d, d.core_count)
         union = np.concatenate([spec.all_eigenvalues, res.ritz_values])
         dense_vals = np.linalg.eigvals(dense_s(g))
         assert union.size == dense_vals.size

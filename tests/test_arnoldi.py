@@ -39,7 +39,7 @@ def test_single_core_node_zero_spectrum():
     g = parse_edge_list(["0 0", "1 2"])
     d = decompose(g, max_size=10)
     assert d.core_count == 2
-    res = arnoldi_core(g, d, d.core_count, on_breakdown="restart")
+    res = arnoldi_core(g, d, d.core_count)
     # core block of S: dangling column contributes 1/N to each core row
     s = dense_s(g)
     oracle = np.linalg.eigvals(s[np.ix_(d.core_nodes, d.core_nodes)])
@@ -51,7 +51,7 @@ def test_full_dimension_matches_dense_core_block(rng):
         # dense enough that the core spectrum is simple: sparse graphs grow
         # defective near-zero eigenvalues that no eigensolver pins to 1e-10
         g, d = _stochastic_graph_with_core(rng, 50, 0.25)
-        res = arnoldi_core(g, d, d.core_count, on_breakdown="restart")
+        res = arnoldi_core(g, d, d.core_count)
         s = dense_s(g)
         oracle = np.linalg.eigvals(s[np.ix_(d.core_nodes, d.core_nodes)])
         assert _pair_distance(res.ritz_values, oracle) < 1e-10
@@ -81,16 +81,18 @@ def test_reproducible_hessenberg(rng):
 
 
 def test_happy_breakdown_stop_flagged():
-    # core closes a 3-cycle through the dangling fill? use a tiny reducible core:
-    # two nodes each pointing to the dangling third; uniform start spans a
-    # 2-dimensional invariant subspace
+    # two nodes each pointing to the dangling third: the uniform start spans a
+    # 2-dimensional invariant subspace of the 3-node core, and the restart
+    # reaches the rest of the core spectrum
     g = parse_edge_list(["0 2", "1 2"])
     d = decompose(g, max_size=10)
     assert d.core_count == 3
-    res = arnoldi_core(g, d, 3, on_breakdown="stop")
+    res = arnoldi_core(g, d, 3)
     assert res.breakdown
-    assert res.krylov_dimension < 3
+    assert res.krylov_dimension == 3
     assert res.relation_residual < 1e-10
+    oracle = np.linalg.eigvals(dense_s(g)[np.ix_(d.core_nodes, d.core_nodes)])
+    assert _pair_distance(res.ritz_values, oracle) < 1e-12
 
 
 def _mirrored_graph(rng, m):
@@ -105,8 +107,7 @@ def _mirrored_graph(rng, m):
     return from_edges(src, dst, 2 * m + 1)
 
 
-@pytest.mark.parametrize("on_breakdown", ["restart", "stop"])
-def test_relation_residual_matches_dense_recomputation(rng, monkeypatch, on_breakdown):
+def test_relation_residual_matches_dense_recomputation(rng, monkeypatch):
     g = _mirrored_graph(rng, 12)
     d = decompose(g, max_size=g.node_count)
     assert d.core_count == g.node_count
@@ -118,13 +119,10 @@ def test_relation_residual_matches_dense_recomputation(rng, monkeypatch, on_brea
             return super().apply_s(v)
 
     monkeypatch.setattr(gmspectra.arnoldi, "GoogleOperator", Recording)
-    res = arnoldi_core(g, d, d.core_count, on_breakdown=on_breakdown)
+    res = arnoldi_core(g, d, d.core_count)
     k = res.krylov_dimension
-    assert res.breakdown == (on_breakdown == "stop")
-    if on_breakdown == "restart":  # continues past the breakdown
-        assert k == d.core_count
-    else:
-        assert k <= 13
+    # breaks down by dimension 13 and continues from a restart vector
+    assert res.breakdown and k == d.core_count
     # the check runs no matvec of its own: the inputs are the basis vectors
     assert len(inputs) == k
     basis = np.array(inputs)[:, d.core_nodes].T
@@ -135,6 +133,17 @@ def test_relation_residual_matches_dense_recomputation(rng, monkeypatch, on_brea
     recomputed = float(np.max(np.abs(a @ basis - basis @ h[:k])))
     assert recomputed < 1e-13
     assert res.relation_residual == pytest.approx(recomputed, abs=1e-14)
+
+
+def test_restart_never_draws_random_numbers(rng, monkeypatch):
+    g = _mirrored_graph(rng, 10)
+    d = decompose(g, max_size=g.node_count)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("arnoldi_core built a random generator")
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    res = arnoldi_core(g, d, d.core_count)
+    assert res.breakdown and res.ritz_values.size == d.core_count
 
 
 def test_residual_norms_flag_convergence(rng):
@@ -152,8 +161,7 @@ def test_residual_norms_flag_convergence(rng):
 
 def test_ritz_vectors_on_request(rng):
     g, d = _stochastic_graph_with_core(rng, 80, 0.06)
-    res = arnoldi_core(g, d, d.core_count, on_breakdown="restart",
-                       vector_indices=[0])
+    res = arnoldi_core(g, d, d.core_count, vector_indices=[0])
     assert res.ritz_vectors is not None and 0 in res.ritz_vectors
     vec = res.ritz_vectors[0]
     lam = res.ritz_values[0]
@@ -176,7 +184,7 @@ def test_fifty_by_fifty_dense_oracle(rng):
     g = from_edges(src, dst, n + 1)
     d = decompose(g, max_size=n + 1)
     assert d.core_count == n + 1
-    res = arnoldi_core(g, d, n + 1, on_breakdown="restart")
+    res = arnoldi_core(g, d, n + 1)
     s = dense_s(g)
     oracle = np.linalg.eigvals(s[np.ix_(d.core_nodes, d.core_nodes)])
     assert _pair_distance(res.ritz_values, oracle) < 1e-10
@@ -251,6 +259,23 @@ def test_orthogonalise_runs_one_pass_on_a_well_conditioned_vector(rng):
     assert np.array_equal(h, h_once) and np.array_equal(w, once)
 
 
+def test_restart_vector_takes_an_unused_coordinate(rng):
+    n, k = 12, 4
+    used = rng.choice(n, k + 1, replace=False)
+    basis = np.zeros((k + 2, n))
+    basis[np.arange(k + 1), used] = 1.0
+    v = gmspectra.arnoldi._restart_vector(basis, k)
+    assert np.array_equal(v, np.eye(n)[min(set(range(n)) - set(used))])
+
+
+def test_restart_vector_is_orthogonal_to_a_full_basis(rng):
+    n = 60
+    basis = _orthonormal_rows(rng, n - 1, n)
+    v = gmspectra.arnoldi._restart_vector(basis, n - 2)
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-14
+    assert np.max(np.abs(basis @ v)) < 1e-14
+
+
 def test_integrated_spectrum_trivial():
     spec = SubspaceSpectrum([np.array([1.0 + 0j, -1.0 + 0j])], [], 2, 1)
     curve = integrated_spectrum(spec, None, node_count=2)
@@ -266,7 +291,7 @@ def test_integrated_spectrum_trivial():
 def test_integrated_spectrum_matches_dense_oracle(rng):
     g, d = _stochastic_graph_with_core(rng, 100, 0.05)
     spec = subspace_spectrum(g, d)
-    res = arnoldi_core(g, d, d.core_count, on_breakdown="restart")
+    res = arnoldi_core(g, d, d.core_count)
     curve = integrated_spectrum(spec, res, g.node_count)
     dense_mod = np.sort(np.abs(np.linalg.eigvals(dense_s(g))))[::-1]
     assert curve.combined_moduli.size == dense_mod.size
@@ -288,8 +313,7 @@ def test_eigvec_profile_examples():
 
 def test_profile_matches_dense_eigvec(rng):
     g, d = _stochastic_graph_with_core(rng, 60, 0.08)
-    res = arnoldi_core(g, d, d.core_count, on_breakdown="restart",
-                       vector_indices=[0])
+    res = arnoldi_core(g, d, d.core_count, vector_indices=[0])
     s = dense_s(g)
     core_block = s[np.ix_(d.core_nodes, d.core_nodes)]
     vals, vecs = np.linalg.eig(core_block)
