@@ -330,12 +330,21 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 3, a bad parameter, rather
+    than argparse's 2, which would read as a missing input; sub-parsers are
+    made of the same class."""
+
+    def error(self, message):
+        raise CliError(EXIT_BAD_PARAMETER, f"{message}\n{self.format_usage().rstrip()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gmspectra",
         description="Google-matrix spectral analysis of directed networks")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker count, recorded in the manifests; the "
+                        help="worker count, >= 1, recorded in the manifests; the "
                              "matrix-vector stages run on one thread (see README) and "
                              "output bytes do not depend on it (default: 1)")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -408,6 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.threads < 1:
+            raise CliError(EXIT_BAD_PARAMETER, f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except CliError as exc:
         print(f"gmspectra: {exc}", file=sys.stderr)

@@ -6,13 +6,17 @@ self-loops are kept), one link direction: each node's sorted successors.
 out-links with it, and ``invert`` builds the link-inverted graph, whose
 out-links are the in-links, with one sort. The binary cache stores the
 out-links; loading it checks them by comparing neighbouring ids.
+``parse_edge_list`` reads an edge-list file with one ``np.loadtxt`` call;
+the per-line parser that reads streams and lists judges any file that
+call does not read as plain edges.
 """
 
 from __future__ import annotations
 
-import io
+import itertools
 import os
 import struct
+import warnings
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable
@@ -246,29 +250,30 @@ def from_edges(src, dst, num_nodes=None, original_ids=None) -> DirectedGraph:
 
 _PARSE_CHUNK = 1 << 16  # ids per int64 chunk of the per-line parser
 _JOIN_CHUNK = 1 << 18  # ids per buffer of _joined (2 MiB)
-_BLOCK_BYTES = 1 << 16  # bytes read at a time from an edge-list file
-_BLOCK_ALPHABET = b"0123456789 \t\n"  # the bytes a block decoded in numpy may hold
-_MAX_BLOCK_DIGITS = 18  # ids of up to 18 digits are below 2**63
 
 
-def _parse_lines(lines, lineno=0):
+def _blank_or_comment(line) -> bool:
+    """The per-line parser's skip rule: a line that strips to nothing or to a '#' comment."""
+    stripped = line.strip()
+    return not stripped or stripped.startswith("#")
+
+
+def _parse_lines(lines):
     """Per-line parser: yields the ids of ``lines`` as ``int64`` arrays of
     alternating src and dst, ``_PARSE_CHUNK`` ids at most each, numbering
-    the lines from ``lineno + 1``; returns the number of the last line. Ids
-    wait as Python ints for at most one chunk: a list holds ~40 bytes per
-    id, an array 8."""
+    the lines from 1. Ids wait as Python ints for at most one chunk: a list
+    holds ~40 bytes per id, an array 8."""
     ids = []
-    for lineno, line in enumerate(lines, start=lineno + 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    for lineno, line in enumerate(lines, start=1):
+        if _blank_or_comment(line):
             continue
-        parts = stripped.split()
+        parts = line.split()
         if len(parts) != 2:
             raise EdgeListParseError(lineno, f"expected 2 tokens, got {len(parts)}")
         try:
             s, d = int(parts[0]), int(parts[1])
         except ValueError:
-            raise EdgeListParseError(lineno, f"non-integer token in {stripped!r}") from None
+            raise EdgeListParseError(lineno, f"non-integer token in {line.strip()!r}") from None
         if s < 0 or d < 0:
             raise EdgeListParseError(lineno, "negative node id")
         if s >= 2**63 or d >= 2**63:
@@ -278,71 +283,28 @@ def _parse_lines(lines, lineno=0):
             yield np.array(ids, dtype=np.int64)
             ids.clear()
     yield np.array(ids, dtype=np.int64)
-    return lineno
 
 
-def _decode_block(block: bytes):
-    """The ids of a block of whole "src dst" lines in file order, as one
-    ``int64`` array of alternating src and dst, or None if the block needs
-    the per-line parser: it holds a byte other than a digit, space, tab or
-    newline, a non-blank line without exactly two ids, or an id of more than
-    ``_MAX_BLOCK_DIGITS`` digits."""
-    if block.translate(None, _BLOCK_ALPHABET):
-        return None
-    raw = np.frombuffer(block, dtype=np.uint8)
-    digits = raw - np.uint8(48)  # blanks wrap to values above 9
-    # runs of digits start and end where "is a digit" flips
-    bounds = np.flatnonzero(np.diff(digits < 10, prepend=False, append=False))
-    starts, ends = bounds[0::2], bounds[1::2]
-    # line of each run; two runs on each non-blank line
-    steps = np.diff(np.searchsorted(np.flatnonzero(raw == 10), starts))
-    if starts.size % 2 or steps[0::2].any() or not steps[1::2].all():
-        return None
-    lengths = ends - starts
-    longest = int(lengths.max(initial=0))
-    if longest > _MAX_BLOCK_DIGITS:
-        return None
-    # Horner's rule over the runs aligned at their last digit; a run shorter
-    # than k digits gets 0 at its k-th place from the end, as from a leading 0
-    ids = np.zeros(starts.size, dtype=np.int64)
-    for k in range(longest, 0, -1):
-        place = digits.take(ends - k, mode="clip")
-        place[lengths < k] = 0
-        ids *= 10
-        ids += place
-    return ids
-
-
-def _file_blocks(fh):
-    """The bytes of a binary file, ``_BLOCK_BYTES`` read at a time, in blocks
-    of whole lines: each block ends at the last newline of a read."""
-    tail = b""
-    while data := fh.read(_BLOCK_BYTES):
-        cut = data.rfind(b"\n") + 1
-        if cut:
-            yield tail + data[:cut]
-            tail = data[cut:]
-        else:  # a line longer than a read
-            tail += data
-    if tail:  # the last line has no newline
-        yield tail
-
-
-def _parse_file(path):
-    """Yields the ids of an edge-list file as ``int64`` arrays of alternating
-    src and dst. Each block of whole lines is decoded by ``_decode_block`` or,
-    where that declines, decoded as UTF-8 and read by ``_parse_lines`` with
-    universal newlines, as a text stream would be."""
-    lineno = 0
-    with open(path, "rb") as fh:
-        for block in _file_blocks(fh):
-            ids = _decode_block(block)
-            if ids is None:
-                text = io.StringIO(block.decode("utf-8"), newline=None)
-                lineno = yield from _parse_lines(text, lineno)
-            else:
-                yield ids
-                lineno += block.count(b"\n")
+def _parse_file(path) -> np.ndarray:
+    """The ids of an edge-list file as one ``int64`` array of alternating src
+    and dst. After its leading blank and '#' lines, the file is read by
+    ``np.loadtxt``; if that raises or warns, or its rows do not all hold two
+    non-negative ids, the file is read again, as UTF-8 text with universal
+    newlines, by ``_parse_lines``, which gives the ids or the first bad
+    line's error."""
+    with open(path, encoding="utf-8") as fh:
+        header = sum(1 for _ in itertools.takewhile(_blank_or_comment, fh))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ids = np.loadtxt(path, dtype=np.int64, comments=None, skiprows=header,
+                             ndmin=2, encoding="utf-8")
+        if ids.shape[1] == 2 and ids.min() >= 0:
+            return ids.ravel()
+    except Exception:  # numpy opens a path ending in .gz, .bz2, .xz or .zip as compressed
+        pass
+    with open(path, encoding="utf-8") as fh:
+        return _joined(_parse_lines(fh))
 
 
 def _joined(arrays) -> np.ndarray:
@@ -381,20 +343,20 @@ def parse_edge_list(source, id_mode="dense", num_nodes=None) -> DirectedGraph:
     edge list with no edge raises ``EmptyEdgeListError`` unless ``num_nodes``
     is given.
 
-    A path is read as bytes, in blocks cut at a newline. A block of digits,
-    spaces, tabs and newlines with two ids of at most 18 digits on every
-    non-blank line is decoded whole in numpy (``_decode_block``); any other
-    block is decoded as UTF-8 and read line by line, with universal
-    newlines, as a text stream is. Both give the same ids, and a malformed
-    line raises ``EdgeListParseError`` with its line number either way.
+    A path is read by ``np.loadtxt`` after its leading blank and '#' lines.
+    A file that call rejects, or whose rows are not all two non-negative
+    ids (a '#' line after the first edge, a token such as ``1_0`` that only
+    Python's ``int`` reads, a malformed line), is read again whole as UTF-8
+    text with universal newlines, line by line, as a text stream is. Both
+    give the same ids, and a malformed line raises ``EdgeListParseError``
+    with its line number either way.
     """
     if id_mode not in ("dense", "remap"):
         raise ValueError(f"unknown id_mode {id_mode!r}")
     if id_mode == "remap" and num_nodes is not None:
         raise ValueError("num_nodes applies to dense mode only; remap mode counts the ids")
-    arrays = (_parse_file(source) if isinstance(source, (str, os.PathLike))
-              else _parse_lines(source))
-    ids = _joined(arrays)
+    ids = (_parse_file(source) if isinstance(source, (str, os.PathLike))
+           else _joined(_parse_lines(source)))
     if ids.size == 0 and num_nodes is None:
         raise EmptyEdgeListError("edge list holds no edge")
     if id_mode == "dense":

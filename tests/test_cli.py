@@ -1,3 +1,4 @@
+import gzip
 import json
 import os
 import subprocess
@@ -321,6 +322,7 @@ def stats_inputs(tmp_path):
     (tmp_path / "latin1.txt").write_bytes(b"0 1\n1 \xff\n")
     (tmp_path / "empty.txt").write_text("")
     (tmp_path / "comments.txt").write_text("# no edge\n\n")
+    (tmp_path / "edges.gz").write_bytes(gzip.compress(b"0 1\n1 0\n", mtime=0))
     return tmp_path
 
 
@@ -346,11 +348,13 @@ STATS = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/pr.vec", "--chei", "{d
     # no edge and no --num-nodes: the data is at fault, not a parameter
     (["ingest", "{d}/empty.txt", "{d}/empty.cache"], 4),
     (["ingest", "{d}/comments.txt", "{d}/comments.cache"], 4),
+    # the edge list is read as UTF-8 text, never decompressed
+    (["ingest", "{d}/edges.gz", "{d}/gz.cache"], 4),
 ], ids=["decomposition-no-subspaces", "decomposition-not-json", "subspaces-max-size-0",
         "spectrum-max-size-0", "spectrum-dense-limit-0", "output-dir-missing",
         "output-is-directory", "ingest-node-id-past-uint32", "ingest-node-id-past-int64",
         "ingest-remap-node-id-past-int64", "ingest-not-utf8", "ingest-remap-num-nodes",
-        "ingest-empty", "ingest-comments-only"])
+        "ingest-empty", "ingest-comments-only", "ingest-gzip"])
 def test_bad_invocation_exits_with_documented_code(stats_inputs, argv, code):
     (stats_inputs / "taken.csv").mkdir()
     proc = run_cli([a.format(d=stats_inputs) for a in argv])
@@ -360,6 +364,33 @@ def test_bad_invocation_exits_with_documented_code(stats_inputs, argv, code):
     if argv[1].endswith(("empty.txt", "comments.txt")):  # the message names the file
         assert argv[1].format(d=stats_inputs) in proc.stderr
     assert not list(stats_inputs.rglob("*.tmp.*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "{d}/g.cache", "{d}/out", "--alpha", "abc"],
+    ["spectrum", "{d}/g.cache", "{d}/out", "--arnoldi-dim", "1.5"],
+    ["unknown", "{d}/g.cache"],
+    [],
+    ["stats", "{d}/g.cache", "{d}/st", "--chei", "{d}/cr.vec"],  # no --rank
+    ["--threads", "0", "ingest", "{d}/edges.txt", "{d}/t.cache"],
+    ["--threads", "-2", "subspaces", "{d}/g.cache", "{d}/out"],
+    ["--threads", "0", "rank", "{d}/g.cache", "{d}/out"],
+], ids=["bad-float", "bad-int", "unknown-command", "no-command", "missing-option",
+        "ingest-threads-0", "subspaces-threads-negative", "rank-threads-0"])
+def test_usage_errors_exit_3(stats_inputs, capsys, argv):
+    # a bad option value or usage is a parameter error, not a missing input (2)
+    before = sorted(stats_inputs.iterdir())
+    assert main([a.format(d=stats_inputs) for a in argv]) == 3
+    assert capsys.readouterr().err.startswith("gmspectra: ")
+    assert sorted(stats_inputs.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["rank", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gmspectra")
 
 
 def _run_command(argv):

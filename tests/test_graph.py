@@ -100,12 +100,18 @@ def test_file_matches_text_stream(tmp_path, text, edges):
 
 
 def test_file_errors_match_text_stream(tmp_path):
-    # a byte-order mark is no blank to str.strip, so line 1 is malformed, as
-    # in a text stream; a CR ends a line for the line count
-    for text, line in [("\ufeff0 1\n", 1), ("0 1\r1 2\r\n2 x\n", 3)]:
+    for text, line in [
+        # a byte-order mark is no blank to str.strip, so line 1 is malformed,
+        # as in a text stream; a CR ends a line for the line count
+        ("\ufeff0 1\n", 1), ("0 1\r1 2\r\n2 x\n", 3),
+        # ids that np.loadtxt reads through a float, or not at all
+        ("1.0 2\n", 1), ("1e3 2\n", 1),
+        # rows np.loadtxt accepts, all of one shape, that are not edges
+        ("0 1 2\n3 4 5\n", 1), ("0\n1\n", 1), ("0 1\n2 -1\n", 2), ("0 -1\n", 1),
+    ]:
         got = _file_outcome(tmp_path, text)
-        assert got == _text_outcome(text)
-        assert got[0] is EdgeListParseError and got[2] == line
+        assert got == _text_outcome(text), repr(text)
+        assert got[0] is EdgeListParseError and got[2] == line, repr(text)
 
 
 def test_file_id_of_19_digits_in_remap_mode(tmp_path):
@@ -115,32 +121,52 @@ def test_file_id_of_19_digits_in_remap_mode(tmp_path):
     assert got[3] == [10**18, 5, 2**63 - 1]
 
 
+def _count_line_parser_calls(monkeypatch):
+    calls = []
+    parse_lines = gr._parse_lines
+
+    def counted(lines):
+        calls.append(1)
+        return parse_lines(lines)
+
+    monkeypatch.setattr(gr, "_parse_lines", counted)
+    return calls
+
+
 def test_plain_file_blocks_skip_the_line_parser(tmp_path, monkeypatch):
-    path = tmp_path / "edges.txt"
-    path.write_bytes(b"0 1\n\n 1\t2 \n2 0")
+    calls = _count_line_parser_calls(monkeypatch)
+    for text, line_parser in [
+        ("0 1\n\n 1\t2 \n2 0", False),  # plain, no final newline
+        ("0 1\r\n1 2\r\n2 0\r\n", False),  # CRLF
+        ("# header\n\n  # more\r\n0 1\n1 2\n2 0\n", False),  # leading blank and '#' lines
+        ("0 1\n# comment\n1 2\n2 0\n", True),  # a '#' line after the first edge
+        ("0 1\n1_0 2\n2 0\n", True),  # a token only Python's int reads
+    ]:
+        calls.clear()
+        got = _file_outcome(tmp_path, text)
+        assert bool(calls) is line_parser, repr(text)
+        assert got == _text_outcome(text)
+        assert isinstance(got[0], int)
 
-    def no_lines(*args):
-        raise AssertionError("per-line parser used")
 
-    monkeypatch.setattr(gr, "_parse_lines", no_lines)
-    assert parse_edge_list(path) == from_edges([0, 1, 2], [1, 2, 0])
-    path.write_bytes(b"0 1\r\n")
-    with pytest.raises(AssertionError, match="per-line parser"):
-        parse_edge_list(path)
-
-
-@pytest.mark.parametrize("block_bytes", [1, 3, 7, 64])
-def test_file_error_line_after_many_blocks(tmp_path, monkeypatch, block_bytes):
-    # reads of a few bytes cut lines across reads; blocks before the bad
-    # line mix CRLF (per-line parser) and plain lines (numpy)
+def test_file_error_line_after_many_lines(tmp_path):
+    # CRLF and a '#' line before the bad line; the per-line parser numbers
+    # the lines of the whole file
     lines = [f"{i} {i + 1}" + ("\r\n" if i % 7 == 3 else "\n") for i in range(60)]
     lines.insert(41, "# comment\n")
     lines.insert(56, "12 -4\n")
     text = "".join(lines)
-    monkeypatch.setattr(gr, "_BLOCK_BYTES", block_bytes)
     got = _file_outcome(tmp_path, text)
     assert got == _text_outcome(text)
     assert got[0] is EdgeListParseError and got[2] == 57
+
+
+def test_plain_text_gz_path_parses_as_text(tmp_path):
+    # np.loadtxt opens a path ending in .gz as gzip; the per-line parser reads it as text
+    text = "0 1\n1 2\n"
+    (tmp_path / "edges.gz").write_text(text)
+    (tmp_path / "edges.txt").write_text(text)
+    assert parse_edge_list(tmp_path / "edges.gz") == parse_edge_list(tmp_path / "edges.txt")
 
 
 def test_empty_edge_list(edge_source):
@@ -153,9 +179,9 @@ def test_empty_edge_list(edge_source):
         assert g.node_count == 4 and g.edge_count == 0
 
 
-# tokens and separators of the differential test: ids that take the numpy
-# path and ids that need the per-line parser (19 digits, 2**63, signs, "_",
-# non-ASCII digits), and blanks and line ends that only the latter takes
+# tokens and separators of the differential test: ids np.loadtxt reads and
+# ids that need the per-line parser ("_", non-ASCII digits) or that it
+# rejects (2**63, "-3", "x"), among blanks and line ends of every kind
 _TOKENS = ["0", "1", "7", "42", "0042", "65535", "4294967295", "123456789012345678",
            "1000000000000000000", "9223372036854775807", "9223372036854775808",
            "99999999999999999999", "+5", "-3", "1_0", "x", "\u0663", "#", "#7 8"]
@@ -166,8 +192,11 @@ _LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r", "\n\n"]
 def _random_edge_text(rng):
     lines = []
     for _ in range(rng.integers(0, 12)):
+        if rng.random() < 0.2:  # a '#' line sends a file to the per-line parser after an edge
+            lines.append("# c" + rng.choice(_LINE_ENDS))
+            continue
         count = rng.choice([2, 2, 2, 2, 1, 3, 0])
-        # mostly plain lines, so whole blocks of them take the numpy path
+        # mostly plain lines, so that many whole files are read by np.loadtxt
         plain = rng.random() < 0.7
         tokens = [(_TOKENS[rng.integers(0, 6)] if plain else rng.choice(_TOKENS))
                   for _ in range(count)]
@@ -181,16 +210,21 @@ def _random_edge_text(rng):
 
 def test_file_parse_matches_text_stream_on_random_texts(tmp_path, monkeypatch):
     rng = np.random.default_rng(13)
-    compared = {"graph": 0, "error": 0}
+    calls = _count_line_parser_calls(monkeypatch)
+    # outcomes of files read by np.loadtxt alone, and by the per-line parser
+    compared = {(reader, kind): 0 for reader in ("loadtxt", "lines")
+                for kind in ("graph", "error")}
     for i in range(2000):
         text = _random_edge_text(rng)
         id_mode = "remap" if i % 2 else "dense"
-        monkeypatch.setattr(gr, "_BLOCK_BYTES", int(rng.choice([1, 2, 5, 16, 64, 1 << 16])))
         monkeypatch.setattr(gr, "_JOIN_CHUNK", int(rng.choice([1, 2, 6, 1 << 18])))
+        calls.clear()
         got = _file_outcome(tmp_path, text, id_mode)
+        reader = "lines" if calls else "loadtxt"
         assert got == _text_outcome(text, id_mode), repr(text)
-        compared["graph" if isinstance(got[0], int) else "error"] += 1
-    assert min(compared.values()) > 200
+        compared[reader, "graph" if isinstance(got[0], int) else "error"] += 1
+    assert compared["loadtxt", "graph"] >= 100 and compared["lines", "graph"] >= 100
+    assert compared["lines", "error"] > 200
 
 
 def test_num_nodes_rejected_in_remap_mode():
