@@ -149,16 +149,23 @@ def test_plain_file_blocks_skip_the_line_parser(tmp_path, monkeypatch):
         assert isinstance(got[0], int)
 
 
-def test_file_error_line_after_many_lines(tmp_path):
+@pytest.mark.parametrize("join_ids", [1, 3, 7, 64])
+def test_file_error_line_after_many_blocks(tmp_path, monkeypatch, join_ids):
     # CRLF and a '#' line before the bad line; the per-line parser numbers
-    # the lines of the whole file
+    # the lines of the whole file while its ids fill many join buffers of
+    # a few ids each
     lines = [f"{i} {i + 1}" + ("\r\n" if i % 7 == 3 else "\n") for i in range(60)]
     lines.insert(41, "# comment\n")
+    good = "".join(lines)
     lines.insert(56, "12 -4\n")
     text = "".join(lines)
+    monkeypatch.setattr(gr, "_JOIN_CHUNK", join_ids)
     got = _file_outcome(tmp_path, text)
     assert got == _text_outcome(text)
     assert got[0] is EdgeListParseError and got[2] == 57
+    src, dst = range(60), range(1, 61)
+    assert _file_outcome(tmp_path, good) == _text_outcome(good)
+    assert parse_edge_list(tmp_path / "edges.txt") == from_edges(src, dst)
 
 
 def test_plain_text_gz_path_parses_as_text(tmp_path):
