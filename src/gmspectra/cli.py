@@ -1,8 +1,9 @@
 """Command-line front end: ingest, rank, subspaces, spectrum, stats.
 
 Each command reads/writes file-based intermediates so long stages are
-resumable and auditable, writes outputs atomically, and records a manifest
-with parameters and artifact checksums next to its outputs.
+resumable and auditable, writes outputs atomically, and returns the flags
+of its run; ``main`` records them in a manifest with the parameters and the
+checksums of every input and artifact, next to the command's outputs.
 
 Exit codes: 0 success (non-convergence is a manifest flag, not an error),
 2 missing input, 3 parameter or configuration error, 4 malformed input
@@ -23,7 +24,7 @@ from . import graph as gr
 from . import ranking as rk
 from . import stats as st
 from . import subspaces as sub
-from .manifest import RunManifest, atomic_write
+from .manifest import atomic_write, record_input, recorded_run, write_json
 
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 2
@@ -39,8 +40,11 @@ class CliError(Exception):
 
 
 def _require_file(path):
+    """The CLI's one input gate: a missing file exits 2, and a present one is
+    recorded as an input of the run."""
     if not os.path.exists(path):
         raise CliError(EXIT_MISSING_INPUT, f"input not found: {path}")
+    record_input(path)
     return path
 
 
@@ -63,16 +67,8 @@ def _load_vector(path, n) -> np.ndarray:
     return vec
 
 
-def _manifest(args) -> RunManifest:
-    """A manifest for the command that records every parsed option."""
-    return RunManifest(args.command, {key: value for key, value in vars(args).items()
-                                      if key not in ("func", "command")})
-
-
-def cmd_ingest(args) -> int:
-    manifest = _manifest(args)
+def cmd_ingest(args) -> dict:
     _require_file(args.edge_list)
-    manifest.add_input(args.edge_list)
     try:
         g = gr.parse_edge_list(args.edge_list, id_mode=args.id_mode,
                                num_nodes=args.num_nodes)
@@ -84,54 +80,39 @@ def cmd_ingest(args) -> int:
     except UnicodeDecodeError as exc:
         raise CliError(EXIT_BAD_DATA, f"{args.edge_list}: not UTF-8 text ({exc.reason})") from exc
     gr.save_cache(g, args.cache)
-    manifest.add_output(args.cache)
     if g.original_ids is not None:
-        ids_path = f"{args.cache}.ids"
-        with atomic_write(ids_path) as fh:
+        with atomic_write(f"{args.cache}.ids") as fh:
             st.write_rows(fh, g.original_ids)
-        manifest.add_output(ids_path)
     dangling_count = g.dangling_nodes.size
-    manifest.set_flag("node_count", g.node_count)
-    manifest.set_flag("edge_count", g.edge_count)
-    manifest.set_flag("dangling_count", dangling_count)
-    manifest.write(f"{args.cache}.manifest.json")
     print(f"ingested {g.node_count} nodes, {g.edge_count} edges "
           f"({dangling_count} dangling) -> {args.cache}")
-    return EXIT_OK
+    return {"node_count": g.node_count, "edge_count": g.edge_count,
+            "dangling_count": dangling_count}
 
 
-def cmd_rank(args) -> int:
+def cmd_rank(args) -> dict:
     if not 0.0 < args.alpha < 1.0:
         raise CliError(EXIT_BAD_PARAMETER, f"--alpha must be in (0, 1), got {args.alpha}")
     if args.tol <= 0 or args.max_iter < 1:
         raise CliError(EXIT_BAD_PARAMETER, "--tol must be > 0 and --max-iter >= 1")
-    manifest = _manifest(args)
     g = _load_graph(args.cache)
-    manifest.add_input(args.cache)
     compute = rk.cheirank if args.chei else rk.pagerank
     rv = compute(g, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter,
                  threads=args.threads)
-    csv_path, vec_path = f"{args.out}.csv", f"{args.out}.vec"
-    rk.write_rank_csv(rv, csv_path)
-    rk.write_vector_cache(rv.probabilities, vec_path)
-    manifest.add_output(csv_path)
-    manifest.add_output(vec_path)
-    manifest.set_flag("converged", rv.converged)
-    manifest.set_flag("iterations", rv.iterations_used)
-    manifest.set_flag("residual", rv.residual)
-    manifest.write(f"{args.out}.manifest.json")
+    rk.write_rank_csv(rv, f"{args.out}.csv")
+    rk.write_vector_cache(rv.probabilities, f"{args.out}.vec")
     kind = "cheirank" if args.chei else "pagerank"
     note = "" if rv.converged else " (NOT converged)"
     print(f"{kind}: {rv.iterations_used} iterations, residual {rv.residual:.3e}{note}")
-    return EXIT_OK
+    return {"converged": rv.converged, "iterations": rv.iterations_used,
+            "residual": rv.residual}
 
 
-def _decomposed_graph(args, manifest):
+def _decomposed_graph(args):
     """Load the cache (link-inverted with ``--inverted``) and decompose it with
     ``--max-size`` (default from N); returns ``(g, decomp, dense_limit)``.
     ``--max-size`` and ``--dense-limit`` must be >= 1."""
     g = _load_graph(args.cache)
-    manifest.add_input(args.cache)
     if args.inverted:
         g = gr.invert(g)
     max_size = sub.default_max_size(g.node_count) if args.max_size is None else args.max_size
@@ -140,35 +121,26 @@ def _decomposed_graph(args, manifest):
     return g, sub.decompose(g, max_size=max_size), args.dense_limit
 
 
-def cmd_subspaces(args) -> int:
-    manifest = _manifest(args)
-    g, decomp, dense_limit = _decomposed_graph(args, manifest)
+def cmd_subspaces(args) -> dict:
+    g, decomp, dense_limit = _decomposed_graph(args)
     spectrum = sub.subspace_spectrum(g, decomp, dense_limit=dense_limit)
-    json_path = f"{args.out}.json"
-    csv_path = f"{args.out}.spectrum.csv"
-    sub.write_decomposition_json(decomp, json_path, member_limit=args.member_limit)
-    arn.write_spectrum_csv(csv_path, spectrum, None)
-    manifest.add_output(json_path)
-    manifest.add_output(csv_path)
-    manifest.set_flag("subspace_count", decomp.subspace_count)
-    manifest.set_flag("subspace_node_count", decomp.subspace_node_count)
-    manifest.set_flag("core_count", decomp.core_count)
-    manifest.set_flag("skipped_blocks", spectrum.skipped)
-    manifest.set_flag("unit_modulus_count", spectrum.unit_modulus_count)
-    manifest.set_flag("unit_eigenvalue_count", spectrum.unit_eigenvalue_count)
-    manifest.write(f"{args.out}.manifest.json")
+    sub.write_decomposition_json(decomp, f"{args.out}.json", member_limit=args.member_limit)
+    arn.write_spectrum_csv(f"{args.out}.spectrum.csv", spectrum, None)
     print(f"{decomp.subspace_count} subspaces covering "
           f"{decomp.subspace_node_count} nodes, core {decomp.core_count}; "
           f"{spectrum.unit_eigenvalue_count} unit eigenvalues")
-    return EXIT_OK
+    return {"subspace_count": decomp.subspace_count,
+            "subspace_node_count": decomp.subspace_node_count,
+            "core_count": decomp.core_count, "skipped_blocks": spectrum.skipped,
+            "unit_modulus_count": spectrum.unit_modulus_count,
+            "unit_eigenvalue_count": spectrum.unit_eigenvalue_count}
 
 
-def cmd_spectrum(args) -> int:
-    manifest = _manifest(args)
+def cmd_spectrum(args) -> dict:
     if args.arnoldi_dim < 1:
         raise CliError(EXIT_BAD_PARAMETER, "--arnoldi-dim must be >= 1")
     vector_indices = _parse_indices(args.vectors) if args.vectors else None
-    g, decomp, dense_limit = _decomposed_graph(args, manifest)
+    g, decomp, dense_limit = _decomposed_graph(args)
     if decomp.core_count == 0:
         raise CliError(EXIT_COMPUTE, "core space is empty; nothing for the Arnoldi stage")
     n_arnoldi = min(args.arnoldi_dim, decomp.core_count)
@@ -183,24 +155,18 @@ def cmd_spectrum(args) -> int:
     result = arn.arnoldi_core(g, decomp, n_arnoldi, vector_indices=vector_indices,
                               threads=args.threads)
     spectrum = sub.subspace_spectrum(g, decomp, dense_limit=dense_limit)
-    csv_path = f"{args.out}.csv"
-    arn.write_spectrum_csv(csv_path, spectrum, result)
-    manifest.add_output(csv_path)
+    arn.write_spectrum_csv(f"{args.out}.csv", spectrum, result)
     if result.ritz_vectors:
         for idx, vec in sorted(result.ritz_vectors.items()):
             profile = arn.eigvec_profile(vec)
-            path = f"{args.out}.vec{idx}.csv"
-            st.write_curve_csv(path, "rank,modulus", profile.ranks, profile.moduli)
-            manifest.add_output(path)
-    manifest.set_flag("krylov_dimension", result.krylov_dimension)
-    manifest.set_flag("breakdown", result.breakdown)
-    manifest.set_flag("ortho_defect", result.ortho_defect)
-    manifest.set_flag("relation_residual", result.relation_residual)
-    manifest.write(f"{args.out}.manifest.json")
+            st.write_curve_csv(f"{args.out}.vec{idx}.csv", "rank,modulus", profile.ranks,
+                               profile.moduli)
     lam1 = result.ritz_values[0]
     print(f"core spectrum: {result.ritz_values.size} Ritz values, "
           f"leading |lambda| = {abs(lam1):.8f}")
-    return EXIT_OK
+    return {"krylov_dimension": result.krylov_dimension, "breakdown": result.breakdown,
+            "ortho_defect": result.ortho_defect,
+            "relation_residual": result.relation_residual}
 
 
 def _parse_indices(spec: str) -> list[int]:
@@ -215,11 +181,14 @@ def _parse_indices(spec: str) -> list[int]:
 
 
 def _parse_grid(spec: str):
-    parts = spec.split(":")
-    if parts[0] == "log" and len(parts) == 2:
-        return ("log", {"cells": int(parts[1])})
-    if parts[0] == "linear" and len(parts) == 3:
-        return ("linear", {"cell_size": int(parts[1]), "rank_limit": int(parts[2])})
+    kind, *values = spec.split(":")
+    try:
+        if kind == "log" and len(values) == 1:
+            return ("log", {"cells": int(values[0])})
+        if kind == "linear" and len(values) == 2:
+            return ("linear", {"cell_size": int(values[0]), "rank_limit": int(values[1])})
+    except ValueError:
+        pass
     raise CliError(EXIT_BAD_PARAMETER,
                    f"--grid expects log:CELLS or linear:CELL_SIZE:LIMIT, got {spec!r}")
 
@@ -249,15 +218,11 @@ def _parse_range(spec, option: str, meaning: str) -> tuple[float, float] | None:
     return lo, hi
 
 
-def cmd_stats(args) -> int:
-    manifest = _manifest(args)
+def cmd_stats(args) -> dict:
     g = _load_graph(args.cache)
-    manifest.add_input(args.cache)
     n = g.node_count
-    p = _load_vector(_require_file(args.rank), n)
-    p_star = _load_vector(_require_file(args.chei), n)
-    manifest.add_input(args.rank)
-    manifest.add_input(args.chei)
+    p = _load_vector(args.rank, n)
+    p_star = _load_vector(args.chei, n)
     k, _ = rk.rank_indices(p)
     k_star, _ = rk.rank_indices(p_star)
 
@@ -267,7 +232,7 @@ def cmd_stats(args) -> int:
     grid_specs = [(spec, *_parse_grid(spec)) for spec in (args.grid or ["log:100"])]
     fit_range = _parse_range(args.fit_range, "--fit-range", "LO:HI in log10 rank")
     tail_range = _parse_range(args.tail_range, "--tail-range", "LO:HI")
-    fits = {}
+    fits, flags = {}, {"kappa": report.kappa}
     try:
         grids = [(spec, st.density_2d(k, k_star, mode=mode, **kwargs))
                  for spec, mode, kwargs in grid_specs]
@@ -283,51 +248,30 @@ def cmd_stats(args) -> int:
     filling = st.ng_filling(g, k, k_values)
     curve = None
     if args.decomposition:
-        _require_file(args.decomposition)
-        manifest.add_input(args.decomposition)
-        dims = _load_dimensions(args.decomposition)
+        dims = _load_dimensions(_require_file(args.decomposition))
         if dims.size:
             curve = st.subspace_fraction(dims, tail_range=tail_range)
-            manifest.set_flag("mean_subspace_dimension", curve.mean_dimension)
+            flags["mean_subspace_dimension"] = curve.mean_dimension
             if curve.tail_fit is not None:
                 fits["subspace_fraction_tail"] = curve.tail_fit.to_json()
 
-    corr_path = f"{args.out}.correlator.json"
-    with atomic_write(corr_path) as fh:
-        json.dump({"kappa": report.kappa, "underflow": report.underflow,
-                   "overflow": report.overflow}, fh, indent=1)
-        fh.write("\n")
-    manifest.add_output(corr_path)
-    hist_path = f"{args.out}.kappa_hist.csv"
-    st.write_curve_csv(hist_path, "bin_low,bin_high,count",
+    write_json(f"{args.out}.correlator.json", {"kappa": report.kappa,
+                                               "underflow": report.underflow,
+                                               "overflow": report.overflow})
+    st.write_curve_csv(f"{args.out}.kappa_hist.csv", "bin_low,bin_high,count",
                        report.bin_edges[:-1], report.bin_edges[1:], report.histogram)
-    manifest.add_output(hist_path)
     for spec, grid in grids:
-        path = f"{args.out}.density_{spec.replace(':', '_')}.csv"
-        st.write_grid_csv(grid, path)
-        manifest.add_output(path)
-    nk_path = f"{args.out}.nk.csv"
-    st.write_curve_csv(nk_path, "k,n_k", k_values, nk)
-    manifest.add_output(nk_path)
-    ng_path = f"{args.out}.ng.csv"
-    st.write_curve_csv(ng_path, "k,n_g,area_density,linear_density", filling.k_values,
-                       filling.n_g, filling.area_density, filling.linear_density)
-    manifest.add_output(ng_path)
+        st.write_grid_csv(grid, f"{args.out}.density_{spec.replace(':', '_')}.csv")
+    st.write_curve_csv(f"{args.out}.nk.csv", "k,n_k", k_values, nk)
+    st.write_curve_csv(f"{args.out}.ng.csv", "k,n_g,area_density,linear_density",
+                       filling.k_values, filling.n_g, filling.area_density,
+                       filling.linear_density)
     if curve is not None:
-        frac_path = f"{args.out}.fraction.csv"
-        st.write_curve_csv(frac_path, "x,fraction", curve.x, curve.fraction)
-        manifest.add_output(frac_path)
+        st.write_curve_csv(f"{args.out}.fraction.csv", "x,fraction", curve.x, curve.fraction)
     if fits:
-        fits_path = f"{args.out}.fits.json"
-        with atomic_write(fits_path) as fh:
-            json.dump(fits, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        manifest.add_output(fits_path)
-
-    manifest.set_flag("kappa", report.kappa)
-    manifest.write(f"{args.out}.manifest.json")
+        write_json(f"{args.out}.fits.json", fits, sort_keys=True)
     print(f"kappa = {report.kappa:.6g}")
-    return EXIT_OK
+    return flags
 
 
 class _Parser(argparse.ArgumentParser):
@@ -419,7 +363,13 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.threads < 1:
             raise CliError(EXIT_BAD_PARAMETER, f"--threads must be >= 1, got {args.threads}")
-        return args.func(args)
+        # every parsed option is a parameter; the manifest goes beside the outputs
+        parameters = {key: value for key, value in vars(args).items()
+                      if key not in ("func", "command")}
+        prefix = args.cache if args.command == "ingest" else args.out
+        with recorded_run(args.command, parameters, prefix) as manifest:
+            manifest.data["flags"].update(args.func(args))
+        return EXIT_OK
     except CliError as exc:
         print(f"gmspectra: {exc}", file=sys.stderr)
         return exc.code

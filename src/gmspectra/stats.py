@@ -196,12 +196,16 @@ def ng_filling(g: DirectedGraph, k: np.ndarray, k_values) -> FillingCurve:
     k = _check_permutation(k, "K")
     if k.size != g.node_count:
         raise ValueError("rank permutation does not match graph")
-    # per link, the larger rank of its two ends, without int64 copies of the ends
+    # per link, the larger rank of its two ends, as uint32 (ranks are <= N <
+    # 2**32) and without copies of the ends; a query past 2**32 - 1 counts
+    # every link, as it would uncast
+    k = k.astype(np.uint32)
     worst = np.repeat(k, g.out_degrees)
     np.maximum(worst, k[g.out_indices], out=worst)
     worst.sort()
     k_values = np.asarray(k_values, dtype=np.int64)
-    n_g = np.searchsorted(worst, k_values, side="right").astype(np.int64)
+    queries = np.clip(k_values, 0, np.iinfo(np.uint32).max).astype(np.uint32)
+    n_g = np.searchsorted(worst, queries, side="right").astype(np.int64)
     kf = k_values.astype(np.float64)
     return FillingCurve(k_values, n_g, n_g / kf**2, n_g / kf)
 

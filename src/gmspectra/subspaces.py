@@ -16,14 +16,13 @@ Only the nodes of larger components get a closure search.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import DirectedGraph, invert
-from .manifest import atomic_write
+from .manifest import write_json
 
 DEFAULT_DENSE_LIMIT = 4000
 UNIT_EIGENVALUE_TOL = 1e-10
@@ -271,6 +270,4 @@ def decomposition_to_json(decomp: SubspaceDecomposition,
 
 def write_decomposition_json(decomp: SubspaceDecomposition, path,
                              member_limit: int | None = None) -> None:
-    with atomic_write(path) as fh:
-        json.dump(decomposition_to_json(decomp, member_limit), fh, indent=1)
-        fh.write("\n")
+    write_json(path, decomposition_to_json(decomp, member_limit))

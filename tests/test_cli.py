@@ -14,6 +14,7 @@ from gmspectra import (correlator, decompose, density_2d, load_cache,
                        read_vector_cache, save_cache, subspace_spectrum,
                        write_rank_csv, write_spectrum_csv, write_vector_cache)
 from gmspectra import graph as gr
+from gmspectra import manifest as manifest_module
 from gmspectra.cli import build_parser, main
 from gmspectra.graph import GRAPH_CACHE
 from gmspectra.manifest import RunManifest
@@ -282,6 +283,87 @@ def test_each_command_sorts_the_links_only_where_it_must(subspace_edges, tmp_pat
         assert calls == {"_csr": sorts, "_edge_key": sorts}, argv
 
 
+# Runs one CLI command with an audit hook that lists every path the
+# interpreter opens for reading, numpy's file reads included; argv[1] names
+# the JSON file the list goes to.
+READ_TRACER = """
+import json, os, sys
+reads = set()
+def hook(event, args):
+    if (event == "open" and isinstance(args[0], (str, bytes, os.PathLike))
+            and not args[2] & (os.O_WRONLY | os.O_RDWR)):
+        reads.add(os.path.abspath(os.fsdecode(args[0])))
+sys.addaudithook(hook)
+from gmspectra.cli import main
+rc = main(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    json.dump(sorted(reads), fh)
+sys.exit(rc)
+"""
+
+
+def test_manifest_names_exactly_the_files_a_command_reads_and_writes(subspace_edges,
+                                                                      tmp_path):
+    # the benchmark's six commands, then the remap, inverted-subspaces and
+    # inverted-spectrum variants
+    work = tmp_path / "work"
+    work.mkdir()
+    edges, cache = str(subspace_edges[0]), str(work / "g.cache")
+    commands = [
+        (["ingest", edges, cache, "--num-nodes", "69"], cache),
+        (["--threads", "2", "rank", cache, f"{work}/pr"], f"{work}/pr"),
+        (["rank", cache, f"{work}/cr", "--chei"], f"{work}/cr"),
+        (["subspaces", cache, f"{work}/dec"], f"{work}/dec"),
+        (["spectrum", cache, f"{work}/spec", "--arnoldi-dim", "12", "--vectors", "0,1"],
+         f"{work}/spec"),
+        (["stats", cache, f"{work}/st", "--rank", f"{work}/pr.vec", "--chei",
+          f"{work}/cr.vec", "--decomposition", f"{work}/dec.json", "--fit-range", "0:1.5",
+          "--grid", "log:10", "--grid", "linear:10:60"], f"{work}/st"),
+        (["ingest", edges, f"{work}/r.cache", "--id-mode", "remap"], f"{work}/r.cache"),
+        (["subspaces", cache, f"{work}/deci", "--inverted"], f"{work}/deci"),
+        (["spectrum", cache, f"{work}/speci", "--arnoldi-dim", "12", "--inverted",
+          "--vectors", "0"], f"{work}/speci")]
+    src = str(Path(gmspectra.__file__).resolve().parents[1])
+    for argv, prefix in commands:
+        before = {str(p) for p in work.iterdir()} | {edges}
+        reads_path = tmp_path / "reads.json"
+        proc = subprocess.run([sys.executable, "-c", READ_TRACER, str(reads_path), *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        created = {str(p) for p in work.iterdir()} - before
+        manifest_path = f"{prefix}.manifest.json"
+        assert manifest_path in created, argv
+        manifest = json.loads(Path(manifest_path).read_text())
+        assert set(manifest["outputs"]) == created - {manifest_path}, argv
+        # the manifest hashes its outputs after they are written, so only a
+        # file that was there before the command counts as one it read
+        read = set(json.loads(reads_path.read_text())) & before
+        assert set(manifest["inputs"]) == read and read, argv
+        for name, digest in {**manifest["inputs"], **manifest["outputs"]}.items():
+            assert digest == manifest_module.sha256_of(name), (argv, name)
+
+
+def test_writer_outside_a_cli_run_records_nothing(two_cycle_cache, tmp_path):
+    state = dict(vars(manifest_module))
+    write_curve_csv(tmp_path / "before.csv", "k", [1])
+    assert dict(vars(manifest_module)) == state
+    assert main(["rank", str(two_cycle_cache), str(tmp_path / "pr")]) == 0
+    write_curve_csv(tmp_path / "after.csv", "k", [1])
+    assert dict(vars(manifest_module)) == state
+    outputs = json.loads((tmp_path / "pr.manifest.json").read_text())["outputs"]
+    assert sorted(outputs) == [str(tmp_path / "pr.csv"), str(tmp_path / "pr.vec")]
+    # a run that fails after committing an artifact writes no manifest and
+    # leaves no run open
+    (tmp_path / "edges.txt").write_text("5 7\n")
+    (tmp_path / "r.cache.ids").mkdir()
+    assert main(["ingest", str(tmp_path / "edges.txt"), str(tmp_path / "r.cache"),
+                 "--id-mode", "remap"]) == 3
+    assert (tmp_path / "r.cache").exists()
+    assert not (tmp_path / "r.cache.manifest.json").exists()
+    assert dict(vars(manifest_module)) == state
+
+
 @pytest.fixture
 def breakdown_cache(tmp_path):
     # nodes 0 and 1 both point at dangling node 2: the uniform start vector
@@ -332,6 +414,8 @@ STATS = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/pr.vec", "--chei", "{d
 @pytest.mark.parametrize("argv, code", [
     (STATS + ["--decomposition", "{d}/nosub.json"], 4),
     (STATS + ["--decomposition", "{d}/notjson.json"], 4),
+    (STATS + ["--grid", "log:abc"], 3),
+    (STATS + ["--grid", "linear:10:x"], 3),
     (["subspaces", "{d}/g.cache", "{d}/out", "--max-size", "0"], 3),
     (["spectrum", "{d}/g.cache", "{d}/out", "--arnoldi-dim", "2", "--max-size", "0"], 3),
     (["spectrum", "{d}/g.cache", "{d}/out", "--arnoldi-dim", "2", "--dense-limit", "0"], 3),
@@ -350,7 +434,8 @@ STATS = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/pr.vec", "--chei", "{d
     (["ingest", "{d}/comments.txt", "{d}/comments.cache"], 4),
     # the edge list is read as UTF-8 text, never decompressed
     (["ingest", "{d}/edges.gz", "{d}/gz.cache"], 4),
-], ids=["decomposition-no-subspaces", "decomposition-not-json", "subspaces-max-size-0",
+], ids=["decomposition-no-subspaces", "decomposition-not-json", "grid-log-not-int",
+        "grid-linear-not-int", "subspaces-max-size-0",
         "spectrum-max-size-0", "spectrum-dense-limit-0", "output-dir-missing",
         "output-is-directory", "ingest-node-id-past-uint32", "ingest-node-id-past-int64",
         "ingest-remap-node-id-past-int64", "ingest-not-utf8", "ingest-remap-num-nodes",
@@ -363,6 +448,8 @@ def test_bad_invocation_exits_with_documented_code(stats_inputs, argv, code):
     assert proc.stderr.startswith("gmspectra: ")
     if argv[1].endswith(("empty.txt", "comments.txt")):  # the message names the file
         assert argv[1].format(d=stats_inputs) in proc.stderr
+    if "--grid" in argv:
+        assert "--grid expects log:CELLS or linear:CELL_SIZE:LIMIT" in proc.stderr
     assert not list(stats_inputs.rglob("*.tmp.*"))
 
 
