@@ -22,9 +22,9 @@ unless said otherwise:
   keeps (``tracemalloc``, a second build), ``apply_g`` as ns/link (the
   median of ``MATVEC_REPEATS`` calls on the uniform vector) and the
   ``tracemalloc`` peak of one more call, and one ``pagerank`` with its
-  iteration count. The ``rank`` command then runs once as a launcher child
-  on the graph's cache, with its ``wait4`` peak RSS and the SHA-256 of the
-  ``.vec`` it writes.
+  iteration count. The ``rank`` and ``rank --chei`` commands then run once
+  each as launcher children on the graph's cache, each with its wall time,
+  its ``wait4`` peak RSS and the SHA-256 of the ``.vec`` it writes.
 * ``decompose`` on two ~2e6-link graphs, one with 40 % of its nodes in
   planted blocks (subspace-rich) and one with 1 % (core-heavy), and on two
   graphs without a dangling node, built here, where the sweep from the
@@ -220,11 +220,16 @@ def time_rank(gm, generate, launcher, work: Path) -> dict:
         rv = gm.pagerank(g)
         pagerank_s = time.perf_counter() - start
         del g
-        prefix = work / f"{name}.pr"
-        reply = launcher.run([sys.executable, "-m", "gmspectra.cli", "rank", str(cache),
-                              str(prefix)], work / f"{name}.rank")
-        if reply["rc"]:
-            raise RuntimeError(f"rank {name} exited {reply['rc']}")
+        children = {}
+        for kind, prefix, flags in (("rank", "pr", []), ("cheirank", "cr", ["--chei"])):
+            out = work / f"{name}.{prefix}"
+            reply = launcher.run([sys.executable, "-m", "gmspectra.cli", "rank", str(cache),
+                                  str(out), *flags], work / f"{name}.{kind}")
+            if reply["rc"]:
+                raise RuntimeError(f"{kind} {name} exited {reply['rc']}")
+            children |= {f"{kind}_child_s": reply["wall_s"],
+                         f"{kind}_child_peak_rss_mib": reply["maxrss_kib"] / 1024,
+                         f"{prefix}_vec_sha256": sha256_file(Path(f"{out}.vec"))}
         ns_per_link = 1e9 * statistics.median(matvecs) / links
         graphs[name] = {
             "node_count": nodes,
@@ -237,14 +242,14 @@ def time_rank(gm, generate, launcher, work: Path) -> dict:
             "pagerank_s": pagerank_s,
             "pagerank_iterations": rv.iterations_used,
             "pagerank_converged": rv.converged,
-            "rank_child_s": reply["wall_s"],
-            "rank_child_peak_rss_mib": reply["maxrss_kib"] / 1024,
-            "pr_vec_sha256": sha256_file(Path(f"{prefix}.vec")),
+            **children,
         }
         print(f"rank {name}: operator {build_s:.2f} s, {kept / links:.2f} B/link kept, "
               f"apply_g {ns_per_link:.2f} ns/link, pagerank {pagerank_s:.1f} s "
-              f"({rv.iterations_used} iterations), child {reply['wall_s']:.1f} s, "
-              f"{reply['maxrss_kib'] / 1024:.1f} MiB", flush=True)
+              f"({rv.iterations_used} iterations), children: rank "
+              f"{children['rank_child_s']:.1f} s, {children['rank_child_peak_rss_mib']:.1f} MiB; "
+              f"rank --chei {children['cheirank_child_s']:.1f} s, "
+              f"{children['cheirank_child_peak_rss_mib']:.1f} MiB", flush=True)
         for path in work.glob(f"{name}.*"):
             path.unlink()
     return graphs

@@ -98,26 +98,30 @@ def _restart_vector(basis, k):
 def memory_estimate(n_nodes: int, n_links: int, n_core: int, n_arnoldi: int,
                     n_vectors: int) -> int:
     """Bytes of the numpy arrays that loading the graph, decomposing it and
-    ``arnoldi_core`` with ``n_vectors`` Ritz vectors hold at once. Each term
-    counts its arrays at their largest, so the estimate errs high. The
-    interpreter, numpy itself and other Python objects are not counted."""
+    ``arnoldi_core`` with ``n_vectors`` Ritz vectors hold at once, for the
+    graph or, as ``spectrum --inverted`` runs them, for G*. Each term counts
+    its arrays at their largest, so the estimate errs high. The interpreter,
+    numpy itself and other Python objects are not counted."""
     # per link, the load check holds the out-link ids and one bool each
     # (4 + 1 bytes); an invert (decompose's, for its ancestor sweeps, and the
-    # operator's) adds to the ids their row ids, the sort keys, their dedup
-    # mask and the in-link ids (4 + 4 + 8 + 1 + 4), the keys never copied as
-    # no link repeats; a level of a sweep holds the out-link ids, the in-link
-    # ids and at most one int64 position and one uint32 id per link (4 + 4 +
-    # 8 + 4); the component labelling holds the out-link and in-link ids and,
-    # per labelled link, four uint32 ids and a bool (4 + 4 + 17); a matvec
-    # holds the out-link ids and the operator's in-link ids (4 + 4), and one
-    # chunk's intp index and gather buffer, or its gather buffer and row sums
-    # (8 + 8 per link of the chunk); a chunk is shorter than GATHER_CHUNK
-    # plus its last row, which holds at most N links
+    # operator's, or with --inverted the one that builds G*'s out-links, whose
+    # in-links are then the loaded graph's out-links) adds to the ids their
+    # row ids, the sort keys, their dedup mask and the in-link ids (4 + 4 +
+    # 8 + 1 + 4), the keys never copied as no link repeats; a level of a sweep
+    # holds the out-link ids, the in-link ids and at most one int64 position
+    # and one uint32 id per link (4 + 4 + 8 + 4); the component labelling
+    # holds the out-link and in-link ids and, per labelled link, four uint32
+    # ids and a bool (4 + 4 + 17); a matvec holds the out-link ids and the
+    # operator's in-link ids (4 + 4), and one chunk's intp index and gather
+    # buffer, or its gather buffer and row sums (8 + 8 per link of the
+    # chunk); a chunk is shorter than GATHER_CHUNK plus its last row, which
+    # holds at most N links
     build = 25 * n_links
     matvec = 8 * n_links + 16 * min(n_links, GATHER_CHUNK + n_nodes)
-    # the out-link offsets and the in-link offsets the operator builds, four
-    # N-length arrays the operator keeps, four that each matvec allocates,
-    # and the decomposition's node lists
+    # the out-link offsets and the in-link offsets the operator builds (with
+    # --inverted, those of G* and of the loaded graph), four N-length arrays
+    # the operator keeps, four that each matvec allocates, and the
+    # decomposition's node lists
     nodes = 2 * 8 * (n_nodes + 1) + 9 * 8 * n_nodes
     # the Krylov basis, three core vectors of one step and the complex Ritz vectors
     core = (n_arnoldi + 4) * n_core * 8 + n_vectors * n_core * 16
@@ -125,16 +129,18 @@ def memory_estimate(n_nodes: int, n_links: int, n_core: int, n_arnoldi: int,
     # and the three Gram-sized matrices of the orthogonality check
     dense = ((n_arnoldi + 1) * n_arnoldi * 8 + 2 * n_arnoldi ** 2 * 16
              + 3 * (n_arnoldi + 1) ** 2 * 8)
-    # both inverts and decompose end before the Krylov basis is allocated,
+    # every invert and decompose end before the Krylov basis is allocated,
     # so the two moments never overlap
     return nodes + max(build, matvec + core + dense)
 
 
 def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int,
                  vector_indices=None, check: bool = True,
-                 threads: int = 1) -> ArnoldiResult:
+                 threads: int = 1, inverted: bool = False) -> ArnoldiResult:
     """Arnoldi iteration of the projected core block, started from the
-    uniform vector on the core.
+    uniform vector on the core. With ``inverted`` the block is that of
+    G*, the link-inverted ``g``, and ``decomp`` a decomposition of G*; the
+    operator then reads G*'s in-links from ``g`` as stored.
 
     On happy breakdown before step ``n_arnoldi`` the iteration continues from
     a coordinate vector projected off the basis and flags ``breakdown``; so
@@ -158,7 +164,7 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
         if bad:
             raise ValueError(f"Ritz indices must be in [0, {n_arnoldi}), got {bad}")
 
-    op = GoogleOperator(g, alpha=1.0, threads=threads)
+    op = GoogleOperator(g, alpha=1.0, threads=threads, inverted=inverted)
     n_full = g.node_count
     embed = np.zeros(n_full)
 

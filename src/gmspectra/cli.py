@@ -7,7 +7,7 @@ checksums of every input and artifact, next to the command's outputs.
 
 Exit codes: 0 success (non-convergence is a manifest flag, not an error),
 2 missing input, 3 parameter or configuration error, 4 malformed input
-data (edge list or cache), 5 compute error.
+data (edge list or cache), 5 compute error, running out of memory included.
 """
 
 from __future__ import annotations
@@ -109,20 +109,24 @@ def cmd_rank(args) -> dict:
 
 
 def _decomposed_graph(args):
-    """Load the cache (link-inverted with ``--inverted``) and decompose it with
-    ``--max-size`` (default from N); returns ``(g, decomp, dense_limit)``.
-    ``--max-size`` and ``--dense-limit`` must be >= 1."""
-    g = _load_graph(args.cache)
-    if args.inverted:
-        g = gr.invert(g)
+    """Load the cache and decompose it, or with ``--inverted`` the graph G*
+    with every link reversed, with ``--max-size`` (default from N); returns
+    ``(g, loaded, decomp, dense_limit)``, where ``g`` is the decomposed
+    graph and ``loaded`` the cache's. G*'s in-links are the loaded graph's
+    out-links, so ``--inverted`` sorts the links once, for G*'s out-links,
+    and hands the loaded graph on as G*'s in-links. ``--max-size`` and
+    ``--dense-limit`` must be >= 1."""
+    loaded = _load_graph(args.cache)
+    g = gr.invert(loaded) if args.inverted else loaded
     max_size = sub.default_max_size(g.node_count) if args.max_size is None else args.max_size
     if max_size < 1 or args.dense_limit < 1:
         raise CliError(EXIT_BAD_PARAMETER, "--max-size and --dense-limit must be >= 1")
-    return g, sub.decompose(g, max_size=max_size), args.dense_limit
+    decomp = sub.decompose(g, max_size=max_size, inverse=loaded if args.inverted else None)
+    return g, loaded, decomp, args.dense_limit
 
 
 def cmd_subspaces(args) -> dict:
-    g, decomp, dense_limit = _decomposed_graph(args)
+    g, _, decomp, dense_limit = _decomposed_graph(args)
     spectrum = sub.subspace_spectrum(g, decomp, dense_limit=dense_limit)
     sub.write_decomposition_json(decomp, f"{args.out}.json", member_limit=args.member_limit)
     arn.write_spectrum_csv(f"{args.out}.spectrum.csv", spectrum, None)
@@ -140,7 +144,7 @@ def cmd_spectrum(args) -> dict:
     if args.arnoldi_dim < 1:
         raise CliError(EXIT_BAD_PARAMETER, "--arnoldi-dim must be >= 1")
     vector_indices = _parse_indices(args.vectors) if args.vectors else None
-    g, decomp, dense_limit = _decomposed_graph(args)
+    g, loaded, decomp, dense_limit = _decomposed_graph(args)
     if decomp.core_count == 0:
         raise CliError(EXIT_COMPUTE, "core space is empty; nothing for the Arnoldi stage")
     n_arnoldi = min(args.arnoldi_dim, decomp.core_count)
@@ -152,8 +156,8 @@ def cmd_spectrum(args) -> dict:
                        f"over the --max-ram cap of {args.max_ram} GiB")
     # arnoldi_core rejects a Ritz index >= n_arnoldi before it does any work,
     # so it runs ahead of the block spectra
-    result = arn.arnoldi_core(g, decomp, n_arnoldi, vector_indices=vector_indices,
-                              threads=args.threads)
+    result = arn.arnoldi_core(loaded, decomp, n_arnoldi, vector_indices=vector_indices,
+                              threads=args.threads, inverted=args.inverted)
     spectrum = sub.subspace_spectrum(g, decomp, dense_limit=dense_limit)
     arn.write_spectrum_csv(f"{args.out}.csv", spectrum, result)
     if result.ritz_vectors:
@@ -367,8 +371,11 @@ def main(argv=None) -> int:
         parameters = {key: value for key, value in vars(args).items()
                       if key not in ("func", "command")}
         prefix = args.cache if args.command == "ingest" else args.out
-        with recorded_run(args.command, parameters, prefix) as manifest:
-            manifest.data["flags"].update(args.func(args))
+        try:
+            with recorded_run(args.command, parameters, prefix) as manifest:
+                manifest.data["flags"].update(args.func(args))
+        except MemoryError as exc:  # numpy's names the array it could not allocate
+            raise CliError(EXIT_COMPUTE, f"{args.command}: out of memory: {exc}") from exc
         return EXIT_OK
     except CliError as exc:
         print(f"gmspectra: {exc}", file=sys.stderr)

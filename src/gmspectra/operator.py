@@ -4,15 +4,17 @@ Google matrix G = alpha*S + (1-alpha)/N.
 Neither the dangling-column fill nor the damping term is ever materialized:
 both are rank-one corrections driven by scalar sums. The sparse part sums
 each node's in-link values with one ``np.add.reduceat`` segment per nonempty
-in-row, in ascending predecessor order. The operator is the only user of the
-in-links: it builds them once, at construction, as the out-links of
-``invert(graph)``, and keeps their ``uint32`` ids, the nonempty rows and the
-row-aligned chunks they are gathered in. A chunk of about ``GATHER_CHUNK``
-links is gathered and summed at a time, so a matvec's buffers stay small
-and in cache; a row is never split, so the sums are those of one whole
-gather. The sparse part runs on the calling thread: ``np.add.reduceat``
-holds the interpreter lock, and a two-thread split of the rows measured no
-faster than one pass. Results do not depend on ``threads``.
+in-row, in ascending predecessor order. The operator builds its in-links
+once, at construction, as the out-links of ``invert(graph)``, and keeps
+their ``uint32`` ids, the nonempty rows and the row-aligned chunks they are
+gathered in. The operator of the link-inverted graph G* (``inverted=True``)
+sorts nothing: G*'s in-links are the graph's own out-links, used as stored.
+A chunk of about ``GATHER_CHUNK`` links is gathered and summed at a time, so
+a matvec's buffers stay small and in cache; a row is never split, so the
+sums are those of one whole gather. The sparse part runs on the calling
+thread: ``np.add.reduceat`` holds the interpreter lock, and a two-thread
+split of the rows measured no faster than one pass. Results do not depend
+on ``threads``.
 """
 
 from __future__ import annotations
@@ -31,19 +33,24 @@ GATHER_CHUNK = 1 << 15
 
 @dataclass(frozen=True)
 class GoogleOperator:
-    """Matrix-free S and G over an immutable DirectedGraph. For the
-    link-inverted network (G*, used for CheiRank) pass ``invert(graph)``.
+    """Matrix-free S and G over an immutable DirectedGraph, or with
+    ``inverted=True`` over its link-inverted network G* (used for CheiRank):
+    then the in-links are ``graph``'s out-links, the out-degrees its
+    in-degrees, and the dangling nodes those without an in-link.
 
     ``threads`` is checked (>= 1) but not used by the matvec; see the module
-    docstring. The operator keeps the in-link ids as ``invert`` builds them,
-    ``uint32`` (4 bytes per edge). Each chunk is a triple of views: its
-    in-link ids, its segment starts counted from the chunk's first link, and
-    its rows. The gather uses ``mode="wrap"``, which skips numpy's bounds
-    pass; it never wraps, as ``invert`` rejects an id >= N."""
+    docstring. The operator keeps the in-link ids ``uint32``, as ``invert``
+    builds them or as ``graph`` stores them (4 bytes per edge; with
+    ``inverted`` they are ``graph``'s own). Each chunk is a triple of views:
+    its in-link ids, its segment starts counted from the chunk's first link,
+    and its rows. The gather uses ``mode="wrap"``, which skips numpy's bounds
+    pass; it never wraps, as an id >= N raises ``ValueError`` at
+    construction."""
 
     graph: DirectedGraph
     alpha: float = DEFAULT_ALPHA
     threads: int = 1
+    inverted: bool = False
     _inv_out_degree: np.ndarray = field(init=False, repr=False, compare=False)
     _dangling: np.ndarray = field(init=False, repr=False, compare=False)
     _chunks: tuple = field(init=False, repr=False, compare=False)
@@ -55,11 +62,13 @@ class GoogleOperator:
             raise ValueError("threads must be >= 1")
         g = self.graph
         n = g.node_count
-        deg = g.out_degrees
+        deg = g.in_degrees if self.inverted else g.out_degrees
+        if deg.size > n:  # only a successor id >= N makes bincount longer
+            raise ValueError(f"node id {deg.size - 1} outside [0, {n})")
         inv = np.zeros(n, dtype=np.float64)
         nz = deg > 0
         inv[nz] = 1.0 / deg[nz]
-        inbound = invert(g)
+        inbound = g if self.inverted else invert(g)
         offsets, ids = inbound.out_offsets, inbound.out_indices
         # CSR offsets are contiguous, so the starts of the nonempty rows
         # delimit exact segments and the last one runs to the end of the links
@@ -75,7 +84,7 @@ class GoogleOperator:
                 first = bounds[lo]
                 chunks.append((ids[first:bounds[hi]], starts[lo:hi] - first, rows[lo:hi]))
         object.__setattr__(self, "_inv_out_degree", inv)
-        object.__setattr__(self, "_dangling", g.dangling_nodes)
+        object.__setattr__(self, "_dangling", np.flatnonzero(~nz))
         object.__setattr__(self, "_chunks", tuple(chunks))
 
     @property

@@ -1,7 +1,8 @@
 """PageRank / CheiRank by power iteration, rank permutations, plateaus.
 
-CheiRank is PageRank of the link-inverted graph, computed by the same code
-path so the two are bitwise interchangeable.
+CheiRank is PageRank of the link-inverted graph, computed by the same power
+iteration over an operator with the same in-link arrays, so the two are
+bitwise interchangeable.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CheckedFormat, DirectedGraph, invert
+from .graph import CheckedFormat, DirectedGraph
 from .operator import DEFAULT_ALPHA, GoogleOperator
 from .stats import write_curve_csv
 
@@ -79,17 +80,16 @@ def _rank_vector(p, iterations, residual, converged) -> RankVector:
     return RankVector(p, rank_of_node, node_at_rank, iterations, residual, converged)
 
 
-def pagerank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
-             max_iter: int = DEFAULT_MAX_ITER, threads: int = 1) -> RankVector:
-    """Power iteration v <- G v from the uniform vector until the 1-norm of
-    the update drops below tol. Non-convergence is reported, not raised."""
+def _power_iteration(g, alpha, tol, max_iter, threads, inverted) -> RankVector:
+    """Power iteration v <- G v, over G* with ``inverted``, from the uniform
+    vector until the 1-norm of the update drops below tol."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    op = GoogleOperator(g, alpha=alpha, threads=threads)
+    op = GoogleOperator(g, alpha=alpha, threads=threads, inverted=inverted)
     n = g.node_count
     v = np.full(n, 1.0 / n)
     residual = np.inf
@@ -102,10 +102,18 @@ def pagerank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA, tol: float = DEFAUL
     return _rank_vector(v, max_iter, residual, False)
 
 
+def pagerank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
+             max_iter: int = DEFAULT_MAX_ITER, threads: int = 1) -> RankVector:
+    """Power iteration v <- G v from the uniform vector until the 1-norm of
+    the update drops below tol. Non-convergence is reported, not raised."""
+    return _power_iteration(g, alpha, tol, max_iter, threads, inverted=False)
+
+
 def cheirank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
              max_iter: int = DEFAULT_MAX_ITER, threads: int = 1) -> RankVector:
-    """PageRank of the link-inverted graph."""
-    return pagerank(invert(g), alpha=alpha, tol=tol, max_iter=max_iter, threads=threads)
+    """PageRank of the link-inverted graph G*, whose operator takes its
+    in-links from ``g``'s out-links as stored, so no link is sorted."""
+    return _power_iteration(g, alpha, tol, max_iter, threads, inverted=True)
 
 
 def find_plateaus(rv: RankVector, min_multiplicity: int = 2) -> PlateauReport:

@@ -166,8 +166,11 @@ def _components(g: DirectedGraph, mask: np.ndarray) -> list[np.ndarray]:
     return [nodes[order[a:b]] for a, b in zip(starts, starts[1:] + [nodes.size])]
 
 
-def decompose(g: DirectedGraph, max_size: int | None = None) -> SubspaceDecomposition:
-    """Partition nodes into invariant subspaces and the core.
+def decompose(g: DirectedGraph, max_size: int | None = None,
+              inverse: DirectedGraph | None = None) -> SubspaceDecomposition:
+    """Partition nodes into invariant subspaces and the core. The sweeps read
+    the in-links of ``g`` as the out-links of ``inverse``, ``invert(g)``,
+    which is built here unless the caller has it already.
 
     A backward sweep from the dangling nodes first marks as core every node
     that can reach one: its closure holds a uniform column. The unmarked
@@ -194,7 +197,8 @@ def decompose(g: DirectedGraph, max_size: int | None = None) -> SubspaceDecompos
         max_size = default_max_size(n)
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    inverse = invert(g)
+    if inverse is None:
+        inverse = invert(g)
     core = g.out_degrees == 0
     _mark_ancestors(inverse, core, np.flatnonzero(core))
     groups = _components(g, ~core)

@@ -5,7 +5,7 @@ import pytest
 
 import gmspectra.arnoldi
 from gmspectra import (GoogleOperator, arnoldi_core, decompose, dense_s,
-                       eigvec_profile, from_edges, integrated_spectrum, load_cache,
+                       eigvec_profile, from_edges, integrated_spectrum, invert, load_cache,
                        memory_estimate, parse_edge_list, save_cache,
                        subspace_spectrum, write_spectrum_csv)
 from gmspectra.subspaces import SubspaceDecomposition, SubspaceSpectrum
@@ -380,13 +380,17 @@ def test_memory_estimate_covers_traced_peak(rng, tmp_path, links_per_node, n_arn
                           (rng.random(trees.size) * trees).astype(int)))
     path = tmp_path / "g.cache"
     save_cache(from_edges(src, dst, n), path)
-    tracemalloc.start()
-    try:
-        g = load_cache(path)
-        d = decompose(g)
-        arnoldi_core(g, d, n_arnoldi, vector_indices=[0, 1])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    need = memory_estimate(g.node_count, g.edge_count, d.core_count, n_arnoldi, 2)
-    assert peak <= need < 1.5 * peak
+    # in the order of the spectrum command; with --inverted it sorts the
+    # links once, for G*'s out-links, and the loaded graph is G*'s in-links
+    for inverted in (False, True):
+        tracemalloc.start()
+        try:
+            loaded = load_cache(path)
+            g = invert(loaded) if inverted else loaded
+            d = decompose(g, inverse=loaded if inverted else None)
+            arnoldi_core(loaded, d, n_arnoldi, vector_indices=[0, 1], inverted=inverted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        need = memory_estimate(g.node_count, g.edge_count, d.core_count, n_arnoldi, 2)
+        assert peak <= need < 1.5 * peak, f"inverted={inverted}"

@@ -1,6 +1,7 @@
 import gzip
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -24,13 +25,15 @@ from gmspectra.subspaces import write_decomposition_json
 from conftest import write_version_1_cache
 
 
-def run_cli(args, **env):
-    """Run the CLI in a fresh interpreter; returns the CompletedProcess."""
+def run_cli(args, preexec_fn=None, **env):
+    """Run the CLI in a fresh interpreter; returns the CompletedProcess.
+    ``preexec_fn`` runs in the child before the interpreter starts."""
     src = str(Path(gmspectra.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     full_env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **env)
     return subprocess.run([sys.executable, "-m", "gmspectra.cli", *map(str, args)],
-                          capture_output=True, text=True, env=full_env, timeout=120)
+                          capture_output=True, text=True, env=full_env, timeout=120,
+                          preexec_fn=preexec_fn)
 
 
 @pytest.fixture
@@ -264,17 +267,18 @@ def test_each_command_sorts_the_links_only_where_it_must(subspace_edges, tmp_pat
     for argv, sorts in [
             (["ingest", edges, cache], 1),
             (["rank", cache, f"{out}/pr"], 1),
-            # cheirank inverts the graph, then its operator inverts that back
-            (["rank", cache, f"{out}/cr", "--chei"], 2),
+            # G*'s in-links are the loaded graph's out-links
+            (["rank", cache, f"{out}/cr", "--chei"], 0),
             # decompose inverts the graph for its sweep from the dangling nodes
             (["subspaces", cache, f"{out}/dec"], 1),
-            # --inverted inverts the graph, then decompose inverts that back
-            (["subspaces", cache, f"{out}/deci", "--inverted"], 2),
+            # --inverted inverts the graph for G*'s out-links; decompose sweeps
+            # over the loaded graph as G*'s in-links
+            (["subspaces", cache, f"{out}/deci", "--inverted"], 1),
             # decompose inverts the graph, then the operator builds its own copy
             (["spectrum", cache, f"{out}/spec", "--arnoldi-dim", "8"], 2),
-            # --inverted inverts the graph, then decompose and the operator
-            # each invert that back
-            (["spectrum", cache, f"{out}/speci", "--arnoldi-dim", "8", "--inverted"], 3),
+            # --inverted inverts the graph once; decompose and the operator
+            # read G*'s in-links from the loaded graph
+            (["spectrum", cache, f"{out}/speci", "--arnoldi-dim", "8", "--inverted"], 1),
             (["stats", cache, f"{out}/st", "--rank", f"{out}/pr.vec",
               "--chei", f"{out}/cr.vec"], 0)]:
         calls.update(_csr=0, _edge_key=0)
@@ -556,6 +560,24 @@ def test_subspaces_eigvals_failure_exit_5(tmp_path, monkeypatch):
         raise np.linalg.LinAlgError("eigvals did not converge")
     monkeypatch.setattr(np.linalg, "eigvals", fail)
     assert main(["subspaces", str(cache), str(tmp_path / "dec"), "--max-size", "10"]) == 5
+
+
+def test_out_of_memory_exits_5(tmp_path):
+    # N = 3e9 is below 2**32, but the CSR offsets alone are 22.4 GiB, over
+    # the 2 GB of address space the child may take
+    edges, cache = tmp_path / "empty.txt", tmp_path / "big.cache"
+    edges.write_text("")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024, 2_000_000 * 1024))
+
+    proc = run_cli(["ingest", edges, cache, "--num-nodes", "3000000000"],
+                   preexec_fn=cap_address_space, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1")
+    assert proc.returncode == 5, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("gmspectra: ingest: out of memory: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.txt"]
 
 
 def test_spectrum_bytes_independent_of_blas_threads(tmp_path):

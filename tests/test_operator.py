@@ -181,9 +181,12 @@ def test_chunked_gather_matches_row_by_row_sum(rng, monkeypatch, make, chunk):
         assert op.apply_s(v).tobytes() == _row_by_row_s(g, v).tobytes()
 
 
-def test_operator_and_matvec_memory_per_link():
+@pytest.mark.parametrize("inverted", [False, True], ids=["graph", "inverted"])
+def test_operator_and_matvec_memory_per_link(inverted):
     # 1e4 nodes, ~1e6 links: the operator keeps the uint32 in-link ids and
-    # N-length arrays, and a matvec allocates N-length arrays and one chunk
+    # N-length arrays, and a matvec allocates N-length arrays and one chunk;
+    # G*'s operator keeps no link array of its own, as its in-links are the
+    # graph's out-links, and its build peaks at bincount's intp copy of them
     rng = np.random.default_rng(7)
     n = 10_000
     g = from_edges(rng.integers(0, n, 1_050_000), rng.integers(0, n, 1_050_000), n)
@@ -191,8 +194,8 @@ def test_operator_and_matvec_memory_per_link():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        op = GoogleOperator(g)
-        kept = tracemalloc.get_traced_memory()[0] - base
+        op = GoogleOperator(g, inverted=inverted)
+        kept, build = (size - base for size in tracemalloc.get_traced_memory())
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         op.apply_g(v)
@@ -200,8 +203,30 @@ def test_operator_and_matvec_memory_per_link():
     finally:
         tracemalloc.stop()
     assert g.edge_count > 990_000
-    assert kept <= 5 * g.edge_count + 48 * n
+    if inverted:
+        assert kept <= 48 * n
+        assert build <= 9 * g.edge_count
+    else:
+        assert kept <= 5 * g.edge_count + 48 * n
     assert peak < g.edge_count
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inverted_operator_matches_operator_of_inverted_graph(seed):
+    # nodes 150.. have no out-link of their own and nodes ..49 no in-link of
+    # their own, so both G and G* have dangling nodes; a self-loop is its own
+    # inverse
+    rng = np.random.default_rng(seed)
+    n = 200
+    loops = rng.integers(0, n, 20)
+    g = from_edges(np.concatenate((rng.integers(0, 150, 600), loops)),
+                   np.concatenate((rng.integers(50, n, 600), loops)), n)
+    star, reference = GoogleOperator(g, inverted=True), GoogleOperator(invert(g))
+    assert g.dangling_nodes.size and invert(g).dangling_nodes.size
+    re, im = random_probability(rng, n), rng.standard_normal(n)
+    for v in (re, re + 1j * im):
+        assert star.apply_s(v).tobytes() == reference.apply_s(v).tobytes()
+        assert star.apply_g(v).tobytes() == reference.apply_g(v).tobytes()
 
 
 def test_in_link_id_past_node_count_rejected():

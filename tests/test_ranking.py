@@ -139,7 +139,7 @@ def test_vector_cache_checksum(tmp_path):
 
 
 def test_preferential_attachment_exponent():
-    import networkx as nx
+    nx = pytest.importorskip("networkx")
     from gmspectra import from_edges, powerlaw_fit
     gnx = nx.scale_free_graph(100_000, seed=42)
     src, dst = zip(*gnx.edges())
