@@ -1,4 +1,4 @@
-"""Time ingest, ranking, ``decompose`` and ``arnoldi_core`` on seeded graphs of 2e4-2e6 nodes.
+"""Time ingest, ranking, ``decompose``, ``arnoldi_core`` and the CLI pipeline on seeded graphs.
 
     python3 bench/run.py --out BENCH_<n>.json --label change
     python3 bench/run.py --out BENCH_<n>.json --label parent --root ../parent
@@ -39,8 +39,17 @@ unless said otherwise:
   median of five embedded core matvecs, ``hessenberg_eig_s`` the minimum of
   three ``eig`` calls on the Hessenberg matrix, and ``ortho_s`` the
   remainder, the Gram-Schmidt orthogonalisation.
+* ``pipeline`` on the seed-``PIPELINE_SEED`` graph of each perfbench
+  workload: the six commands of ``perfbench.bench.cli_args``, then
+  ``--help``, run ``PIPELINE_PASSES`` times as launcher children in the
+  directory of the edge list, with paths relative to it. Each child's
+  record holds its median wall time and ``wait4`` peak RSS, the runs they
+  come from, and the SHA-256 of each file it writes; a manifest is hashed
+  without its ``started`` and ``finished`` times, so two checkouts with
+  the same output give the same hashes. A pass whose hashes differ from
+  the first pass's stops the run.
 
-``--layers`` picks the layers to time (default: all four). ``--root`` is
+``--layers`` picks the layers to time (default: all five). ``--root`` is
 the checkout whose ``src/gmspectra`` is timed (default: this one), so the
 same script measures a parent checkout and a change on the same host. Each
 run is stored in the ``runs`` list of ``--out`` under its ``--label``,
@@ -83,7 +92,9 @@ INGEST_REPEATS = 2
 WRITE_SLICE = 1_000_000  # edges formatted at a time: the whole 2e7 list would be a 4e7-item tuple
 N_ARNOLDI = 640
 SEED = 11
-LAYERS = ("ingest", "rank", "decompose", "arnoldi")
+PIPELINE_SEED = 5
+PIPELINE_PASSES = 3
+LAYERS = ("ingest", "rank", "decompose", "arnoldi", "pipeline")
 
 
 def source_state(root: Path) -> dict:
@@ -106,6 +117,16 @@ def sha256_file(path: Path) -> str:
         while block := fh.read(1 << 20):
             digest.update(block)
     return digest.hexdigest()
+
+
+def artifact_sha256(path: Path) -> str:
+    """SHA-256 of an artifact; a manifest is hashed as its sorted JSON
+    without the ``started`` and ``finished`` times."""
+    if not path.name.endswith(".manifest.json"):
+        return sha256_file(path)
+    manifest = json.loads(path.read_text())
+    del manifest["started"], manifest["finished"]
+    return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
 
 
 def write_edge_list(planted, path: Path) -> None:
@@ -255,6 +276,56 @@ def time_rank(gm, generate, launcher, work: Path) -> dict:
     return graphs
 
 
+def time_pipeline(launcher, work: Path) -> dict:
+    """The perfbench pipeline and ``--help`` as launcher children, whose
+    working directory is ``work``."""
+    from perfbench.bench import STAGES, WORKLOADS, cli_args
+
+    logs = work / "pipeline-logs"
+    logs.mkdir()
+    edges = work / "edges.txt"
+    records = {}
+    for name, w in WORKLOADS.items():
+        planted = w.graph(PIPELINE_SEED)
+        edges.write_text(planted.edge_list_text())
+        record = {"node_count": planted.node_count, "edge_count": planted.edge_count,
+                  "children": {}}
+        del planted
+        argvs = {stage: cli_args(stage, w, Path(".")) for stage in STAGES} | {"help": ["--help"]}
+        passes = []
+        for n in range(PIPELINE_PASSES):
+            children = {}
+            for child, args in argvs.items():
+                before = set(work.iterdir())
+                reply = launcher.run([sys.executable, "-m", "gmspectra.cli", *args],
+                                     logs / f"{name}.{n}.{child}")
+                if reply["rc"]:
+                    raise RuntimeError(f"pipeline {name} {child} exited {reply['rc']}")
+                children[child] = reply | {"artifacts": {
+                    p.name: artifact_sha256(p) for p in sorted(set(work.iterdir()) - before)}}
+            for path in work.iterdir():
+                if path.is_file() and path != edges:
+                    path.unlink()
+            if passes and any(children[c]["artifacts"] != passes[0][c]["artifacts"]
+                              for c in argvs):
+                raise RuntimeError(f"pipeline {name}: pass {n} wrote other bytes than pass 0")
+            passes.append(children)
+        for child, args in argvs.items():
+            walls = [p[child]["wall_s"] for p in passes]
+            peaks = [p[child]["maxrss_kib"] / 1024 for p in passes]
+            record["children"][child] = {
+                "argv": args, "wall_s": statistics.median(walls), "wall_runs_s": walls,
+                "peak_rss_mib": statistics.median(peaks), "peak_rss_runs_mib": peaks,
+                "artifacts": passes[0][child]["artifacts"]}
+        print(f"pipeline {name}: " + ", ".join(
+            f"{child} {c['wall_s']:.2f} s {c['peak_rss_mib']:.1f} MiB"
+            for child, c in record["children"].items()), flush=True)
+        records[name] = record
+    return {"seed": PIPELINE_SEED, "passes": PIPELINE_PASSES,
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "workloads": records}
+
+
 def decompose_graphs(gm, generate):
     """Yield ``(name, graph, max_size, block_share)`` for each ``decompose`` graph."""
     import numpy as np
@@ -369,19 +440,22 @@ def main(argv=None) -> int:
     from perfbench.generator import generate
     from perfbench.machine import environment
 
-    # started before any graph exists: a child's wait4 peak includes the
-    # peak of the process that spawned it
-    launcher = Launcher(root, dict(os.environ, PYTHONPATH=str(root / "src")))
     record = {"label": args.label, "seed": SEED, "repeats": REPEATS,
               "environment": environment(root) | source_state(root)}
-    try:
-        with tempfile.TemporaryDirectory(prefix="gmspectra-bench-") as work:
+    with tempfile.TemporaryDirectory(prefix="gmspectra-bench-") as tmp:
+        work = Path(tmp)
+        # started before any graph exists: a child's wait4 peak includes the
+        # peak of the process that spawned it; the children run in ``work``
+        launcher = Launcher(work, dict(os.environ, PYTHONPATH=str(root / "src")))
+        try:
             if "ingest" in args.layers:
-                record["ingest"] = time_ingest(gmspectra, generate, launcher, Path(work))
+                record["ingest"] = time_ingest(gmspectra, generate, launcher, work)
             if "rank" in args.layers:
-                record["rank"] = time_rank(gmspectra, generate, launcher, Path(work))
-    finally:
-        launcher.close()
+                record["rank"] = time_rank(gmspectra, generate, launcher, work)
+            if "pipeline" in args.layers:
+                record["pipeline"] = time_pipeline(launcher, work)
+        finally:
+            launcher.close()
     if "decompose" in args.layers:
         record["graphs"] = time_decompose(gmspectra, generate)
     if "arnoldi" in args.layers:

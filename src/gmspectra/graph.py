@@ -249,7 +249,7 @@ def from_edges(src, dst, num_nodes=None, original_ids=None) -> DirectedGraph:
 
 
 _PARSE_CHUNK = 1 << 16  # ids per int64 chunk of the per-line parser
-_JOIN_CHUNK = 1 << 18  # ids per buffer of _joined (2 MiB)
+_JOIN_CHUNK = 1 << 18  # ids per buffer of _joined (2 MiB, 4 _PARSE_CHUNK arrays)
 
 
 def _blank_or_comment(line) -> bool:
@@ -312,9 +312,13 @@ def _joined(arrays) -> np.ndarray:
     into buffers of ``_JOIN_CHUNK`` ids as they come, then the buffers into
     one array, each freed once copied: buffers that large get pages of their
     own from the allocator, which it returns when they are freed, where
-    smaller arrays would leave their memory to the heap. (glibc maps blocks
-    larger than any mapped block freed before; ``ingest`` frees 1 MiB blocks
-    when it hashes the edge list.)"""
+    smaller arrays would leave their memory to the heap. glibc maps a block
+    larger than any mapped block freed before it. In ``ingest``, which
+    hashes the edge list only after the parse, the largest blocks freed
+    before a join are the per-line parser's 512 KiB ``_PARSE_CHUNK`` arrays,
+    so 2 MiB buffers are mapped; a file that ``np.loadtxt`` rejects late
+    has freed larger blocks first, and the buffers then come from the
+    heap."""
     buffers, used = [np.empty(_JOIN_CHUNK, dtype=np.int64)], 0
     for ids in arrays:
         while ids.size:

@@ -3,11 +3,13 @@ file writer every artifact goes through, and the JSON writer beside it.
 
 While a CLI run is open (``recorded_run``), ``atomic_write`` records every
 artifact it commits and ``record_input`` every file the run reads, so the
-run's manifest names them all without the commands listing them."""
+run's manifest names them all without the commands listing them. Files are
+hashed when the manifest is written, after the command's compute, and an
+input just before an output replaces it; ``hashlib``, which loads OpenSSL,
+is imported by the first hash."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from contextlib import contextmanager, suppress
@@ -23,18 +25,25 @@ def atomic_write(path, mode="w"):
     """Yield a handle on ``<path>.tmp.<pid>`` and rename it onto ``path`` once
     the block succeeds. On any exception the temp file is removed and the
     exception re-raised, so a failed write leaves neither a partial artifact
-    nor debris. A committed file is recorded as an output of the open run."""
+    nor debris. A committed file is recorded as an output of the open run,
+    hashed when the manifest is written; an input of the run that ``path``
+    names and that is not hashed yet is hashed just before the rename, so
+    its checksum is that of the file the run read."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, mode) as fh:
             yield fh
+        if _run is not None and os.path.exists(path):
+            inputs = _run.data["inputs"]
+            for name, digest in inputs.items():
+                if digest is None and os.path.samefile(name, path):
+                    inputs[name] = sha256_of(name)
         os.replace(tmp, path)
     except BaseException:
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
     if _run is not None:
-        # hashed when the manifest is written, outside the writer's own time
         _run.data["outputs"][str(path)] = None
 
 
@@ -47,13 +56,19 @@ def write_json(path, obj, sort_keys: bool = False) -> None:
 
 
 def record_input(path) -> None:
-    """Record ``path`` as an input of the open run, hashed as it is first
-    recorded, before any output of the run can replace it."""
-    if _run is not None and str(path) not in _run.data["inputs"]:
-        _run.data["inputs"][str(path)] = sha256_of(path)
+    """Record ``path`` as an input of the open run. It is hashed when the
+    manifest is written, or, if an output of the run replaces it first, by
+    ``atomic_write`` just before the replace."""
+    if _run is not None:
+        _run.data["inputs"].setdefault(str(path), None)
 
 
 def sha256_of(path) -> str:
+    """SHA-256 of the file at ``path``, read 1 MiB at a time. ``hashlib`` is
+    imported on the first call, so a run loads OpenSSL only once it hashes,
+    after its compute."""
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -82,10 +97,13 @@ class RunManifest:
         }
 
     def write(self, path) -> None:
+        """Hash every recorded input and output not hashed yet, then write
+        the manifest to ``path``."""
         self.data["finished"] = _now()
-        outputs = self.data["outputs"]
-        for name in outputs:
-            outputs[name] = sha256_of(name)
+        for files in (self.data["inputs"], self.data["outputs"]):
+            for name, digest in files.items():
+                if digest is None:
+                    files[name] = sha256_of(name)
         write_json(path, self.data, sort_keys=True)
 
 

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import json
 import os
 import resource
@@ -25,14 +26,19 @@ from gmspectra.subspaces import write_decomposition_json
 from conftest import write_version_1_cache
 
 
+def child_env(**env):
+    """The environment of a child interpreter that imports this checkout's
+    package, with ``env`` added."""
+    src = str(Path(gmspectra.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **env)
+
+
 def run_cli(args, preexec_fn=None, **env):
     """Run the CLI in a fresh interpreter; returns the CompletedProcess.
     ``preexec_fn`` runs in the child before the interpreter starts."""
-    src = str(Path(gmspectra.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    full_env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **env)
     return subprocess.run([sys.executable, "-m", "gmspectra.cli", *map(str, args)],
-                          capture_output=True, text=True, env=full_env, timeout=120,
+                          capture_output=True, text=True, env=child_env(**env), timeout=120,
                           preexec_fn=preexec_fn)
 
 
@@ -218,8 +224,7 @@ def test_spectrum_max_ram_counts_more_than_the_basis(small_cache, tmp_path):
                  "--arnoldi-dim", "12", "--max-ram", repr(need_gib * 1.01)]) == 0
 
 
-@pytest.fixture
-def subspace_edges(tmp_path):
+def write_subspace_edges(directory):
     """An edge list and its reversal: three 3-cycles beside a random core of
     60 nodes. The first has a link in from the core, the second a link out to
     it, so each is a closed set in one link direction only; the third is
@@ -229,10 +234,15 @@ def subspace_edges(tmp_path):
     src = np.concatenate((cycles, rng.integers(9, 69, 500), [9, 3]))
     dst = np.concatenate((cycles - cycles % 3 + (cycles + 1) % 3, rng.integers(9, 69, 500),
                           [0, 9]))
-    paths = tmp_path / "edges.txt", tmp_path / "reversed.txt"
+    paths = directory / "edges.txt", directory / "reversed.txt"
     for path, pairs in zip(paths, ((src, dst), (dst, src))):
         path.write_text("".join(f"{a} {b}\n" for a, b in zip(*pairs)))
     return paths
+
+
+@pytest.fixture
+def subspace_edges(tmp_path):
+    return write_subspace_edges(tmp_path)
 
 
 def test_inverted_commands_match_the_reversed_edge_list(subspace_edges, tmp_path):
@@ -288,31 +298,46 @@ def test_each_command_sorts_the_links_only_where_it_must(subspace_edges, tmp_pat
 
 
 # Runs one CLI command with an audit hook that lists every path the
-# interpreter opens for reading, numpy's file reads included; argv[1] names
-# the JSON file the list goes to.
-READ_TRACER = """
+# interpreter opens for reading, numpy's file reads included, and notes for
+# each import event of _hashlib (OpenSSL) whether the command function had
+# returned by then; argv[1] names the JSON file the record goes to.
+COMMAND_TRACER = """
 import json, os, sys
-reads = set()
+reads, hashlib_imports, returned = set(), [], [False]
 def hook(event, args):
     if (event == "open" and isinstance(args[0], (str, bytes, os.PathLike))
             and not args[2] & (os.O_WRONLY | os.O_RDWR)):
         reads.add(os.path.abspath(os.fsdecode(args[0])))
+    elif event == "import" and args[0] == "_hashlib":
+        hashlib_imports.append(returned[0])
 sys.addaudithook(hook)
-from gmspectra.cli import main
-rc = main(sys.argv[2:])
+from gmspectra import cli
+def returning(command):
+    def run(args):
+        flags = command(args)
+        returned[0] = True
+        return flags
+    return run
+for name in [name for name in vars(cli) if name.startswith("cmd_")]:
+    setattr(cli, name, returning(getattr(cli, name)))
+rc = cli.main(sys.argv[2:])
 with open(sys.argv[1], "w") as fh:
-    json.dump(sorted(reads), fh)
+    json.dump({"reads": sorted(reads), "hashlib_imports": hashlib_imports}, fh)
 sys.exit(rc)
 """
 
 
-def test_manifest_names_exactly_the_files_a_command_reads_and_writes(subspace_edges,
-                                                                      tmp_path):
-    # the benchmark's six commands, then the remap, inverted-subspaces and
-    # inverted-spectrum variants
-    work = tmp_path / "work"
+@pytest.fixture(scope="module")
+def traced_commands(tmp_path_factory):
+    """The benchmark's six commands, then the remap, inverted-subspaces and
+    inverted-spectrum variants, each run by COMMAND_TRACER in a child
+    interpreter; yields ``(argv, prefix, before, created, record)`` per
+    command, with the files of the work directory before it ran, those it
+    created and the tracer's record."""
+    root = tmp_path_factory.mktemp("traced")
+    work = root / "work"
     work.mkdir()
-    edges, cache = str(subspace_edges[0]), str(work / "g.cache")
+    edges, cache = str(write_subspace_edges(root)[0]), str(work / "g.cache")
     commands = [
         (["ingest", edges, cache, "--num-nodes", "69"], cache),
         (["--threads", "2", "rank", cache, f"{work}/pr"], f"{work}/pr"),
@@ -327,25 +352,68 @@ def test_manifest_names_exactly_the_files_a_command_reads_and_writes(subspace_ed
         (["subspaces", cache, f"{work}/deci", "--inverted"], f"{work}/deci"),
         (["spectrum", cache, f"{work}/speci", "--arnoldi-dim", "12", "--inverted",
           "--vectors", "0"], f"{work}/speci")]
-    src = str(Path(gmspectra.__file__).resolve().parents[1])
+    runs = []
     for argv, prefix in commands:
         before = {str(p) for p in work.iterdir()} | {edges}
-        reads_path = tmp_path / "reads.json"
-        proc = subprocess.run([sys.executable, "-c", READ_TRACER, str(reads_path), *argv],
-                              capture_output=True, text=True, timeout=120,
-                              env=dict(os.environ, PYTHONPATH=src))
+        record_path = root / "record.json"
+        proc = subprocess.run([sys.executable, "-c", COMMAND_TRACER, str(record_path), *argv],
+                              capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 0, proc.stderr
         created = {str(p) for p in work.iterdir()} - before
+        runs.append((argv, prefix, before, created, json.loads(record_path.read_text())))
+    return runs
+
+
+def test_manifest_names_exactly_the_files_a_command_reads_and_writes(traced_commands):
+    for argv, prefix, before, created, record in traced_commands:
         manifest_path = f"{prefix}.manifest.json"
         assert manifest_path in created, argv
         manifest = json.loads(Path(manifest_path).read_text())
         assert set(manifest["outputs"]) == created - {manifest_path}, argv
         # the manifest hashes its outputs after they are written, so only a
         # file that was there before the command counts as one it read
-        read = set(json.loads(reads_path.read_text())) & before
+        read = set(record["reads"]) & before
         assert set(manifest["inputs"]) == read and read, argv
         for name, digest in {**manifest["inputs"], **manifest["outputs"]}.items():
             assert digest == manifest_module.sha256_of(name), (argv, name)
+
+
+def numpy_loads_openssl() -> bool:
+    """Whether ``import numpy`` alone imports ``hashlib`` (numpy 1.x loads
+    ``numpy.random``, and so ``secrets``, with the package)."""
+    probe = "import sys, numpy; sys.exit('hashlib' in sys.modules)"
+    return subprocess.run([sys.executable, "-c", probe], env=child_env()).returncode != 0
+
+
+def test_openssl_loads_only_after_the_command_returns(traced_commands):
+    if numpy_loads_openssl():
+        pytest.skip("numpy itself imports hashlib")
+    for argv, _, _, _, record in traced_commands:
+        # every run hashes its files, and not before its command has returned
+        assert set(record["hashlib_imports"]) == {True}, argv
+
+
+def test_importing_the_package_leaves_hashlib_unloaded():
+    if numpy_loads_openssl():
+        pytest.skip("numpy itself imports hashlib")
+    probe = "import sys, gmspectra.cli; sys.exit('hashlib' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=child_env()).returncode == 0
+
+
+@pytest.mark.parametrize("spelling", ["same", "alias"])
+def test_input_replaced_by_an_output_keeps_its_as_read_hash(tmp_path, spelling):
+    # ingest writes the cache over its own edge list, named by the same
+    # string or by another path to the same file
+    edges = tmp_path / "e.txt"
+    edges.write_text("0 1\n1 0\n")
+    as_read = hashlib.sha256(edges.read_bytes()).hexdigest()
+    (tmp_path / "sub").mkdir()
+    cache = edges if spelling == "same" else tmp_path / "sub" / ".." / "e.txt"
+    assert main(["ingest", str(edges), str(cache)]) == 0
+    manifest = json.loads(Path(f"{cache}.manifest.json").read_text())
+    assert manifest["inputs"] == {str(edges): as_read}
+    assert manifest["outputs"] == {str(cache): hashlib.sha256(edges.read_bytes()).hexdigest()}
+    assert manifest["outputs"][str(cache)] != as_read
 
 
 def test_writer_outside_a_cli_run_records_nothing(two_cycle_cache, tmp_path):
