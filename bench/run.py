@@ -9,14 +9,17 @@ unless said otherwise:
 
 * ``ingest`` on two power-law graphs of 2e5 nodes / 1.9e6 links and 2e6
   nodes / 2.0e7 links, written as "src dst" edge lists ``WRITE_SLICE``
-  edges at a time, in dense (``--num-nodes N``) and remap id modes. In this
-  process ``parse_edge_list`` is timed ``INGEST_REPEATS`` times and the
-  minimum kept, with the ``from_edges`` call inside it timed apart, so that
-  ``parse_us_per_line`` is the parser's own time per line. The ``ingest``
-  command then runs once as a child process, through
-  ``perfbench/launcher.py``, which reports its ``wait4`` peak RSS; SHA-256
-  of the ``.cache`` and ``.ids`` it writes let two checkouts be checked for
-  equal output.
+  edges at a time, in dense (``--num-nodes N``) and remap id modes, and a
+  third way, ``dense-commented``: the list with a "# c" line after its
+  first edge, in dense mode, which ``np.loadtxt`` rejects, so the per-line
+  parser reads it. In this process ``parse_edge_list`` is timed
+  ``INGEST_REPEATS`` times and the minimum kept, with the ``from_edges``
+  call inside it timed apart, so that ``parse_us_per_line`` is the
+  parser's own time per edge line. The ``ingest`` command then runs once
+  as a child process, through ``perfbench/launcher.py``, which reports its
+  ``wait4`` peak RSS; SHA-256 of the ``.cache`` and ``.ids`` it writes let
+  two checkouts be checked for equal output. A ``dense-commented`` cache
+  that differs from the ``dense`` one stops the run.
 * ``rank`` on the same two graphs, built here with ``from_edges``. It times
   the ``GoogleOperator`` build and records the bytes per link the operator
   keeps (``tracemalloc``, a second build), ``apply_g`` as ns/link (the
@@ -66,6 +69,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -161,6 +165,14 @@ def time_parse(gm, path: Path, id_mode: str, num_nodes) -> tuple[float, float]:
     return total, inner[0]
 
 
+def write_commented(edges: Path, path: Path) -> None:
+    """``edges`` with a "# c" line after its first edge: ``np.loadtxt`` rejects
+    the file, so ingest reads it whole by the per-line parser."""
+    with open(edges) as src, open(path, "w") as dst:
+        dst.write(src.readline() + "# c\n")
+        shutil.copyfileobj(src, dst)
+
+
 def time_ingest(gm, generate, launcher, work: Path) -> dict:
     graphs = {}
     for name, (nodes, block_share, min_out_degree) in INGEST_GRAPHS.items():
@@ -169,14 +181,18 @@ def time_ingest(gm, generate, launcher, work: Path) -> dict:
         edges = work / f"{name}.txt"
         write_edge_list(planted, edges)
         del planted
+        commented = work / f"{name}.commented.txt"
+        write_commented(edges, commented)
         record = {"node_count": nodes, "edge_count": lines,
                   "file_bytes": edges.stat().st_size, "modes": {}}
-        for mode, num_nodes in (("dense", nodes), ("remap", None)):
-            runs = [time_parse(gm, edges, mode, num_nodes) for _ in range(INGEST_REPEATS)]
+        for mode, path, id_mode, num_nodes in (("dense", edges, "dense", nodes),
+                                               ("remap", edges, "remap", None),
+                                               ("dense-commented", commented, "dense", nodes)):
+            runs = [time_parse(gm, path, id_mode, num_nodes) for _ in range(INGEST_REPEATS)]
             total, inner = min(runs)
             cache = work / f"{name}.{mode}.cache"
-            argv = [sys.executable, "-m", "gmspectra.cli", "ingest", str(edges), str(cache)]
-            argv += ["--num-nodes", str(nodes)] if mode == "dense" else ["--id-mode", "remap"]
+            argv = [sys.executable, "-m", "gmspectra.cli", "ingest", str(path), str(cache)]
+            argv += ["--num-nodes", str(nodes)] if id_mode == "dense" else ["--id-mode", "remap"]
             reply = launcher.run(argv, work / f"{name}.{mode}")
             if reply["rc"]:
                 raise RuntimeError(f"ingest {name} {mode} exited {reply['rc']}")
@@ -189,14 +205,18 @@ def time_ingest(gm, generate, launcher, work: Path) -> dict:
                 "ingest_child_s": reply["wall_s"],
                 "ingest_child_peak_rss_mib": reply["maxrss_kib"] / 1024,
                 "cache_sha256": sha256_file(cache),
-                "ids_sha256": sha256_file(Path(f"{cache}.ids")) if mode == "remap" else None,
+                "ids_sha256": sha256_file(Path(f"{cache}.ids")) if id_mode == "remap" else None,
             }
             print(f"ingest {name} {mode}: parse {1e6 * (total - inner) / lines:.3f} us/line "
                   f"(+ from_edges {inner:.2f} s), child {reply['wall_s']:.1f} s, "
                   f"{reply['maxrss_kib'] / 1024:.1f} MiB", flush=True)
-            for path in work.glob(f"{name}.{mode}.cache*"):
-                path.unlink()
+            for written in work.glob(f"{name}.{mode}.cache*"):
+                written.unlink()
+        modes = record["modes"]
+        if modes["dense-commented"]["cache_sha256"] != modes["dense"]["cache_sha256"]:
+            raise RuntimeError(f"ingest {name}: the per-line parser's cache is not np.loadtxt's")
         edges.unlink()
+        commented.unlink()
         graphs[name] = record
     return graphs
 

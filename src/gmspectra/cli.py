@@ -93,8 +93,8 @@ def cmd_ingest(args) -> dict:
 def cmd_rank(args) -> dict:
     if not 0.0 < args.alpha < 1.0:
         raise CliError(EXIT_BAD_PARAMETER, f"--alpha must be in (0, 1), got {args.alpha}")
-    if args.tol <= 0 or args.max_iter < 1:
-        raise CliError(EXIT_BAD_PARAMETER, "--tol must be > 0 and --max-iter >= 1")
+    if not 0.0 < args.tol < np.inf or args.max_iter < 1:  # a NaN tol fails the test
+        raise CliError(EXIT_BAD_PARAMETER, "--tol must be finite and > 0 and --max-iter >= 1")
     g = _load_graph(args.cache)
     compute = rk.cheirank if args.chei else rk.pagerank
     rv = compute(g, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter,
@@ -126,6 +126,9 @@ def _decomposed_graph(args):
 
 
 def cmd_subspaces(args) -> dict:
+    if args.member_limit is not None and args.member_limit < 0:
+        raise CliError(EXIT_BAD_PARAMETER,
+                       f"--member-limit must be >= 0, got {args.member_limit}")
     g, _, decomp, dense_limit = _decomposed_graph(args)
     spectrum = sub.subspace_spectrum(g, decomp, dense_limit=dense_limit)
     sub.write_decomposition_json(decomp, f"{args.out}.json", member_limit=args.member_limit)
@@ -143,6 +146,9 @@ def cmd_subspaces(args) -> dict:
 def cmd_spectrum(args) -> dict:
     if args.arnoldi_dim < 1:
         raise CliError(EXIT_BAD_PARAMETER, "--arnoldi-dim must be >= 1")
+    if args.max_ram is not None and not args.max_ram > 0:  # a NaN cap fails the test
+        raise CliError(EXIT_BAD_PARAMETER,
+                       f"--max-ram must be > 0 GiB, got {args.max_ram}")
     vector_indices = _parse_indices(args.vectors) if args.vectors else None
     g, loaded, decomp, dense_limit = _decomposed_graph(args)
     if decomp.core_count == 0:

@@ -8,7 +8,8 @@ out-links are the in-links, with one sort. The binary cache stores the
 out-links; loading it checks them by comparing neighbouring ids.
 ``parse_edge_list`` reads an edge-list file with one ``np.loadtxt`` call;
 the per-line parser that reads streams and lists judges any file that
-call does not read as plain edges.
+call does not read as plain edges. That parser yields ids one at a time,
+and ``np.fromiter`` takes them into one ``int64`` array.
 """
 
 from __future__ import annotations
@@ -248,10 +249,6 @@ def from_edges(src, dst, num_nodes=None, original_ids=None) -> DirectedGraph:
     return DirectedGraph(n, *_csr(src, dst, n), ids)
 
 
-_PARSE_CHUNK = 1 << 16  # ids per int64 chunk of the per-line parser
-_JOIN_CHUNK = 1 << 18  # ids per buffer of _joined (2 MiB, 4 _PARSE_CHUNK arrays)
-
-
 def _blank_or_comment(line) -> bool:
     """The per-line parser's skip rule: a line that strips to nothing or to a '#' comment."""
     stripped = line.strip()
@@ -259,11 +256,9 @@ def _blank_or_comment(line) -> bool:
 
 
 def _parse_lines(lines):
-    """Per-line parser: yields the ids of ``lines`` as ``int64`` arrays of
-    alternating src and dst, ``_PARSE_CHUNK`` ids at most each, numbering
-    the lines from 1. Ids wait as Python ints for at most one chunk: a list
-    holds ~40 bytes per id, an array 8."""
-    ids = []
+    """Per-line parser: yields the ids of ``lines`` in order, src then dst of
+    each edge, numbering the lines from 1; ``np.fromiter`` takes them into
+    one ``int64`` array."""
     for lineno, line in enumerate(lines, start=1):
         if _blank_or_comment(line):
             continue
@@ -278,11 +273,8 @@ def _parse_lines(lines):
             raise EdgeListParseError(lineno, "negative node id")
         if s >= 2**63 or d >= 2**63:
             raise EdgeListParseError(lineno, "node id above 2**63 - 1")
-        ids += (s, d)
-        if len(ids) == _PARSE_CHUNK:
-            yield np.array(ids, dtype=np.int64)
-            ids.clear()
-    yield np.array(ids, dtype=np.int64)
+        yield s
+        yield d
 
 
 def _parse_file(path) -> np.ndarray:
@@ -304,35 +296,7 @@ def _parse_file(path) -> np.ndarray:
     except Exception:  # numpy opens a path ending in .gz, .bz2, .xz or .zip as compressed
         pass
     with open(path, encoding="utf-8") as fh:
-        return _joined(_parse_lines(fh))
-
-
-def _joined(arrays) -> np.ndarray:
-    """The ``int64`` arrays of an iterable joined in order. They are copied
-    into buffers of ``_JOIN_CHUNK`` ids as they come, then the buffers into
-    one array, each freed once copied: buffers that large get pages of their
-    own from the allocator, which it returns when they are freed, where
-    smaller arrays would leave their memory to the heap. glibc maps a block
-    larger than any mapped block freed before it. In ``ingest``, which
-    hashes the edge list only after the parse, the largest blocks freed
-    before a join are the per-line parser's 512 KiB ``_PARSE_CHUNK`` arrays,
-    so 2 MiB buffers are mapped; a file that ``np.loadtxt`` rejects late
-    has freed larger blocks first, and the buffers then come from the
-    heap."""
-    buffers, used = [np.empty(_JOIN_CHUNK, dtype=np.int64)], 0
-    for ids in arrays:
-        while ids.size:
-            take = min(ids.size, _JOIN_CHUNK - used)
-            buffers[-1][used:used + take] = ids[:take]
-            ids, used = ids[take:], used + take
-            if used == _JOIN_CHUNK:
-                buffers.append(np.empty(_JOIN_CHUNK, dtype=np.int64))
-                used = 0
-    joined = np.empty((len(buffers) - 1) * _JOIN_CHUNK + used, dtype=np.int64)
-    for k in range(len(buffers)):
-        joined[k * _JOIN_CHUNK:(k + 1) * _JOIN_CHUNK] = buffers[k][:joined.size - k * _JOIN_CHUNK]
-        buffers[k] = None
-    return joined
+        return np.fromiter(_parse_lines(fh), dtype=np.int64)
 
 
 def parse_edge_list(source, id_mode="dense", num_nodes=None) -> DirectedGraph:
@@ -360,7 +324,7 @@ def parse_edge_list(source, id_mode="dense", num_nodes=None) -> DirectedGraph:
     if id_mode == "remap" and num_nodes is not None:
         raise ValueError("num_nodes applies to dense mode only; remap mode counts the ids")
     ids = (_parse_file(source) if isinstance(source, (str, os.PathLike))
-           else _joined(_parse_lines(source)))
+           else np.fromiter(_parse_lines(source), dtype=np.int64))
     if ids.size == 0 and num_nodes is None:
         raise EmptyEdgeListError("edge list holds no edge")
     if id_mode == "dense":

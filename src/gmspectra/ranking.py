@@ -85,8 +85,8 @@ def _power_iteration(g, alpha, tol, max_iter, threads, inverted) -> RankVector:
     vector until the 1-norm of the update drops below tol."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:  # false for NaN
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     op = GoogleOperator(g, alpha=alpha, threads=threads, inverted=inverted)

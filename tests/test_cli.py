@@ -506,12 +506,22 @@ STATS = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/pr.vec", "--chei", "{d
     (["ingest", "{d}/comments.txt", "{d}/comments.cache"], 4),
     # the edge list is read as UTF-8 text, never decompressed
     (["ingest", "{d}/edges.gz", "{d}/gz.cache"], 4),
+    # rejected before the cache is read: a NaN compares false with any bound
+    (["rank", "{d}/g.cache", "{d}/out", "--tol", "nan"], 3),
+    (["rank", "{d}/g.cache", "{d}/out", "--tol", "inf"], 3),
+    (["rank", "{d}/g.cache", "{d}/out", "--chei", "--tol", "nan"], 3),
+    (["spectrum", "{d}/g.cache", "{d}/out", "--max-ram", "nan"], 3),
+    (["spectrum", "{d}/g.cache", "{d}/out", "--max-ram", "0"], 3),
+    (["spectrum", "{d}/g.cache", "{d}/out", "--max-ram", "-1"], 3),
+    (["subspaces", "{d}/g.cache", "{d}/out", "--member-limit", "-1"], 3),
 ], ids=["decomposition-no-subspaces", "decomposition-not-json", "grid-log-not-int",
         "grid-linear-not-int", "subspaces-max-size-0",
         "spectrum-max-size-0", "spectrum-dense-limit-0", "output-dir-missing",
         "output-is-directory", "ingest-node-id-past-uint32", "ingest-node-id-past-int64",
         "ingest-remap-node-id-past-int64", "ingest-not-utf8", "ingest-remap-num-nodes",
-        "ingest-empty", "ingest-comments-only", "ingest-gzip"])
+        "ingest-empty", "ingest-comments-only", "ingest-gzip", "rank-tol-nan",
+        "rank-tol-inf", "cheirank-tol-nan", "spectrum-max-ram-nan", "spectrum-max-ram-0",
+        "spectrum-max-ram-negative", "subspaces-member-limit-negative"])
 def test_bad_invocation_exits_with_documented_code(stats_inputs, argv, code):
     (stats_inputs / "taken.csv").mkdir()
     proc = run_cli([a.format(d=stats_inputs) for a in argv])
@@ -522,7 +532,13 @@ def test_bad_invocation_exits_with_documented_code(stats_inputs, argv, code):
         assert argv[1].format(d=stats_inputs) in proc.stderr
     if "--grid" in argv:
         assert "--grid expects log:CELLS or linear:CELL_SIZE:LIMIT" in proc.stderr
+    for option in ("--tol", "--max-ram", "--member-limit"):  # the message says why
+        if option in argv:
+            assert f"{option} must be" in proc.stderr
     assert not list(stats_inputs.rglob("*.tmp.*"))
+    # no artifact and no manifest under the output prefix
+    prefix = Path(argv[2].format(d=stats_inputs))
+    assert not [p for p in prefix.parent.glob(f"{prefix.name}*") if p.is_file()]
 
 
 @pytest.mark.parametrize("argv", [

@@ -149,23 +149,35 @@ def test_plain_file_blocks_skip_the_line_parser(tmp_path, monkeypatch):
         assert isinstance(got[0], int)
 
 
-@pytest.mark.parametrize("join_ids", [1, 3, 7, 64])
-def test_file_error_line_after_many_blocks(tmp_path, monkeypatch, join_ids):
-    # CRLF and a '#' line before the bad line; the per-line parser numbers
-    # the lines of the whole file while its ids fill many join buffers of
-    # a few ids each
-    lines = [f"{i} {i + 1}" + ("\r\n" if i % 7 == 3 else "\n") for i in range(60)]
+@pytest.mark.parametrize("crlf_every", [1, 3, 7, 64])
+def test_file_error_line_after_many_blocks(tmp_path, crlf_every):
+    # a '#' line before the bad line, and every crlf_every-th line ending in
+    # CRLF; the per-line parser numbers the lines of the whole file
+    lines = [f"{i} {i + 1}" + ("\r\n" if i % crlf_every == crlf_every - 1 else "\n")
+             for i in range(60)]
     lines.insert(41, "# comment\n")
     good = "".join(lines)
     lines.insert(56, "12 -4\n")
     text = "".join(lines)
-    monkeypatch.setattr(gr, "_JOIN_CHUNK", join_ids)
     got = _file_outcome(tmp_path, text)
     assert got == _text_outcome(text)
     assert got[0] is EdgeListParseError and got[2] == 57
     src, dst = range(60), range(1, 61)
     assert _file_outcome(tmp_path, good) == _text_outcome(good)
     assert parse_edge_list(tmp_path / "edges.txt") == from_edges(src, dst)
+
+
+def test_stream_error_line_past_many_ids():
+    # 78,000 ids before the bad line, whose number counts the '#' line
+    lines = [f"{i} {i + 1}\n" for i in range(40_000)]
+    lines.insert(12, "# comment\n")
+    lines.insert(39_000, "7 x\n")
+    with pytest.raises(EdgeListParseError) as err:
+        parse_edge_list(io.StringIO("".join(lines)))
+    assert err.value.line_number == 39_001
+    del lines[39_000]
+    g = parse_edge_list(io.StringIO("".join(lines)))
+    assert g == from_edges(range(40_000), range(1, 40_001))
 
 
 def test_plain_text_gz_path_parses_as_text(tmp_path):
@@ -224,7 +236,6 @@ def test_file_parse_matches_text_stream_on_random_texts(tmp_path, monkeypatch):
     for i in range(2000):
         text = _random_edge_text(rng)
         id_mode = "remap" if i % 2 else "dense"
-        monkeypatch.setattr(gr, "_JOIN_CHUNK", int(rng.choice([1, 2, 6, 1 << 18])))
         calls.clear()
         got = _file_outcome(tmp_path, text, id_mode)
         reader = "lines" if calls else "loadtxt"
@@ -497,15 +508,3 @@ def test_parse_idempotent_under_reserialization(rng):
     src, dst = g.edges()
     lines = [f"{s} {d}" for s, d in zip(src, dst)]
     assert parse_edge_list(lines, num_nodes=50) == g
-
-
-@pytest.mark.parametrize("mode", ["dense", "remap"])
-def test_parse_across_chunk_boundaries(rng, monkeypatch, mode):
-    lines = [f"{s} {d}" for s, d in rng.integers(0, 40, (23, 2))]
-    lines.insert(5, "# comment")
-    whole = parse_edge_list(lines, id_mode=mode)
-    monkeypatch.setattr(gr, "_PARSE_CHUNK", 4)
-    monkeypatch.setattr(gr, "_JOIN_CHUNK", 6)
-    chunked = parse_edge_list(lines, id_mode=mode)
-    assert chunked == whole
-    assert np.array_equal(chunked.original_ids, whole.original_ids)

@@ -43,6 +43,14 @@ def test_non_convergence_is_flagged_not_raised():
     assert abs(np.sum(rv.probabilities) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("compute", [pagerank, cheirank])
+def test_tol_must_be_finite_and_positive(compute):
+    g = parse_edge_list(["0 1", "1 0"])
+    for tol in (np.nan, np.inf, 0.0, -1e-12):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            compute(g, tol=tol)
+
+
 def test_cheirank_equals_pagerank_of_inverted(rng):
     for n in (3, 50, 120):
         g = random_graph(rng, n, 0.08)
