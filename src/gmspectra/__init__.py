@@ -11,15 +11,12 @@ __version__ = "0.1.0"
 from .graph import (DirectedGraph, GraphStats, degree_stats, from_edges,
                     invert, load_cache, parse_edge_list, save_cache)
 from .operator import GoogleOperator, dense_g, dense_s
-from .ranking import (Plateau, PlateauReport, RankVector, cheirank,
-                      find_plateaus, pagerank, rank_indices,
+from .ranking import (RankVector, cheirank, pagerank, rank_indices,
                       read_vector_cache, write_rank_csv, write_vector_cache)
 from .subspaces import (SubspaceDecomposition, SubspaceSpectrum, decompose,
                         node_closure, subspace_block, subspace_spectrum)
-from .arnoldi import (ArnoldiResult, EigvecProfile, IntegratedSpectrum,
-                      arnoldi_core, eigvec_profile, integrated_spectrum,
-                      memory_estimate, write_spectrum_csv)
+from .arnoldi import (ArnoldiResult, EigvecProfile, arnoldi_core,
+                      eigvec_profile, memory_estimate, write_spectrum_csv)
 from .stats import (CorrelatorReport, DensityGrid, FillingCurve, PowerLawFit,
-                    SubspaceFractionCurve, beta_from_mu, correlator,
-                    degree_exponent, density_2d, n_k_counts, ng_filling,
-                    powerlaw_fit, reference_survival, subspace_fraction)
+                    SubspaceFractionCurve, correlator, density_2d, n_k_counts,
+                    ng_filling, powerlaw_fit, subspace_fraction)

@@ -125,8 +125,8 @@ def memory_estimate(n_nodes: int, n_links: int, n_core: int, n_arnoldi: int,
     nodes = 2 * 8 * (n_nodes + 1) + 9 * 8 * n_nodes
     # the Krylov basis, three core vectors of one step and the complex Ritz vectors
     core = (n_arnoldi + 4) * n_core * 8 + n_vectors * n_core * 16
-    # the Hessenberg matrix, eig's complex eigenvectors and their sorted copy,
-    # and the three Gram-sized matrices of the orthogonality check
+    # the Hessenberg matrix, eig's complex eigenvectors and its work arrays,
+    # and the orthogonality check's Gram matrix, counted three times to err high
     dense = ((n_arnoldi + 1) * n_arnoldi * 8 + 2 * n_arnoldi ** 2 * 16
              + 3 * (n_arnoldi + 1) ** 2 * 8)
     # every invert and decompose end before the Krylov basis is allocated,
@@ -208,16 +208,16 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
     order = np.argsort(-np.abs(values), kind="stable")
     values = values[order]
     residuals = residuals[order]
-    vecs = vecs[:, order]
 
     ritz_vectors = None
     if vector_indices is not None:
         # two real fixed-order products: no complex copy of the basis
         ritz_vectors = {}
         for idx in vector_indices:
+            coeffs = vecs[:, order[idx]]
             vec = np.empty(n_core, dtype=np.complex128)
-            vec.real = np.einsum("i,ij->j", vecs[:, idx].real, basis[:n_arnoldi])
-            vec.imag = np.einsum("i,ij->j", vecs[:, idx].imag, basis[:n_arnoldi])
+            vec.real = np.einsum("i,ij->j", coeffs.real, basis[:n_arnoldi])
+            vec.imag = np.einsum("i,ij->j", coeffs.imag, basis[:n_arnoldi])
             ritz_vectors[idx] = vec
 
     ortho_defect = relation_residual = None
@@ -225,37 +225,12 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
         # the final basis row is zero after a happy breakdown at the last step
         rows = n_arnoldi + 1 if hess[n_arnoldi, n_arnoldi - 1] != 0.0 else n_arnoldi
         gram = basis[:rows] @ basis[:rows].T
-        ortho_defect = float(np.max(np.abs(gram - np.eye(rows))))
+        gram[np.diag_indices(rows)] -= 1.0
+        ortho_defect = float(np.max(np.abs(gram, out=gram)))
         relation_residual = defect
 
     return ArnoldiResult(values, residuals, n_arnoldi, hess, core,
                          breakdown, ortho_defect, relation_residual, ritz_vectors)
-
-
-@dataclass(frozen=True)
-class IntegratedSpectrum:
-    """Step curves of the eigenvalue fraction j/N versus |lambda_j|."""
-
-    combined_moduli: np.ndarray  # descending
-    combined_fraction: np.ndarray  # j/N
-    core_moduli: np.ndarray
-    core_fraction: np.ndarray
-
-
-def integrated_spectrum(subspace_spec: SubspaceSpectrum, core: ArnoldiResult | None,
-                        node_count: int) -> IntegratedSpectrum:
-    """Fraction of eigenvalues j/N exceeding each modulus, for the combined
-    subspace+core set and the core-only set."""
-    core_vals = core.ritz_values if core is not None else np.empty(0, dtype=complex)
-    core_mod = np.sort(np.abs(core_vals))[::-1]
-    combined_mod = np.sort(np.concatenate(
-        [np.abs(subspace_spec.all_eigenvalues), np.abs(core_vals)]))[::-1]
-    return IntegratedSpectrum(
-        combined_moduli=combined_mod,
-        combined_fraction=np.arange(1, combined_mod.size + 1) / node_count,
-        core_moduli=core_mod,
-        core_fraction=np.arange(1, core_mod.size + 1) / node_count,
-    )
 
 
 def eigvec_profile(vector: np.ndarray) -> EigvecProfile:

@@ -1,4 +1,4 @@
-"""PageRank / CheiRank by power iteration, rank permutations, plateaus.
+"""PageRank / CheiRank by power iteration and rank permutations.
 
 CheiRank is PageRank of the link-inverted graph, computed by the same power
 iteration over an operator with the same in-link arrays, so the two are
@@ -43,25 +43,6 @@ class RankVector:
     @property
     def node_count(self) -> int:
         return self.probabilities.size
-
-
-@dataclass(frozen=True)
-class Plateau:
-    value: float
-    first_rank: int  # 1-based, inclusive
-    last_rank: int
-    multiplicity: int
-
-
-@dataclass(frozen=True)
-class PlateauReport:
-    plateaus: list[Plateau]
-
-    def __len__(self):
-        return len(self.plateaus)
-
-    def __iter__(self):
-        return iter(self.plateaus)
 
 
 def rank_indices(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,23 +95,6 @@ def cheirank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA, tol: float = DEFAUL
     """PageRank of the link-inverted graph G*, whose operator takes its
     in-links from ``g``'s out-links as stored, so no link is sorted."""
     return _power_iteration(g, alpha, tol, max_iter, threads, inverted=True)
-
-
-def find_plateaus(rv: RankVector, min_multiplicity: int = 2) -> PlateauReport:
-    """Maximal runs of bitwise-equal probability in rank order."""
-    p = rv.probabilities[rv.node_at_rank]
-    if p.size == 0:
-        return PlateauReport([])
-    # run boundaries where the value changes bitwise
-    change = np.flatnonzero(p[1:] != p[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [p.size]))
-    plateaus = [
-        Plateau(value=float(p[s]), first_rank=int(s + 1), last_rank=int(e),
-                multiplicity=int(e - s))
-        for s, e in zip(starts, ends) if e - s >= min_multiplicity
-    ]
-    return PlateauReport(plateaus)
 
 
 def write_rank_csv(rv: RankVector, path) -> None:

@@ -92,11 +92,6 @@ class SubspaceFractionCurve:
                      / self.dimensions.size)
 
 
-def reference_survival(x) -> np.ndarray:
-    """Reference curve (1 + 2x)^(-3/2) for subspace-dimension survival."""
-    return (1.0 + 2.0 * np.asarray(x, dtype=np.float64)) ** -1.5
-
-
 def correlator(p: np.ndarray, p_star: np.ndarray) -> CorrelatorReport:
     p = np.asarray(p, dtype=np.float64)
     p_star = np.asarray(p_star, dtype=np.float64)
@@ -275,20 +270,6 @@ def subspace_fraction(dimensions, tail_range: tuple[float, float] | None = None
                                     (float(np.log10(x[mask].min())),
                                      float(np.log10(x[mask].max()))))
     return SubspaceFractionCurve(x, fraction, mean, dims, tail_fit)
-
-
-def degree_exponent(histogram, fit_range: tuple[float, float]) -> PowerLawFit:
-    """Power-law exponent mu of a degree histogram w(k) ~ 1/k^mu, fitted
-    over a log10-degree range (degree 0 is excluded)."""
-    histogram = np.asarray(histogram, dtype=np.float64)
-    degrees = np.arange(histogram.size, dtype=np.float64)
-    mask = (degrees > 0) & (histogram > 0)
-    return powerlaw_fit(degrees[mask], histogram[mask], fit_range)
-
-
-def beta_from_mu(mu: float) -> float:
-    """Rank-decay exponent implied by a degree exponent: beta = 1/(mu-1)."""
-    return 1.0 / (mu - 1.0)
 
 
 def write_grid_csv(grid: DensityGrid, path) -> None:

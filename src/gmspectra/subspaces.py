@@ -234,8 +234,7 @@ def subspace_block(g: DirectedGraph, members: np.ndarray) -> np.ndarray:
 
 
 def subspace_spectrum(g: DirectedGraph, decomp: SubspaceDecomposition,
-                      dense_limit: int = DEFAULT_DENSE_LIMIT,
-                      tol: float = UNIT_EIGENVALUE_TOL) -> SubspaceSpectrum:
+                      dense_limit: int = DEFAULT_DENSE_LIMIT) -> SubspaceSpectrum:
     """Dense eigenvalues of each subspace block; blocks above ``dense_limit``
     are skipped and flagged, never silently dropped."""
     eigenvalues = []
@@ -249,14 +248,17 @@ def subspace_spectrum(g: DirectedGraph, decomp: SubspaceDecomposition,
         eigenvalues.append(vals.astype(np.complex128))
     all_vals = (np.concatenate(eigenvalues) if eigenvalues
                 else np.empty(0, dtype=np.complex128))
-    unit_mod = int(np.count_nonzero(np.abs(np.abs(all_vals) - 1.0) <= tol))
-    unit_val = int(np.count_nonzero(np.abs(all_vals - 1.0) <= tol))
+    unit_mod = int(np.count_nonzero(np.abs(np.abs(all_vals) - 1.0) <= UNIT_EIGENVALUE_TOL))
+    unit_val = int(np.count_nonzero(np.abs(all_vals - 1.0) <= UNIT_EIGENVALUE_TOL))
     return SubspaceSpectrum(eigenvalues, skipped, unit_mod, unit_val)
 
 
 def decomposition_to_json(decomp: SubspaceDecomposition,
                           member_limit: int | None = None) -> dict:
-    """JSON-ready dict; member lists are elided above ``member_limit``."""
+    """JSON-ready dict; member lists are elided above ``member_limit``,
+    which must be >= 0."""
+    if member_limit is not None and member_limit < 0:
+        raise ValueError(f"member_limit must be >= 0, got {member_limit}")
     subspaces = []
     for members in decomp.subspaces:
         entry = {"dimension": int(members.size)}

@@ -5,10 +5,10 @@ import pytest
 
 import gmspectra.arnoldi
 from gmspectra import (GoogleOperator, arnoldi_core, decompose, dense_s,
-                       eigvec_profile, from_edges, integrated_spectrum, invert, load_cache,
+                       eigvec_profile, from_edges, invert, load_cache,
                        memory_estimate, parse_edge_list, save_cache,
                        subspace_spectrum, write_spectrum_csv)
-from gmspectra.subspaces import SubspaceDecomposition, SubspaceSpectrum
+from gmspectra.subspaces import SubspaceSpectrum
 
 from conftest import random_graph
 
@@ -16,7 +16,7 @@ from conftest import random_graph
 def _pair_distance(a, b):
     """Max distance under the optimal pairing of each element of the complex
     multiset ``a`` with a distinct element of ``b`` (``b`` no smaller)."""
-    from scipy.optimize import linear_sum_assignment
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
@@ -212,7 +212,7 @@ def _core_block_operator(g, core):
 def test_converged_ritz_values_match_arpack_on_a_large_core():
     # ARPACK (implicitly restarted Arnoldi, its own orthogonalisation) is the
     # oracle at a core size no dense eigensolve reaches
-    from scipy.sparse.linalg import eigs
+    eigs = pytest.importorskip("scipy.sparse.linalg").eigs
     from perfbench.generator import generate
     planted = generate(16_000, 0.02, 4, 1)
     g = from_edges(planted.src, planted.dst, planted.node_count)
@@ -274,28 +274,6 @@ def test_restart_vector_is_orthogonal_to_a_full_basis(rng):
     v = gmspectra.arnoldi._restart_vector(basis, n - 2)
     assert abs(np.linalg.norm(v) - 1.0) < 1e-14
     assert np.max(np.abs(basis @ v)) < 1e-14
-
-
-def test_integrated_spectrum_trivial():
-    spec = SubspaceSpectrum([np.array([1.0 + 0j, -1.0 + 0j])], [], 2, 1)
-    curve = integrated_spectrum(spec, None, node_count=2)
-    assert np.allclose(curve.combined_moduli, [1.0, 1.0])
-    assert np.allclose(curve.combined_fraction, [0.5, 1.0])
-    assert curve.core_moduli.size == 0
-
-    single = SubspaceSpectrum([np.array([1.0 + 0j])], [], 1, 1)
-    curve = integrated_spectrum(single, None, node_count=1)
-    assert np.allclose(curve.combined_fraction, [1.0])
-
-
-def test_integrated_spectrum_matches_dense_oracle(rng):
-    g, d = _stochastic_graph_with_core(rng, 100, 0.05)
-    spec = subspace_spectrum(g, d)
-    res = arnoldi_core(g, d, d.core_count)
-    curve = integrated_spectrum(spec, res, g.node_count)
-    dense_mod = np.sort(np.abs(np.linalg.eigvals(dense_s(g))))[::-1]
-    assert curve.combined_moduli.size == dense_mod.size
-    assert np.max(np.abs(curve.combined_moduli - dense_mod)) < 1e-8
 
 
 def test_eigvec_profile_examples():

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from gmspectra import (GoogleOperator, cheirank, dense_g, find_plateaus,
-                       invert, pagerank, parse_edge_list, rank_indices,
-                       read_vector_cache, write_rank_csv, write_vector_cache)
-from gmspectra.ranking import RankVector, _rank_vector
+from gmspectra import (GoogleOperator, cheirank, dense_g, invert, pagerank,
+                       parse_edge_list, rank_indices, read_vector_cache,
+                       write_rank_csv, write_vector_cache)
 
 from conftest import dense_pagerank, random_graph
 
@@ -92,29 +91,6 @@ def test_rank_indices_mutually_inverse(rng):
 def test_rank_indices_rejects_nan():
     with pytest.raises(ValueError):
         rank_indices([0.1, np.nan])
-
-
-def test_plateaus_uniform():
-    rv = _rank_vector(np.full(4, 0.25), 1, 0.0, True)
-    report = find_plateaus(rv)
-    assert len(report) == 1
-    plateau = report.plateaus[0]
-    assert (plateau.first_rank, plateau.last_rank, plateau.multiplicity) == (1, 4, 4)
-    assert plateau.value == 0.25
-
-
-def test_plateaus_strictly_decreasing_empty():
-    rv = _rank_vector(np.array([0.5, 0.3, 0.2]), 1, 0.0, True)
-    assert len(find_plateaus(rv)) == 0
-
-
-def test_plateaus_disjoint_sorted_and_min_multiplicity():
-    p = np.array([0.3, 0.3, 0.2, 0.1, 0.05, 0.05])
-    rv = _rank_vector(p, 1, 0.0, True)
-    report = find_plateaus(rv)
-    assert [(pl.first_rank, pl.last_rank) for pl in report] == [(1, 2), (5, 6)]
-    report3 = find_plateaus(rv, min_multiplicity=3)
-    assert len(report3) == 0
 
 
 def test_rank_csv_export(tmp_path):

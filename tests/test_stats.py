@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from gmspectra import (beta_from_mu, correlator, degree_exponent, density_2d,
-                       from_edges, n_k_counts, ng_filling, parse_edge_list,
-                       powerlaw_fit, rank_indices, reference_survival,
+from gmspectra import (correlator, density_2d, from_edges, n_k_counts,
+                       ng_filling, parse_edge_list, powerlaw_fit, rank_indices,
                        subspace_fraction)
 from gmspectra.stats import (CSV_CHUNK_ROWS, KAPPA_HIST_CELLS, write_curve_csv,
                              write_grid_csv)
@@ -185,11 +184,6 @@ def test_subspace_fraction_tail_fit():
     assert curve.tail_fit.decay_exponent > 0
 
 
-def test_reference_survival():
-    assert reference_survival(0.0) == 1.0
-    assert reference_survival(1.0) == pytest.approx(3.0**-1.5)
-
-
 def test_powerlaw_exact_recovery():
     x = np.arange(1, 200, dtype=float)
     fit = powerlaw_fit(x, 0.5 * x**-0.9)
@@ -216,15 +210,6 @@ def test_powerlaw_range_and_errors():
         powerlaw_fit(x[:2], y[:2])
     with pytest.raises(ValueError):
         powerlaw_fit(x, y - 1.0)  # non-positive y in range
-
-
-def test_degree_exponent_readout():
-    degrees = np.arange(1, 101)
-    hist = np.zeros(101)
-    hist[1:] = 1000.0 * degrees**-2.1
-    fit = degree_exponent(hist, (0.0, 2.0))
-    assert fit.decay_exponent == pytest.approx(2.1, abs=1e-12)
-    assert beta_from_mu(fit.decay_exponent) == pytest.approx(1.0 / 1.1)
 
 
 def test_grid_csv_export(tmp_path):

@@ -240,6 +240,19 @@ def test_json_export(tmp_path):
     assert json.loads(path.read_text())["subspace_node_count"] == 3
 
 
+def test_negative_member_limit_is_rejected(tmp_path):
+    g = parse_edge_list(["0 1", "1 0", "2 2", "3 0", "3 4"])
+    d = decompose(g, max_size=10)
+    assert decomposition_to_json(d, member_limit=0)["subspaces"] == [
+        {"dimension": 2}, {"dimension": 1}]
+    path = tmp_path / "decomp.json"
+    with pytest.raises(ValueError, match="member_limit"):
+        decomposition_to_json(d, -1)
+    with pytest.raises(ValueError, match="member_limit"):
+        write_decomposition_json(d, path, member_limit=-1)
+    assert not path.exists()
+
+
 def test_max_size_validation():
     g = parse_edge_list(["0 1", "1 0"])
     with pytest.raises(ValueError):
