@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -91,10 +92,6 @@ def cmd_ingest(args) -> dict:
 
 
 def cmd_rank(args) -> dict:
-    if not 0.0 < args.alpha < 1.0:
-        raise CliError(EXIT_BAD_PARAMETER, f"--alpha must be in (0, 1), got {args.alpha}")
-    if not 0.0 < args.tol < np.inf or args.max_iter < 1:  # a NaN tol fails the test
-        raise CliError(EXIT_BAD_PARAMETER, "--tol must be finite and > 0 and --max-iter >= 1")
     g = _load_graph(args.cache)
     compute = rk.cheirank if args.chei else rk.pagerank
     rv = compute(g, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter,
@@ -111,26 +108,20 @@ def cmd_rank(args) -> dict:
 def _decomposed_graph(args):
     """Load the cache and decompose it, or with ``--inverted`` the graph G*
     with every link reversed, with ``--max-size`` (default from N); returns
-    ``(g, loaded, decomp, dense_limit)``, where ``g`` is the decomposed
-    graph and ``loaded`` the cache's. G*'s in-links are the loaded graph's
-    out-links, so ``--inverted`` sorts the links once, for G*'s out-links,
-    and hands the loaded graph on as G*'s in-links. ``--max-size`` and
-    ``--dense-limit`` must be >= 1."""
+    ``(g, loaded, decomp)``, where ``g`` is the decomposed graph and
+    ``loaded`` the cache's. G*'s in-links are the loaded graph's out-links,
+    so ``--inverted`` sorts the links once, for G*'s out-links, and hands
+    the loaded graph on as G*'s in-links."""
     loaded = _load_graph(args.cache)
     g = gr.invert(loaded) if args.inverted else loaded
     max_size = sub.default_max_size(g.node_count) if args.max_size is None else args.max_size
-    if max_size < 1 or args.dense_limit < 1:
-        raise CliError(EXIT_BAD_PARAMETER, "--max-size and --dense-limit must be >= 1")
     decomp = sub.decompose(g, max_size=max_size, inverse=loaded if args.inverted else None)
-    return g, loaded, decomp, args.dense_limit
+    return g, loaded, decomp
 
 
 def cmd_subspaces(args) -> dict:
-    if args.member_limit is not None and args.member_limit < 0:
-        raise CliError(EXIT_BAD_PARAMETER,
-                       f"--member-limit must be >= 0, got {args.member_limit}")
-    g, _, decomp, dense_limit = _decomposed_graph(args)
-    spectrum = sub.subspace_spectrum(g, decomp, dense_limit=dense_limit)
+    g, _, decomp = _decomposed_graph(args)
+    spectrum = sub.subspace_spectrum(g, decomp, dense_limit=args.dense_limit)
     sub.write_decomposition_json(decomp, f"{args.out}.json", member_limit=args.member_limit)
     arn.write_spectrum_csv(f"{args.out}.spectrum.csv", spectrum, None)
     print(f"{decomp.subspace_count} subspaces covering "
@@ -144,27 +135,21 @@ def cmd_subspaces(args) -> dict:
 
 
 def cmd_spectrum(args) -> dict:
-    if args.arnoldi_dim < 1:
-        raise CliError(EXIT_BAD_PARAMETER, "--arnoldi-dim must be >= 1")
-    if args.max_ram is not None and not args.max_ram > 0:  # a NaN cap fails the test
-        raise CliError(EXIT_BAD_PARAMETER,
-                       f"--max-ram must be > 0 GiB, got {args.max_ram}")
-    vector_indices = _parse_indices(args.vectors) if args.vectors else None
-    g, loaded, decomp, dense_limit = _decomposed_graph(args)
+    g, loaded, decomp = _decomposed_graph(args)
     if decomp.core_count == 0:
         raise CliError(EXIT_COMPUTE, "core space is empty; nothing for the Arnoldi stage")
     n_arnoldi = min(args.arnoldi_dim, decomp.core_count)
     need = arn.memory_estimate(g.node_count, g.edge_count, decomp.core_count, n_arnoldi,
-                               len(set(vector_indices or ())))
+                               len(set(args.vectors or ())))
     if args.max_ram is not None and need > args.max_ram * 2**30:
         raise CliError(EXIT_BAD_PARAMETER,
                        f"spectrum stage needs ~{need / 2**30:.2f} GiB of arrays, "
                        f"over the --max-ram cap of {args.max_ram} GiB")
     # arnoldi_core rejects a Ritz index >= n_arnoldi before it does any work,
     # so it runs ahead of the block spectra
-    result = arn.arnoldi_core(loaded, decomp, n_arnoldi, vector_indices=vector_indices,
+    result = arn.arnoldi_core(loaded, decomp, n_arnoldi, vector_indices=args.vectors,
                               threads=args.threads, inverted=args.inverted)
-    spectrum = sub.subspace_spectrum(g, decomp, dense_limit=dense_limit)
+    spectrum = sub.subspace_spectrum(g, decomp, dense_limit=args.dense_limit)
     arn.write_spectrum_csv(f"{args.out}.csv", spectrum, result)
     if result.ritz_vectors:
         for idx, vec in sorted(result.ritz_vectors.items()):
@@ -179,53 +164,19 @@ def cmd_spectrum(args) -> dict:
             "relation_residual": result.relation_residual}
 
 
-def _parse_indices(spec: str) -> list[int]:
-    try:
-        indices = [int(tok) for tok in spec.split(",")]
-    except ValueError:
-        indices = None
-    if indices is None or min(indices) < 0:
-        raise CliError(EXIT_BAD_PARAMETER,
-                       f"--vectors expects comma-separated non-negative indices, got {spec!r}")
-    return indices
-
-
-def _parse_grid(spec: str):
-    kind, *values = spec.split(":")
-    try:
-        if kind == "log" and len(values) == 1:
-            return ("log", {"cells": int(values[0])})
-        if kind == "linear" and len(values) == 2:
-            return ("linear", {"cell_size": int(values[0]), "rank_limit": int(values[1])})
-    except ValueError:
-        pass
-    raise CliError(EXIT_BAD_PARAMETER,
-                   f"--grid expects log:CELLS or linear:CELL_SIZE:LIMIT, got {spec!r}")
-
-
 def _load_dimensions(path) -> np.ndarray:
-    """Subspace dimensions listed in a decomposition .json."""
+    """Subspace dimensions listed in a decomposition .json: JSON integers,
+    not booleans, in [1, 2**63)."""
     try:
         with open(path) as fh:
-            dims = np.asarray([entry["dimension"] for entry in json.load(fh)["subspaces"]],
-                              dtype=np.int64)
+            dims = [entry["dimension"] for entry in json.load(fh)["subspaces"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(EXIT_BAD_DATA,
                        f"{path}: not a decomposition file ({type(exc).__name__}: {exc})") from exc
-    if np.any(dims < 1):
-        raise CliError(EXIT_BAD_DATA, f"{path}: subspace dimensions must be >= 1")
-    return dims
-
-
-def _parse_range(spec, option: str, meaning: str) -> tuple[float, float] | None:
-    if not spec:
-        return None
-    try:
-        lo, hi = (float(tok) for tok in spec.split(":"))
-    except ValueError:
-        raise CliError(EXIT_BAD_PARAMETER,
-                       f"{option} expects {meaning}, got {spec!r}") from None
-    return lo, hi
+    if not all(type(d) is int and 1 <= d < 2**63 for d in dims):
+        raise CliError(EXIT_BAD_DATA, f"{path}: subspace dimensions must be integers "
+                                      "in [1, 2**63)")
+    return np.asarray(dims, dtype=np.int64)
 
 
 def cmd_stats(args) -> dict:
@@ -239,19 +190,17 @@ def cmd_stats(args) -> dict:
     # every input is checked and every observable computed before the first
     # write, so a failing run leaves no partial report bundle
     report = st.correlator(p, p_star)
-    grid_specs = [(spec, *_parse_grid(spec)) for spec in (args.grid or ["log:100"])]
-    fit_range = _parse_range(args.fit_range, "--fit-range", "LO:HI in log10 rank")
-    tail_range = _parse_range(args.tail_range, "--tail-range", "LO:HI")
     fits, flags = {}, {"kappa": report.kappa}
-    try:
-        grids = [(spec, st.density_2d(k, k_star, mode=mode, **kwargs))
-                 for spec, mode, kwargs in grid_specs]
-        if fit_range is not None:
-            ranks = np.arange(1, n + 1, dtype=np.float64)
+    grids = [(grid, st.density_2d(k, k_star, **grid))
+             for grid in args.grid or [_grid("log:100")]]
+    if args.fit_range is not None:
+        ranks = np.arange(1, n + 1, dtype=np.float64)
+        try:  # a range that holds fewer than 3 ranks
             for name, vec in (("pagerank", p), ("cheirank", p_star)):
-                fits[name] = st.powerlaw_fit(ranks, np.sort(vec)[::-1], fit_range).to_json()
-    except ValueError as exc:
-        raise CliError(EXIT_BAD_PARAMETER, str(exc)) from exc
+                fits[name] = st.powerlaw_fit(ranks, np.sort(vec)[::-1],
+                                             args.fit_range).to_json()
+        except ValueError as exc:
+            raise CliError(EXIT_BAD_PARAMETER, f"--fit-range: {exc}") from exc
     k_values = np.round(np.logspace(0, np.log10(n), 64)).astype(np.int64)
     k_values = k_values[np.append(True, k_values[1:] != k_values[:-1])]
     nk = st.n_k_counts(k, k_star, k_values)
@@ -260,7 +209,7 @@ def cmd_stats(args) -> dict:
     if args.decomposition:
         dims = _load_dimensions(_require_file(args.decomposition))
         if dims.size:
-            curve = st.subspace_fraction(dims, tail_range=tail_range)
+            curve = st.subspace_fraction(dims, tail_range=args.tail_range)
             flags["mean_subspace_dimension"] = curve.mean_dimension
             if curve.tail_fit is not None:
                 fits["subspace_fraction_tail"] = curve.tail_fit.to_json()
@@ -270,8 +219,8 @@ def cmd_stats(args) -> dict:
                                                "overflow": report.overflow})
     st.write_curve_csv(f"{args.out}.kappa_hist.csv", "bin_low,bin_high,count",
                        report.bin_edges[:-1], report.bin_edges[1:], report.histogram)
-    for spec, grid in grids:
-        st.write_grid_csv(grid, f"{args.out}.density_{spec.replace(':', '_')}.csv")
+    for grid, density in grids:  # density_log_100.csv, density_linear_10_1000.csv
+        st.write_grid_csv(density, f"{args.out}.density_{'_'.join(map(str, grid.values()))}.csv")
     st.write_curve_csv(f"{args.out}.nk.csv", "k,n_k", k_values, nk)
     st.write_curve_csv(f"{args.out}.ng.csv", "k,n_g,area_density,linear_density",
                        filling.k_values, filling.n_g, filling.area_density,
@@ -287,17 +236,56 @@ def cmd_stats(args) -> dict:
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit 3, a bad parameter, rather
     than argparse's 2, which would read as a missing input; sub-parsers are
-    made of the same class."""
+    made of the same class. Each option's ``type=`` converter checks its
+    domain, so a bad value exits here, before any input is read."""
 
     def error(self, message):
+        # "argument --tol: must be ..." reads "--tol must be ..."
+        message = re.sub(r"^argument (\S+): (?=must|expects)", r"\1 ", message)
         raise CliError(EXIT_BAD_PARAMETER, f"{message}\n{self.format_usage().rstrip()}")
+
+
+def _checked(parse, test, domain):
+    """A ``type=`` converter: ``parse(text)``, which must pass ``test``;
+    ``domain`` says which values do. A NaN fails every comparison."""
+    def convert(text):
+        try:
+            if test(value := parse(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{domain}, got {text!r}")
+    return convert
+
+
+_POSITIVE = _checked(int, lambda value: value >= 1, "must be >= 1")
+_INDICES = _checked(lambda spec: [int(tok) for tok in spec.split(",")],
+                    lambda indices: min(indices) >= 0,
+                    "expects comma-separated non-negative indices")
+_RANGE = _checked(lambda spec: tuple(float(tok) for tok in spec.split(":")),
+                  lambda bounds: len(bounds) == 2, "expects LO:HI")
+
+
+def _grid(spec) -> dict:
+    """``--grid``: log:CELLS or linear:CELL_SIZE:LIMIT, each number >= 1, as
+    the keyword arguments of ``stats.density_2d``."""
+    mode, *values = spec.split(":")
+    fields = {"log": ("cells",), "linear": ("cell_size", "rank_limit")}.get(mode)
+    try:
+        sizes = [int(value) for value in values]
+    except ValueError:
+        sizes = []
+    if fields is None or len(sizes) != len(fields) or min(sizes) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expects log:CELLS or linear:CELL_SIZE:LIMIT, each >= 1, got {spec!r}")
+    return {"mode": mode, **dict(zip(fields, sizes))}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gmspectra",
         description="Google-matrix spectral analysis of directed networks")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_POSITIVE, default=1,
                         help="worker count, >= 1, recorded in the manifests; the "
                              "matrix-vector stages run on one thread (see README) and "
                              "output bytes do not depend on it (default: 1)")
@@ -307,43 +295,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("edge_list")
     p.add_argument("cache")
     p.add_argument("--id-mode", choices=("dense", "remap"), default="dense")
-    p.add_argument("--num-nodes", type=int, default=None,
-                   help="declared N for dense mode; ids must be < N")
+    p.add_argument("--num-nodes", type=_POSITIVE, default=None,
+                   help="declared N for dense mode, >= 1; ids must be < N")
     p.set_defaults(func=cmd_ingest)
 
     p = commands.add_parser("rank", help="PageRank or CheiRank by power iteration")
     p.add_argument("cache")
     p.add_argument("out", help="output prefix: writes .csv, .vec, .manifest.json")
-    p.add_argument("--alpha", type=float, default=0.85)
-    p.add_argument("--tol", type=float, default=rk.DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=rk.DEFAULT_MAX_ITER)
+    p.add_argument("--alpha", type=_checked(float, lambda a: 0 < a < 1, "must be in (0, 1)"),
+                   default=0.85, help="damping factor, in (0, 1) (default: %(default)s)")
+    p.add_argument("--tol", default=rk.DEFAULT_TOL,
+                   type=_checked(float, lambda t: 0 < t < np.inf, "must be finite and > 0"),
+                   help="L1 residual to stop at, finite and > 0 (default: %(default)s)")
+    p.add_argument("--max-iter", type=_POSITIVE, default=rk.DEFAULT_MAX_ITER,
+                   help="iteration cap, >= 1 (default: %(default)s)")
     p.add_argument("--chei", action="store_true", help="rank the link-inverted network")
     p.set_defaults(func=cmd_rank)
 
-    p = commands.add_parser("subspaces",
+    decomposing = _Parser(add_help=False)  # what _decomposed_graph reads
+    decomposing.add_argument("cache")
+    decomposing.add_argument("--inverted", action="store_true",
+                             help="analyze the link-inverted network")
+    decomposing.add_argument("--max-size", type=_POSITIVE, default=None,
+                             help="closure size cutoff, >= 1 (default: min(1e5, N/10))")
+    decomposing.add_argument("--dense-limit", type=_POSITIVE, default=sub.DEFAULT_DENSE_LIMIT,
+                             help="largest block with a dense eigensolve, >= 1 "
+                                  "(default: %(default)s)")
+
+    p = commands.add_parser("subspaces", parents=[decomposing],
                             help="invariant-subspace decomposition and block spectra")
-    p.add_argument("cache")
     p.add_argument("out", help="output prefix: writes .json, .spectrum.csv")
-    p.add_argument("--max-size", type=int, default=None,
-                   help="closure size cutoff (default min(1e5, N/10))")
-    p.add_argument("--dense-limit", type=int, default=sub.DEFAULT_DENSE_LIMIT)
-    p.add_argument("--inverted", action="store_true")
-    p.add_argument("--member-limit", type=int, default=None,
-                   help="omit member lists for subspaces larger than this")
+    p.add_argument("--member-limit", type=_checked(int, lambda m: m >= 0, "must be >= 0"),
+                   default=None, help="omit member lists for subspaces larger than this, >= 0")
     p.set_defaults(func=cmd_subspaces)
 
-    p = commands.add_parser("spectrum", help="core-space spectrum by the Arnoldi method")
-    p.add_argument("cache")
+    p = commands.add_parser("spectrum", parents=[decomposing],
+                            help="core-space spectrum by the Arnoldi method")
     p.add_argument("out", help="output prefix: writes .csv and eigenvector profiles")
-    p.add_argument("--arnoldi-dim", type=int, default=640)
-    p.add_argument("--inverted", action="store_true")
-    p.add_argument("--vectors", default=None,
-                   help="comma-separated Ritz indices whose profiles to export")
-    p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--dense-limit", type=int, default=sub.DEFAULT_DENSE_LIMIT)
-    p.add_argument("--max-ram", type=float, default=None,
+    p.add_argument("--arnoldi-dim", type=_POSITIVE, default=640,
+                   help="Krylov dimension, >= 1 (default: %(default)s)")
+    p.add_argument("--vectors", type=_INDICES, default=None,
+                   help="comma-separated Ritz indices, each >= 0 and below the "
+                        "Krylov dimension, whose profiles to export")
+    p.add_argument("--max-ram", type=_checked(float, lambda gib: gib > 0, "must be > 0 GiB"),
+                   default=None,
                    help="fail fast if the command's numpy arrays would exceed this many "
-                        "GiB: the graph, the operator's in-link index and its "
+                        "GiB, > 0: the graph, the operator's in-link index and its "
                         "N-length vectors, the Krylov basis (dim+1 core vectors), the "
                         "Hessenberg matrix and its eigenvectors, and the requested "
                         "complex Ritz vectors; the interpreter and numpy itself are "
@@ -357,12 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chei", required=True, help="CheiRank .vec file")
     p.add_argument("--decomposition", default=None,
                    help="decomposition .json for the subspace-dimension curve")
-    p.add_argument("--grid", action="append", default=None,
-                   help="density grid spec: log:CELLS or linear:CELL_SIZE:LIMIT "
-                        "(default log:100)")
-    p.add_argument("--fit-range", default=None,
-                   help="log10 rank range LO:HI for P(K), P*(K*) power-law fits")
-    p.add_argument("--tail-range", default=None,
+    p.add_argument("--grid", action="append", type=_grid, default=None,
+                   help="density grid spec: log:CELLS or linear:CELL_SIZE:LIMIT, "
+                        "each number >= 1 (default log:100)")
+    p.add_argument("--fit-range", type=_RANGE, default=None,
+                   help="log10 rank range LO:HI, holding at least 3 ranks, for the "
+                        "P(K), P*(K*) power-law fits")
+    p.add_argument("--tail-range", type=_RANGE, default=None,
                    help="x range LO:HI for the subspace-fraction tail fit")
     p.set_defaults(func=cmd_stats)
     return parser
@@ -371,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.threads < 1:
-            raise CliError(EXIT_BAD_PARAMETER, f"--threads must be >= 1, got {args.threads}")
         # every parsed option is a parameter; the manifest goes beside the outputs
         parameters = {key: value for key, value in vars(args).items()
                       if key not in ("func", "command")}

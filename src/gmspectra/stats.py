@@ -48,11 +48,7 @@ class DensityGrid:
 
 @dataclass(frozen=True)
 class PowerLawFit:
-    """OLS fit of log10 y on log10 x: y = amplitude * x**exponent.
-
-    ``decay_exponent`` is the positive convention for decaying laws
-    y = a / x**beta.
-    """
+    """OLS fit of log10 y on log10 x: y = amplitude * x**exponent."""
 
     amplitude: float
     exponent: float
@@ -60,10 +56,6 @@ class PowerLawFit:
     err_exponent: float
     log_range: tuple[float, float]
     n_points: int
-
-    @property
-    def decay_exponent(self) -> float:
-        return -self.exponent
 
     def to_json(self) -> dict:
         return {
@@ -83,13 +75,7 @@ class SubspaceFractionCurve:
     x: np.ndarray  # distinct rescaled dimensions, increasing
     fraction: np.ndarray  # F at each x
     mean_dimension: float
-    dimensions: np.ndarray
     tail_fit: PowerLawFit | None
-
-    def evaluate(self, x: float) -> float:
-        """Fraction of subspaces with d > x * <d>."""
-        return float(np.count_nonzero(self.dimensions > x * self.mean_dimension)
-                     / self.dimensions.size)
 
 
 def correlator(p: np.ndarray, p_star: np.ndarray) -> CorrelatorReport:
@@ -269,7 +255,7 @@ def subspace_fraction(dimensions, tail_range: tuple[float, float] | None = None
             tail_fit = powerlaw_fit(x[mask], fraction[mask],
                                     (float(np.log10(x[mask].min())),
                                      float(np.log10(x[mask].max()))))
-    return SubspaceFractionCurve(x, fraction, mean, dims, tail_fit)
+    return SubspaceFractionCurve(x, fraction, mean, tail_fit)
 
 
 def write_grid_csv(grid: DensityGrid, path) -> None:

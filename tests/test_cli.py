@@ -458,10 +458,15 @@ def test_spectrum_bad_vectors_exit_3(breakdown_cache, tmp_path, vectors):
     assert not list(tmp_path.glob("spec*"))
 
 
+# "dimension" values of a decomposition file that are not JSON integers in [1, 2**63)
+DIMENSIONS = {"float": "2.7", "bool": "true", "string": '"3"', "huge-float": "1e30",
+              "huge-int": str(10**30), "zero": "0"}
+
+
 @pytest.fixture
 def stats_inputs(tmp_path):
     """A five-node cache (a 2-cycle, a self-loop, two core nodes), its PageRank and
-    CheiRank vectors, two malformed decomposition files, and edge lists with
+    CheiRank vectors, malformed decomposition files, and edge lists with
     a node id past the uint32 range, a node id past the int64 range and a
     byte that is not UTF-8."""
     edges = tmp_path / "edges.txt"
@@ -471,6 +476,9 @@ def stats_inputs(tmp_path):
     assert main(["rank", str(tmp_path / "g.cache"), str(tmp_path / "cr"), "--chei"]) == 0
     (tmp_path / "nosub.json").write_text('{"node_count": 5}\n')
     (tmp_path / "notjson.json").write_text("0 1\n")
+    for name, dimension in DIMENSIONS.items():
+        (tmp_path / f"dim-{name}.json").write_text(
+            f'{{"subspaces": [{{"dimension": {dimension}}}]}}')
     (tmp_path / "huge.txt").write_text("0 4294967296\n")
     (tmp_path / "int64.txt").write_text("0 1\n1 99999999999999999999\n")
     (tmp_path / "latin1.txt").write_bytes(b"0 1\n1 \xff\n")
@@ -481,6 +489,8 @@ def stats_inputs(tmp_path):
 
 
 STATS = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/pr.vec", "--chei", "{d}/cr.vec"]
+STATS_NO_RANK = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/missing.vec",
+                 "--chei", "{d}/cr.vec"]
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -488,6 +498,17 @@ STATS = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/pr.vec", "--chei", "{d
     (STATS + ["--decomposition", "{d}/notjson.json"], 4),
     (STATS + ["--grid", "log:abc"], 3),
     (STATS + ["--grid", "linear:10:x"], 3),
+    (STATS + ["--grid", "log:0"], 3),
+    (STATS + ["--grid", "linear:10:0"], 3),
+    *[(STATS + ["--decomposition", f"{{d}}/dim-{name}.json"], 4) for name in DIMENSIONS],
+    # an option value is checked when the command line is parsed, before any
+    # input is looked for: a bad value exits 3 even when an input is missing
+    (["subspaces", "{d}/missing.cache", "{d}/out", "--max-size", "0"], 3),
+    (["spectrum", "{d}/missing.cache", "{d}/out", "--dense-limit", "0"], 3),
+    (["rank", "{d}/missing.cache", "{d}/out", "--alpha", "1.5"], 3),
+    (["ingest", "{d}/missing.txt", "{d}/c.cache", "--num-nodes", "0"], 3),
+    (STATS_NO_RANK + ["--grid", "log:abc"], 3),
+    (STATS_NO_RANK + ["--tail-range", "x"], 3),
     (["subspaces", "{d}/g.cache", "{d}/out", "--max-size", "0"], 3),
     (["spectrum", "{d}/g.cache", "{d}/out", "--arnoldi-dim", "2", "--max-size", "0"], 3),
     (["spectrum", "{d}/g.cache", "{d}/out", "--arnoldi-dim", "2", "--dense-limit", "0"], 3),
@@ -515,7 +536,12 @@ STATS = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/pr.vec", "--chei", "{d
     (["spectrum", "{d}/g.cache", "{d}/out", "--max-ram", "-1"], 3),
     (["subspaces", "{d}/g.cache", "{d}/out", "--member-limit", "-1"], 3),
 ], ids=["decomposition-no-subspaces", "decomposition-not-json", "grid-log-not-int",
-        "grid-linear-not-int", "subspaces-max-size-0",
+        "grid-linear-not-int", "grid-log-0", "grid-linear-limit-0",
+        *[f"decomposition-dimension-{name}" for name in DIMENSIONS],
+        "missing-cache-subspaces-max-size-0", "missing-cache-spectrum-dense-limit-0",
+        "missing-cache-rank-alpha", "missing-edges-ingest-num-nodes-0",
+        "missing-vector-stats-grid", "missing-vector-stats-tail-range",
+        "subspaces-max-size-0",
         "spectrum-max-size-0", "spectrum-dense-limit-0", "output-dir-missing",
         "output-is-directory", "ingest-node-id-past-uint32", "ingest-node-id-past-int64",
         "ingest-remap-node-id-past-int64", "ingest-not-utf8", "ingest-remap-num-nodes",
@@ -530,6 +556,8 @@ def test_bad_invocation_exits_with_documented_code(stats_inputs, argv, code):
     assert proc.stderr.startswith("gmspectra: ")
     if argv[1].endswith(("empty.txt", "comments.txt")):  # the message names the file
         assert argv[1].format(d=stats_inputs) in proc.stderr
+    if "--decomposition" in argv:
+        assert argv[-1].format(d=stats_inputs) in proc.stderr
     if "--grid" in argv:
         assert "--grid expects log:CELLS or linear:CELL_SIZE:LIMIT" in proc.stderr
     for option in ("--tol", "--max-ram", "--member-limit"):  # the message says why
@@ -716,11 +744,16 @@ def test_stats_with_decomposition_and_fits(small_cache, tmp_path):
                  "--rank", str(tmp_path / "pr.vec"),
                  "--chei", str(tmp_path / "cr.vec"),
                  "--decomposition", str(tmp_path / "dec.json"),
-                 "--fit-range", "0:1.5"])
+                 "--fit-range", "0:1.5", "--grid", "linear:10:50"])
     assert code == 0
     fits = json.loads((tmp_path / "stats.fits.json").read_text())
     assert "pagerank" in fits and "cheirank" in fits
     assert fits["pagerank"]["b"] < 0  # decaying rank profile
+    assert (tmp_path / "stats.density_linear_10_50.csv").exists()
+    # the manifest records the options as parsed
+    parameters = json.loads((tmp_path / "stats.manifest.json").read_text())["parameters"]
+    assert parameters["fit_range"] == [0.0, 1.5]
+    assert parameters["grid"] == [{"mode": "linear", "cell_size": 10, "rank_limit": 50}]
 
 
 def test_stats_missing_vector(small_cache, tmp_path):
@@ -733,7 +766,7 @@ def test_stats_missing_vector(small_cache, tmp_path):
     (["--decomposition", "empty.json"], 4),
     (["--grid", "bogus"], 3),
     (["--fit-range", "x"], 3),
-    (["--grid", "linear:0:10"], 3),  # density_2d rejects a zero cell size
+    (["--grid", "linear:0:10"], 3),  # a zero cell size
     (["--decomposition", "dims.json", "--tail-range", "x"], 3),
     (["--tail-range", "x"], 3),
 ], ids=["decomposition", "grid-spec", "fit-range", "grid-cells", "tail-range",

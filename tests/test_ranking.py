@@ -132,4 +132,4 @@ def test_preferential_attachment_exponent():
     p_sorted = np.sort(rv.probabilities)[::-1]
     ranks = np.arange(1, g.node_count + 1, dtype=float)
     fit = powerlaw_fit(ranks, p_sorted, (0.5, 4.0))
-    assert 0.7 <= fit.decay_exponent <= 1.1
+    assert 0.7 <= -fit.exponent <= 1.1

@@ -158,12 +158,13 @@ def test_ng_matches_brute_force(rng):
 def test_subspace_fraction_examples():
     curve = subspace_fraction([2, 2, 3])
     assert curve.mean_dimension == pytest.approx(7 / 3)
-    assert curve.evaluate(1.0) == pytest.approx(1 / 3)
-    assert curve.evaluate(0.0) == 1.0
+    # F(x), the share of subspaces with d > x <d>, at each distinct d / <d>
+    assert curve.x == pytest.approx([6 / 7, 9 / 7])
+    assert curve.fraction == pytest.approx([1 / 3, 0.0])
 
     step = subspace_fraction([5, 5, 5, 5])
-    assert step.evaluate(0.99) == 1.0
-    assert step.evaluate(1.0) == 0.0
+    assert step.x.tolist() == [1.0]
+    assert step.fraction.tolist() == [0.0]
 
 
 def test_subspace_fraction_curve_properties(rng):
@@ -181,14 +182,14 @@ def test_subspace_fraction_tail_fit():
     dims = [1] * 50 + [2] * 25 + [4] * 12 + [8] * 6 + [16] * 3
     curve = subspace_fraction(dims, tail_range=(0.1, 20.0))
     assert curve.tail_fit is not None
-    assert curve.tail_fit.decay_exponent > 0
+    assert -curve.tail_fit.exponent > 0
 
 
 def test_powerlaw_exact_recovery():
     x = np.arange(1, 200, dtype=float)
     fit = powerlaw_fit(x, 0.5 * x**-0.9)
     assert fit.amplitude == pytest.approx(0.5, abs=1e-12)
-    assert fit.decay_exponent == pytest.approx(0.9, abs=1e-12)
+    assert -fit.exponent == pytest.approx(0.9, abs=1e-12)
     assert fit.err_amplitude < 1e-10
     assert fit.err_exponent < 1e-10
 
@@ -204,7 +205,7 @@ def test_powerlaw_range_and_errors():
     x = np.arange(1, 1000, dtype=float)
     y = 3.0 * x**-1.2
     fit = powerlaw_fit(x, y, (1.0, 2.5))
-    assert fit.decay_exponent == pytest.approx(1.2, abs=1e-12)
+    assert -fit.exponent == pytest.approx(1.2, abs=1e-12)
     assert fit.log_range == (1.0, 2.5)
     with pytest.raises(ValueError):
         powerlaw_fit(x[:2], y[:2])
