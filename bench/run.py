@@ -7,27 +7,20 @@
 The graphs are drawn with seed 11, by ``perfbench.generator.generate``
 unless said otherwise:
 
-* ``ingest`` on two power-law graphs of 2e5 nodes / 1.9e6 links and 2e6
-  nodes / 2.0e7 links, written as "src dst" edge lists ``WRITE_SLICE``
-  edges at a time, in dense (``--num-nodes N``) and remap id modes, and a
-  third way, ``dense-commented``: the list with a "# c" line after its
-  first edge, in dense mode, which ``np.loadtxt`` rejects, so the per-line
-  parser reads it. In this process ``parse_edge_list`` is timed
-  ``INGEST_REPEATS`` times and the minimum kept, with the ``from_edges``
-  call inside it timed apart, so that ``parse_us_per_line`` is the
-  parser's own time per edge line. The ``ingest`` command then runs once
-  as a child process, through ``perfbench/launcher.py``, which reports its
-  ``wait4`` peak RSS; SHA-256 of the ``.cache`` and ``.ids`` it writes let
-  two checkouts be checked for equal output. A ``dense-commented`` cache
-  that differs from the ``dense`` one stops the run.
-* ``rank`` on the same two graphs, built here with ``from_edges``. It times
-  the ``GoogleOperator`` build and records the bytes per link the operator
-  keeps (``tracemalloc``, a second build), ``apply_g`` as ns/link (the
-  median of ``MATVEC_REPEATS`` calls on the uniform vector) and the
-  ``tracemalloc`` peak of one more call, and one ``pagerank`` with its
-  iteration count. The ``rank`` and ``rank --chei`` commands then run once
-  each as launcher children on the graph's cache, each with its wall time,
-  its ``wait4`` peak RSS and the SHA-256 of the ``.vec`` it writes.
+* ``ingest`` on power-law graphs of 2e5 nodes / 1.9e6 links and 2e6 nodes /
+  2.0e7 links, as "src dst" edge lists (written ``WRITE_SLICE`` edges at a
+  time) in dense (``--num-nodes N``) and remap id modes, and as
+  ``dense-commented``, the list with a "# c" line after its first edge,
+  which ``np.loadtxt`` rejects, so the per-line parser reads it. The
+  ``ingest`` command runs in each mode; a ``dense-commented`` cache that
+  differs from the ``dense`` one stops the run. Here ``parse_edge_list`` is
+  timed ``INGEST_REPEATS`` times, the minimum kept, with its ``from_edges``
+  call timed apart: ``parse_us_per_line`` is the parser's own time per line.
+* ``rank`` on the same two graphs, built here with ``from_edges``: the
+  ``GoogleOperator`` build, the bytes per link it keeps (``tracemalloc``,
+  a second build), ``apply_g`` in ns/link (the median of ``MATVEC_REPEATS``
+  calls) with the ``tracemalloc`` peak of one more call, and ``pagerank``.
+  The ``rank`` and ``rank --chei`` commands run on the graph's cache.
 * ``decompose`` on two ~2e6-link graphs, one with 40 % of its nodes in
   planted blocks (subspace-rich) and one with 1 % (core-heavy), and on two
   graphs without a dangling node, built here, where the sweep from the
@@ -43,14 +36,24 @@ unless said otherwise:
   three ``eig`` calls on the Hessenberg matrix, and ``ortho_s`` the
   remainder, the Gram-Schmidt orthogonalisation.
 * ``pipeline`` on the seed-``PIPELINE_SEED`` graph of each perfbench
-  workload: the six commands of ``perfbench.bench.cli_args``, then
-  ``--help``, run ``PIPELINE_PASSES`` times as launcher children in the
-  directory of the edge list, with paths relative to it. Each child's
-  record holds its median wall time and ``wait4`` peak RSS, the runs they
-  come from, and the SHA-256 of each file it writes; a manifest is hashed
-  without its ``started`` and ``finished`` times, so two checkouts with
-  the same output give the same hashes. A pass whose hashes differ from
-  the first pass's stops the run.
+  workload: the six commands of ``perfbench.bench.cli_args`` and
+  ``--help``, ``PIPELINE_PASSES`` passes; the last must pass
+  ``perfbench.checks.check_artifacts``.
+
+``ChildRunner`` runs every CLI command as a child of one
+``perfbench/launcher.py``, started before any graph exists, so that each
+``wait4`` peak RSS is the child's own. A non-zero exit stops the run, as
+does a pass whose artifacts differ from the first pass's. A child's
+artifacts are the files new in its work directory; a manifest is hashed
+without its ``started`` and ``finished`` times, so two checkouts with the
+same output give the same hashes. Each child has one record, of ``argv``,
+``wall_s`` and ``peak_rss_mib`` (medians of ``wall_runs_s`` and
+``peak_rss_runs_mib``) and ``artifacts`` (SHA-256 by file name): it is
+``modes[<mode>]["child"]`` of an ingest graph (``ingest_child_s``,
+``cache_sha256`` and the like before ``BENCH_26.json``),
+``children["rank"]`` and ``children["cheirank"]`` of a rank graph
+(``rank_child_s``, ``pr_vec_sha256`` and the like before) and
+``children[<command>]`` of a pipeline workload.
 
 ``--layers`` picks the layers to time (default: all five). ``--root`` is
 the checkout whose ``src/gmspectra`` is timed (default: this one), so the
@@ -115,22 +118,65 @@ def source_state(root: Path) -> dict:
     return {"src_dirty": dirty, "src_sha256": digest.hexdigest()}
 
 
-def sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while block := fh.read(1 << 20):
-            digest.update(block)
-    return digest.hexdigest()
+class ChildRunner:
+    """Runs CLI commands as children of one ``perfbench/launcher.py``, in
+    ``root/work``, the launcher's working directory, with their logs in
+    ``root/logs``."""
+
+    def __init__(self, root: Path, env: dict):
+        from perfbench.bench import Launcher
+
+        self.work, self.logs = root / "work", root / "logs"
+        self.work.mkdir()
+        self.logs.mkdir()
+        self.launcher = Launcher(self.work, env)
+        self.created: set[Path] = set()  # the files the last pass left in ``work``
+
+    def run(self, children: dict[str, list[str]], passes: int = 1) -> dict:
+        """Run ``passes`` passes of the children, name -> CLI arguments, in
+        order; return one record per child. Each pass starts by removing the
+        files the runner has created; the last pass's files stay."""
+        walls, peaks, artifacts = ({child: [] for child in children} for _ in range(3))
+        for n in range(passes):
+            for path in self.created:
+                path.unlink()
+            self.created = set()
+            for child, args in children.items():
+                before = set(self.work.iterdir())
+                log = self.logs / f"{child}.{n}"
+                reply = self.launcher.run([sys.executable, "-m", "gmspectra.cli", *args], log)
+                if reply["rc"]:
+                    raise RuntimeError(f"child {child!r} exited {reply['rc']}: "
+                                       + Path(f"{log}.err").read_text()[-300:].strip())
+                new = sorted(set(self.work.iterdir()) - before)
+                self.created.update(new)
+                artifacts[child].append({p.name: artifact_sha256(p) for p in new})
+                if artifacts[child][n] != artifacts[child][0]:
+                    raise RuntimeError(f"child {child!r}: pass {n} wrote other bytes than pass 0")
+                walls[child].append(reply["wall_s"])
+                peaks[child].append(reply["maxrss_kib"] / 1024)
+        records = {child: {"argv": args,
+                           "wall_s": statistics.median(walls[child]), "wall_runs_s": walls[child],
+                           "peak_rss_mib": statistics.median(peaks[child]),
+                           "peak_rss_runs_mib": peaks[child], "artifacts": artifacts[child][0]}
+                   for child, args in children.items()}
+        print("children: " + ", ".join(f"{child} {r['wall_s']:.2f} s {r['peak_rss_mib']:.1f} MiB"
+                                       for child, r in records.items()), flush=True)
+        return records
+
+    def close(self) -> None:
+        self.launcher.close()
 
 
 def artifact_sha256(path: Path) -> str:
     """SHA-256 of an artifact; a manifest is hashed as its sorted JSON
     without the ``started`` and ``finished`` times."""
-    if not path.name.endswith(".manifest.json"):
-        return sha256_file(path)
-    manifest = json.loads(path.read_text())
-    del manifest["started"], manifest["finished"]
-    return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
+    data = path.read_bytes()
+    if path.name.endswith(".manifest.json"):
+        manifest = json.loads(data)
+        del manifest["started"], manifest["finished"]
+        data = json.dumps(manifest, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
 
 
 def write_edge_list(planted, path: Path) -> None:
@@ -173,55 +219,43 @@ def write_commented(edges: Path, path: Path) -> None:
         shutil.copyfileobj(src, dst)
 
 
-def time_ingest(gm, generate, launcher, work: Path) -> dict:
+def time_ingest(gm, generate, runner) -> dict:
     graphs = {}
     for name, (nodes, block_share, min_out_degree) in INGEST_GRAPHS.items():
         planted = generate(nodes, block_share, min_out_degree, SEED)
         lines = planted.edge_count
-        edges = work / f"{name}.txt"
+        edges = runner.work / f"{name}.txt"
         write_edge_list(planted, edges)
         del planted
-        commented = work / f"{name}.commented.txt"
+        commented = runner.work / f"{name}.commented.txt"
         write_commented(edges, commented)
+        modes = {"dense": (edges, "dense", nodes), "remap": (edges, "remap", None),
+                 "dense-commented": (commented, "dense", nodes)}
+        children = runner.run({
+            mode: ["ingest", path.name, f"{mode}.cache",
+                   *(["--num-nodes", str(num_nodes)] if num_nodes else ["--id-mode", "remap"])]
+            for mode, (path, _, num_nodes) in modes.items()})
+        caches = {mode: child["artifacts"][f"{mode}.cache"] for mode, child in children.items()}
+        if caches["dense-commented"] != caches["dense"]:
+            raise RuntimeError(f"ingest {name}: the per-line parser's cache is not np.loadtxt's")
         record = {"node_count": nodes, "edge_count": lines,
                   "file_bytes": edges.stat().st_size, "modes": {}}
-        for mode, path, id_mode, num_nodes in (("dense", edges, "dense", nodes),
-                                               ("remap", edges, "remap", None),
-                                               ("dense-commented", commented, "dense", nodes)):
+        for mode, (path, id_mode, num_nodes) in modes.items():
             runs = [time_parse(gm, path, id_mode, num_nodes) for _ in range(INGEST_REPEATS)]
             total, inner = min(runs)
-            cache = work / f"{name}.{mode}.cache"
-            argv = [sys.executable, "-m", "gmspectra.cli", "ingest", str(path), str(cache)]
-            argv += ["--num-nodes", str(nodes)] if id_mode == "dense" else ["--id-mode", "remap"]
-            reply = launcher.run(argv, work / f"{name}.{mode}")
-            if reply["rc"]:
-                raise RuntimeError(f"ingest {name} {mode} exited {reply['rc']}")
             record["modes"][mode] = {
-                "parse_edge_list_s": total,
-                "parse_edge_list_runs_s": [t for t, _ in runs],
-                "from_edges_s": inner,
-                "parse_self_s": total - inner,
-                "parse_us_per_line": 1e6 * (total - inner) / lines,
-                "ingest_child_s": reply["wall_s"],
-                "ingest_child_peak_rss_mib": reply["maxrss_kib"] / 1024,
-                "cache_sha256": sha256_file(cache),
-                "ids_sha256": sha256_file(Path(f"{cache}.ids")) if id_mode == "remap" else None,
-            }
+                "parse_edge_list_s": total, "parse_edge_list_runs_s": [t for t, _ in runs],
+                "from_edges_s": inner, "parse_self_s": total - inner,
+                "parse_us_per_line": 1e6 * (total - inner) / lines, "child": children[mode]}
             print(f"ingest {name} {mode}: parse {1e6 * (total - inner) / lines:.3f} us/line "
-                  f"(+ from_edges {inner:.2f} s), child {reply['wall_s']:.1f} s, "
-                  f"{reply['maxrss_kib'] / 1024:.1f} MiB", flush=True)
-            for written in work.glob(f"{name}.{mode}.cache*"):
-                written.unlink()
-        modes = record["modes"]
-        if modes["dense-commented"]["cache_sha256"] != modes["dense"]["cache_sha256"]:
-            raise RuntimeError(f"ingest {name}: the per-line parser's cache is not np.loadtxt's")
+                  f"(+ from_edges {inner:.2f} s)", flush=True)
         edges.unlink()
         commented.unlink()
         graphs[name] = record
     return graphs
 
 
-def time_rank(gm, generate, launcher, work: Path) -> dict:
+def time_rank(gm, generate, runner) -> dict:
     import numpy as np
 
     graphs = {}
@@ -230,7 +264,7 @@ def time_rank(gm, generate, launcher, work: Path) -> dict:
         g = gm.from_edges(planted.src, planted.dst, planted.node_count)
         del planted
         links = g.edge_count
-        cache = work / f"{name}.cache"
+        cache = runner.work / f"{name}.cache"
         gm.save_cache(g, cache)
         start = time.perf_counter()
         op = gm.GoogleOperator(g)
@@ -261,16 +295,9 @@ def time_rank(gm, generate, launcher, work: Path) -> dict:
         rv = gm.pagerank(g)
         pagerank_s = time.perf_counter() - start
         del g
-        children = {}
-        for kind, prefix, flags in (("rank", "pr", []), ("cheirank", "cr", ["--chei"])):
-            out = work / f"{name}.{prefix}"
-            reply = launcher.run([sys.executable, "-m", "gmspectra.cli", "rank", str(cache),
-                                  str(out), *flags], work / f"{name}.{kind}")
-            if reply["rc"]:
-                raise RuntimeError(f"{kind} {name} exited {reply['rc']}")
-            children |= {f"{kind}_child_s": reply["wall_s"],
-                         f"{kind}_child_peak_rss_mib": reply["maxrss_kib"] / 1024,
-                         f"{prefix}_vec_sha256": sha256_file(Path(f"{out}.vec"))}
+        children = runner.run({"rank": ["rank", cache.name, f"{name}.pr"],
+                               "cheirank": ["rank", cache.name, f"{name}.cr", "--chei"]})
+        cache.unlink()
         ns_per_link = 1e9 * statistics.median(matvecs) / links
         graphs[name] = {
             "node_count": nodes,
@@ -283,64 +310,35 @@ def time_rank(gm, generate, launcher, work: Path) -> dict:
             "pagerank_s": pagerank_s,
             "pagerank_iterations": rv.iterations_used,
             "pagerank_converged": rv.converged,
-            **children,
+            "children": children,
         }
         print(f"rank {name}: operator {build_s:.2f} s, {kept / links:.2f} B/link kept, "
               f"apply_g {ns_per_link:.2f} ns/link, pagerank {pagerank_s:.1f} s "
-              f"({rv.iterations_used} iterations), children: rank "
-              f"{children['rank_child_s']:.1f} s, {children['rank_child_peak_rss_mib']:.1f} MiB; "
-              f"rank --chei {children['cheirank_child_s']:.1f} s, "
-              f"{children['cheirank_child_peak_rss_mib']:.1f} MiB", flush=True)
-        for path in work.glob(f"{name}.*"):
-            path.unlink()
+              f"({rv.iterations_used} iterations)", flush=True)
     return graphs
 
 
-def time_pipeline(launcher, work: Path) -> dict:
-    """The perfbench pipeline and ``--help`` as launcher children, whose
-    working directory is ``work``."""
+def time_pipeline(runner) -> dict:
+    """The perfbench pipeline and ``--help`` as children; the last pass must
+    pass perfbench's oracle checks."""
     from perfbench.bench import STAGES, WORKLOADS, cli_args
+    from perfbench.checks import CheckLog, check_artifacts
 
-    logs = work / "pipeline-logs"
-    logs.mkdir()
-    edges = work / "edges.txt"
+    edges = runner.work / "edges.txt"
     records = {}
     for name, w in WORKLOADS.items():
         planted = w.graph(PIPELINE_SEED)
         edges.write_text(planted.edge_list_text())
-        record = {"node_count": planted.node_count, "edge_count": planted.edge_count,
-                  "children": {}}
-        del planted
-        argvs = {stage: cli_args(stage, w, Path(".")) for stage in STAGES} | {"help": ["--help"]}
-        passes = []
-        for n in range(PIPELINE_PASSES):
-            children = {}
-            for child, args in argvs.items():
-                before = set(work.iterdir())
-                reply = launcher.run([sys.executable, "-m", "gmspectra.cli", *args],
-                                     logs / f"{name}.{n}.{child}")
-                if reply["rc"]:
-                    raise RuntimeError(f"pipeline {name} {child} exited {reply['rc']}")
-                children[child] = reply | {"artifacts": {
-                    p.name: artifact_sha256(p) for p in sorted(set(work.iterdir()) - before)}}
-            for path in work.iterdir():
-                if path.is_file() and path != edges:
-                    path.unlink()
-            if passes and any(children[c]["artifacts"] != passes[0][c]["artifacts"]
-                              for c in argvs):
-                raise RuntimeError(f"pipeline {name}: pass {n} wrote other bytes than pass 0")
-            passes.append(children)
-        for child, args in argvs.items():
-            walls = [p[child]["wall_s"] for p in passes]
-            peaks = [p[child]["maxrss_kib"] / 1024 for p in passes]
-            record["children"][child] = {
-                "argv": args, "wall_s": statistics.median(walls), "wall_runs_s": walls,
-                "peak_rss_mib": statistics.median(peaks), "peak_rss_runs_mib": peaks,
-                "artifacts": passes[0][child]["artifacts"]}
-        print(f"pipeline {name}: " + ", ".join(
-            f"{child} {c['wall_s']:.2f} s {c['peak_rss_mib']:.1f} MiB"
-            for child, c in record["children"].items()), flush=True)
-        records[name] = record
+        children = runner.run({stage: cli_args(stage, w, Path(".")) for stage in STAGES}
+                              | {"help": ["--help"]}, PIPELINE_PASSES)
+        log = CheckLog()
+        check_artifacts(log, runner.work, planted, w.arnoldi_dim)
+        if log.failed:
+            raise RuntimeError(f"pipeline {name}: failed checks {log.failures}")
+        records[name] = {"node_count": planted.node_count, "edge_count": planted.edge_count,
+                         "checks": [result["name"] for result in log.results],
+                         "children": children}
+        print(f"pipeline {name}: {log.attempted} checks passed", flush=True)
     return {"seed": PIPELINE_SEED, "passes": PIPELINE_PASSES,
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
             "workloads": records}
@@ -456,26 +454,24 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(root / "src"))
 
     import gmspectra
-    from perfbench.bench import Launcher
     from perfbench.generator import generate
     from perfbench.machine import environment
 
     record = {"label": args.label, "seed": SEED, "repeats": REPEATS,
               "environment": environment(root) | source_state(root)}
     with tempfile.TemporaryDirectory(prefix="gmspectra-bench-") as tmp:
-        work = Path(tmp)
         # started before any graph exists: a child's wait4 peak includes the
-        # peak of the process that spawned it; the children run in ``work``
-        launcher = Launcher(work, dict(os.environ, PYTHONPATH=str(root / "src")))
+        # peak of the process that spawned it
+        runner = ChildRunner(Path(tmp), dict(os.environ, PYTHONPATH=str(root / "src")))
         try:
             if "ingest" in args.layers:
-                record["ingest"] = time_ingest(gmspectra, generate, launcher, work)
+                record["ingest"] = time_ingest(gmspectra, generate, runner)
             if "rank" in args.layers:
-                record["rank"] = time_rank(gmspectra, generate, launcher, work)
+                record["rank"] = time_rank(gmspectra, generate, runner)
             if "pipeline" in args.layers:
-                record["pipeline"] = time_pipeline(launcher, work)
+                record["pipeline"] = time_pipeline(runner)
         finally:
-            launcher.close()
+            runner.close()
     if "decompose" in args.layers:
         record["graphs"] = time_decompose(gmspectra, generate)
     if "arnoldi" in args.layers:

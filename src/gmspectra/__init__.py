@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .graph import (DirectedGraph, GraphStats, degree_stats, from_edges,
                     invert, load_cache, parse_edge_list, save_cache)
-from .operator import GoogleOperator, dense_g, dense_s
+from .operator import GoogleOperator
 from .ranking import (RankVector, cheirank, pagerank, rank_indices,
                       read_vector_cache, write_rank_csv, write_vector_cache)
 from .subspaces import (SubspaceDecomposition, SubspaceSpectrum, decompose,

@@ -69,6 +69,9 @@ def _load_vector(path, n) -> np.ndarray:
 
 
 def cmd_ingest(args) -> dict:
+    if args.id_mode == "remap" and args.num_nodes is not None:  # before the input is looked for
+        raise CliError(EXIT_BAD_PARAMETER, "--num-nodes applies to --id-mode dense only; "
+                                           "remap mode counts the ids")
     _require_file(args.edge_list)
     try:
         g = gr.parse_edge_list(args.edge_list, id_mode=args.id_mode,
@@ -263,7 +266,8 @@ _INDICES = _checked(lambda spec: [int(tok) for tok in spec.split(",")],
                     lambda indices: min(indices) >= 0,
                     "expects comma-separated non-negative indices")
 _RANGE = _checked(lambda spec: tuple(float(tok) for tok in spec.split(":")),
-                  lambda bounds: len(bounds) == 2, "expects LO:HI")
+                  lambda bounds: len(bounds) == 2 and -np.inf < bounds[0] < bounds[1] < np.inf,
+                  "expects LO:HI with finite LO < HI")
 
 
 def _grid(spec) -> dict:
@@ -358,10 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="density grid spec: log:CELLS or linear:CELL_SIZE:LIMIT, "
                         "each number >= 1 (default log:100)")
     p.add_argument("--fit-range", type=_RANGE, default=None,
-                   help="log10 rank range LO:HI, holding at least 3 ranks, for the "
-                        "P(K), P*(K*) power-law fits")
+                   help="log10 rank range LO:HI, finite with LO < HI, holding at least "
+                        "3 ranks, for the P(K), P*(K*) power-law fits")
     p.add_argument("--tail-range", type=_RANGE, default=None,
-                   help="x range LO:HI for the subspace-fraction tail fit")
+                   help="x range LO:HI, finite with LO < HI, for the "
+                        "subspace-fraction tail fit")
     p.set_defaults(func=cmd_stats)
     return parser
 

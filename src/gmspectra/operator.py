@@ -123,21 +123,3 @@ class GoogleOperator:
             out *= self.alpha
             out += (1.0 - self.alpha) * np.sum(np.asarray(v)) / self.node_count
         return out
-
-
-def dense_s(g: DirectedGraph) -> np.ndarray:
-    """Dense S matrix; for small graphs and oracle checks only."""
-    n = g.node_count
-    s = np.zeros((n, n))
-    deg = g.out_degrees
-    for j in range(n):
-        if deg[j] == 0:
-            s[:, j] = 1.0 / n
-        else:
-            s[g.successors(j), j] = 1.0 / deg[j]
-    return s
-
-
-def dense_g(g: DirectedGraph, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
-    """Dense Google matrix alpha*S + (1-alpha)/N; oracle use only."""
-    return alpha * dense_s(g) + (1.0 - alpha) / g.node_count

@@ -38,12 +38,8 @@ class CorrelatorReport:
 class DensityGrid:
     """Cell counts and normalized density on the (K, K*) plane."""
 
-    mode: str  # "linear" | "log"
     counts: np.ndarray  # int64, rows = K cells, cols = K* cells
     density: np.ndarray
-    row_edges: np.ndarray  # K edges (rank units in linear mode, ln K in log)
-    col_edges: np.ndarray
-    in_range: int
 
 
 @dataclass(frozen=True)
@@ -127,24 +123,20 @@ def density_2d(k: np.ndarray, k_star: np.ndarray, mode: str = "log",
         mask = (k <= rank_limit) & (k_star <= rank_limit)
         rows = (k[mask] - 1) // cell_size
         cols = (k_star[mask] - 1) // cell_size
-        counts = np.zeros((ncells, ncells), dtype=np.int64)
-        np.add.at(counts, (rows, cols), 1)
-        edges = np.arange(ncells + 1, dtype=np.int64) * cell_size + 1
-        row_edges = col_edges = edges.astype(np.float64)
     elif mode == "log":
         if cells < 1:
             raise ValueError("grid has zero cells")
+        ncells = cells
         log_n = np.log(n) if n > 1 else 1.0
         rows = np.minimum((np.log(k) / log_n * cells).astype(np.int64), cells - 1)
         cols = np.minimum((np.log(k_star) / log_n * cells).astype(np.int64), cells - 1)
-        counts = np.zeros((cells, cells), dtype=np.int64)
-        np.add.at(counts, (rows, cols), 1)
-        row_edges = col_edges = np.linspace(0.0, log_n, cells + 1)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    counts = np.zeros((ncells, ncells), dtype=np.int64)
+    np.add.at(counts, (rows, cols), 1)
     total = int(counts.sum())
     density = counts / total if total else counts.astype(np.float64)
-    return DensityGrid(mode, counts, density, row_edges, col_edges, total)
+    return DensityGrid(counts, density)
 
 
 def n_k_counts(k: np.ndarray, k_star: np.ndarray, k_values) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 from gmspectra import from_edges, invert
 from gmspectra.graph import GRAPH_CACHE
+from gmspectra.operator import DEFAULT_ALPHA
 
 
 def random_graph(rng, n, density):
@@ -26,6 +27,25 @@ def write_version_1_cache(g, path):
 def random_probability(rng, n):
     v = rng.random(n)
     return v / v.sum()
+
+
+def dense_s(g):
+    """Dense S matrix, column j uniform when node j dangles; an oracle for
+    small graphs."""
+    n = g.node_count
+    s = np.zeros((n, n))
+    deg = g.out_degrees
+    for j in range(n):
+        if deg[j] == 0:
+            s[:, j] = 1.0 / n
+        else:
+            s[g.successors(j), j] = 1.0 / deg[j]
+    return s
+
+
+def dense_g(g, alpha=DEFAULT_ALPHA):
+    """Dense Google matrix alpha*S + (1-alpha)/N; an oracle for small graphs."""
+    return alpha * dense_s(g) + (1.0 - alpha) / g.node_count
 
 
 def dense_pagerank(dense_google):

@@ -15,9 +15,8 @@ import pytest
 
 import gmspectra as gm
 from gmspectra.cli import main
-from gmspectra.operator import dense_g, dense_s
 
-from conftest import dense_pagerank, random_graph
+from conftest import dense_g, dense_pagerank, dense_s, random_graph
 
 
 def _report(name):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import gmspectra.arnoldi
-from gmspectra import (GoogleOperator, arnoldi_core, decompose, dense_s,
-                       eigvec_profile, from_edges, invert, load_cache,
-                       memory_estimate, parse_edge_list, save_cache,
-                       subspace_spectrum, write_spectrum_csv)
+from gmspectra import (GoogleOperator, arnoldi_core, decompose, eigvec_profile,
+                       from_edges, invert, load_cache, memory_estimate,
+                       parse_edge_list, save_cache, subspace_spectrum,
+                       write_spectrum_csv)
 from gmspectra.subspaces import SubspaceSpectrum
 
-from conftest import random_graph
+from conftest import dense_s, random_graph
 
 
 def _pair_distance(a, b):

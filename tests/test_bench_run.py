@@ -1,0 +1,58 @@
+"""The child runner of bench/run.py, on a five-line edge list."""
+
+import importlib.util
+import os
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+EDGES = "0 1\n1 0\n2 2\n3 0\n3 4\n"
+
+
+@pytest.fixture
+def bench_run():
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def runner(bench_run, tmp_path):
+    runner = bench_run.ChildRunner(tmp_path, dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    (runner.work / "edges.txt").write_text(EDGES)
+    yield runner
+    runner.close()
+
+
+def test_children_have_one_record_each_and_repeat_their_bytes(bench_run, runner):
+    records = runner.run({"ingest": ["ingest", "edges.txt", "g.cache"], "help": ["--help"]},
+                         passes=2)
+    assert records["ingest"]["argv"] == ["ingest", "edges.txt", "g.cache"]
+    assert set(records["ingest"]["artifacts"]) == {"g.cache", "g.cache.manifest.json"}
+    assert records["help"]["artifacts"] == {}
+    for record in records.values():
+        assert len(record["wall_runs_s"]) == len(record["peak_rss_runs_mib"]) == 2
+        assert record["wall_s"] > 0 and record["peak_rss_mib"] > 0
+    # the last pass's files stay, with pass 0's hashes; the launcher's logs
+    # are not in the work directory
+    assert sorted(p.name for p in runner.work.iterdir()) == [
+        "edges.txt", "g.cache", "g.cache.manifest.json"]
+    assert {name: bench_run.artifact_sha256(runner.work / name)
+            for name in records["ingest"]["artifacts"]} == records["ingest"]["artifacts"]
+    assert sorted(p.name for p in runner.logs.iterdir()) == [
+        f"{child}.{n}.{stream}" for child in ("help", "ingest") for n in (0, 1)
+        for stream in ("err", "out")]
+
+
+def test_a_failing_child_stops_the_run_and_is_named(runner):
+    with pytest.raises(RuntimeError, match="child 'lost' exited 2: .*input not found"):
+        runner.run({"lost": ["ingest", "missing.txt", "g.cache"]})
+
+
+def test_a_pass_with_other_bytes_stops_the_run(bench_run, runner, monkeypatch):
+    hashes = iter(range(100))
+    monkeypatch.setattr(bench_run, "artifact_sha256", lambda path: next(hashes))
+    with pytest.raises(RuntimeError, match="child 'ingest': pass 1 wrote other bytes"):
+        runner.run({"ingest": ["ingest", "edges.txt", "g.cache"]}, passes=2)

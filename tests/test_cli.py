@@ -509,6 +509,13 @@ STATS_NO_RANK = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/missing.vec",
     (["ingest", "{d}/missing.txt", "{d}/c.cache", "--num-nodes", "0"], 3),
     (STATS_NO_RANK + ["--grid", "log:abc"], 3),
     (STATS_NO_RANK + ["--tail-range", "x"], 3),
+    (["ingest", "{d}/missing.txt", "{d}/c.cache", "--id-mode", "remap", "--num-nodes", "2"], 3),
+    (STATS_NO_RANK + ["--fit-range", "2:0"], 3),
+    # a range is finite with LO < HI: a NaN, reversed or empty one fitted nothing
+    (STATS + ["--tail-range", "nan:nan"], 3),
+    (STATS + ["--tail-range", "5:1"], 3),
+    (STATS + ["--tail-range", "1:1"], 3),
+    (STATS + ["--fit-range", "0:inf"], 3),
     (["subspaces", "{d}/g.cache", "{d}/out", "--max-size", "0"], 3),
     (["spectrum", "{d}/g.cache", "{d}/out", "--arnoldi-dim", "2", "--max-size", "0"], 3),
     (["spectrum", "{d}/g.cache", "{d}/out", "--arnoldi-dim", "2", "--dense-limit", "0"], 3),
@@ -541,6 +548,9 @@ STATS_NO_RANK = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/missing.vec",
         "missing-cache-subspaces-max-size-0", "missing-cache-spectrum-dense-limit-0",
         "missing-cache-rank-alpha", "missing-edges-ingest-num-nodes-0",
         "missing-vector-stats-grid", "missing-vector-stats-tail-range",
+        "missing-edges-ingest-remap-num-nodes", "missing-vector-stats-fit-range-reversed",
+        "stats-tail-range-nan", "stats-tail-range-reversed", "stats-tail-range-empty",
+        "stats-fit-range-infinite",
         "subspaces-max-size-0",
         "spectrum-max-size-0", "spectrum-dense-limit-0", "output-dir-missing",
         "output-is-directory", "ingest-node-id-past-uint32", "ingest-node-id-past-int64",
@@ -563,6 +573,11 @@ def test_bad_invocation_exits_with_documented_code(stats_inputs, argv, code):
     for option in ("--tol", "--max-ram", "--member-limit"):  # the message says why
         if option in argv:
             assert f"{option} must be" in proc.stderr
+    for option in ("--fit-range", "--tail-range"):
+        if option in argv:
+            assert f"{option} expects LO:HI with finite LO < HI" in proc.stderr
+    if "remap" in argv and "--num-nodes" in argv:
+        assert "--num-nodes applies to --id-mode dense only" in proc.stderr
     assert not list(stats_inputs.rglob("*.tmp.*"))
     # no artifact and no manifest under the output prefix
     prefix = Path(argv[2].format(d=stats_inputs))

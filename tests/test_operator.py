@@ -3,10 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gmspectra import (DirectedGraph, GoogleOperator, cheirank, dense_g, dense_s, from_edges,
-                       invert, operator, parse_edge_list)
+from gmspectra import (DirectedGraph, GoogleOperator, cheirank, from_edges, invert, operator,
+                       parse_edge_list)
 
-from conftest import random_graph, random_probability
+from conftest import dense_g, dense_s, random_graph, random_probability
 
 
 def test_two_cycle_is_permutation():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from gmspectra import (GoogleOperator, cheirank, dense_g, invert, pagerank,
+from gmspectra import (GoogleOperator, cheirank, invert, pagerank,
                        parse_edge_list, rank_indices, read_vector_cache,
                        write_rank_csv, write_vector_cache)
 
-from conftest import dense_pagerank, random_graph
+from conftest import dense_g, dense_pagerank, random_graph
 
 
 def test_two_cycle_symmetry():

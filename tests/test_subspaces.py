@@ -4,13 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gmspectra import (decompose, dense_s, from_edges, load_cache, memory_estimate,
+from gmspectra import (decompose, from_edges, load_cache, memory_estimate,
                        node_closure, parse_edge_list, save_cache, subspace_block,
                        subspace_spectrum)
 from gmspectra.subspaces import (OVERFLOW, decomposition_to_json,
                                  write_decomposition_json)
 
-from conftest import random_graph
+from conftest import dense_s, random_graph
 
 
 def test_closure_two_cycle():
