@@ -1,69 +1,91 @@
-"""Time ingest, ranking, ``decompose``, ``arnoldi_core`` and the CLI pipeline on seeded graphs.
+"""Run the CLI stages on seeded graphs and record the stage times their manifests give.
 
     python3 bench/run.py --out BENCH_<n>.json --label change
     python3 bench/run.py --out BENCH_<n>.json --label parent --root ../parent
     python3 bench/run.py --out BENCH_<n>.json --label change --layers ingest rank
 
-The graphs are drawn with seed 11, by ``perfbench.generator.generate``
-unless said otherwise:
+Every stage runs as a CLI child. Each time recorded is the child's ``wait4``
+wall or an entry of its manifest's ``timings`` (README "Manifests"): the
+script keeps no timer of its own. The graphs are drawn with seed 11, by
+``perfbench.generator.generate`` unless said otherwise:
 
 * ``ingest`` on power-law graphs of 2e5 nodes / 1.9e6 links and 2e6 nodes /
   2.0e7 links, as "src dst" edge lists (written ``WRITE_SLICE`` edges at a
   time) in dense (``--num-nodes N``) and remap id modes, and as
   ``dense-commented``, the list with a "# c" line after its first edge,
-  which ``np.loadtxt`` rejects, so the per-line parser reads it. The
-  ``ingest`` command runs in each mode; a ``dense-commented`` cache that
-  differs from the ``dense`` one stops the run. Here ``parse_edge_list`` is
-  timed ``INGEST_REPEATS`` times, the minimum kept, with its ``from_edges``
-  call timed apart: ``parse_us_per_line`` is the parser's own time per line.
-* ``rank`` on the same two graphs, built here with ``from_edges``: the
-  ``GoogleOperator`` build, the bytes per link it keeps (``tracemalloc``,
-  a second build), ``apply_g`` in ns/link (the median of ``MATVEC_REPEATS``
-  calls) with the ``tracemalloc`` peak of one more call, and ``pagerank``.
-  The ``rank`` and ``rank --chei`` commands run on the graph's cache.
-* ``decompose`` on two ~2e6-link graphs, one with 40 % of its nodes in
-  planted blocks (subspace-rich) and one with 1 % (core-heavy), and on two
-  graphs without a dangling node, built here, where the sweep from the
-  dangling nodes marks nothing: an id-ordered cycle of 2e4 nodes at
-  ``max_size`` 2000, and 2e5 nodes with five links each to uniform random
-  targets, at the default ``max_size``. Each call is timed three times and
-  the minimum kept; a SHA-256 of the decomposition lets the runs of two
-  checkouts be checked for equal output.
-* ``arnoldi_core`` at n_A = 640, without its check, on the ~1.96e5-node
-  core of a 2e5-node graph (the Krylov basis takes ~1 GB), timed once. Its
-  time is split as in ``perfbench/layers.py``: ``matvec_s`` is n_A times the
-  median of five embedded core matvecs, ``hessenberg_eig_s`` the minimum of
-  three ``eig`` calls on the Hessenberg matrix, and ``ortho_s`` the
-  remainder, the Gram-Schmidt orthogonalisation.
+  which ``np.loadtxt`` rejects, so the per-line parser reads it. A
+  ``dense-commented`` cache that differs from the ``dense`` one stops the
+  run. ``parse_us_per_line`` is the parser's own time per line,
+  ``graph.parse_edge_list`` less ``graph.from_edges``.
+* ``rank`` and ``rank --chei`` on the same two graphs' caches.
+  ``apply_g_ns_per_link`` is the ``rank`` child's ``operator.apply_g`` per
+  iteration and link. Two figures no child gives are measured here with
+  ``tracemalloc``: the bytes per link a ``GoogleOperator`` keeps and the
+  peak of one ``apply_g`` call.
+* ``decompose``: ``subspaces`` on two ~2e6-link graphs, one with 40 % of its
+  nodes in planted blocks (subspace-rich) and one with 1 % (core-heavy), and
+  on two graphs without a dangling node, built here, where the sweep from
+  the dangling nodes marks nothing: an id-ordered cycle of 2e4 nodes at
+  ``--max-size 2000``, and 2e5 nodes with five links each to uniform random
+  targets.
+* ``arnoldi``: ``spectrum --arnoldi-dim 640`` on the ~1.96e5-node core of a
+  2e5-node graph (the Krylov basis takes ~1 GB). Its manifest splits
+  ``arnoldi.arnoldi_core`` into ``arnoldi.matvec``,
+  ``arnoldi.orthogonalise`` (the Gram-Schmidt passes), ``arnoldi.check`` and
+  ``arnoldi.eig``, each measured.
 * ``pipeline`` on the seed-``PIPELINE_SEED`` graph of each perfbench
   workload: the six commands of ``perfbench.bench.cli_args`` and
-  ``--help``, ``PIPELINE_PASSES`` passes; the last must pass
-  ``perfbench.checks.check_artifacts``.
+  ``--help``; the last pass must pass ``perfbench.checks.check_artifacts``.
 
 ``ChildRunner`` runs every CLI command as a child of one
 ``perfbench/launcher.py``, started before any graph exists, so that each
-``wait4`` peak RSS is the child's own. A non-zero exit stops the run, as
-does a pass whose artifacts differ from the first pass's. A child's
+``wait4`` peak RSS is the child's own. The ingest, decompose and pipeline
+children run ``INGEST_PASSES``, ``DECOMPOSE_PASSES`` and ``PIPELINE_PASSES``
+passes, the others one. A non-zero exit stops the run, as does a pass whose
+artifacts differ from the first pass's. A child's
 artifacts are the files new in its work directory; a manifest is hashed
-without its ``started`` and ``finished`` times, so two checkouts with the
-same output give the same hashes. Each child has one record, of ``argv``,
-``wall_s`` and ``peak_rss_mib`` (medians of ``wall_runs_s`` and
-``peak_rss_runs_mib``) and ``artifacts`` (SHA-256 by file name): it is
-``modes[<mode>]["child"]`` of an ingest graph (``ingest_child_s``,
-``cache_sha256`` and the like before ``BENCH_26.json``),
-``children["rank"]`` and ``children["cheirank"]`` of a rank graph
-(``rank_child_s``, ``pr_vec_sha256`` and the like before) and
-``children[<command>]`` of a pipeline workload.
+without its ``started``, ``finished`` and ``timings``, so two checkouts with
+the same output give the same hashes. Each child has one record: ``argv``;
+``wall_s`` and ``peak_rss_mib``, the medians of ``wall_runs_s`` and
+``peak_rss_runs_mib``; ``timings``, the median of each manifest timing;
+the manifest's ``flags``; and ``artifacts`` (SHA-256 by file name). It is
+``modes[<mode>]["child"]`` of an ingest graph, ``children["rank"]`` and
+``children["cheirank"]`` of a rank graph, ``graphs[<name>]["child"]`` of a
+decompose graph, ``arnoldi["child"]``, and ``children[<command>]`` of a
+pipeline workload.
 
-``--layers`` picks the layers to time (default: all five). ``--root`` is
-the checkout whose ``src/gmspectra`` is timed (default: this one), so the
-same script measures a parent checkout and a change on the same host. Each
+Up to ``BENCH_26.json`` the script also ran each stage in-process under
+timers of its own. Those keys are gone or read from the child record:
+
+* ingest modes: ``parse_edge_list_s`` and ``from_edges_s`` are
+  ``child["timings"]`` ``graph.parse_edge_list`` and ``graph.from_edges``;
+  ``parse_edge_list_runs_s`` and ``parse_self_s`` are gone.
+* rank graphs: ``operator_build_s`` and ``pagerank_s`` are
+  ``children["rank"]["timings"]`` ``operator.build`` and
+  ``ranking.pagerank``, ``pagerank_iterations`` and ``pagerank_converged``
+  its ``flags`` ``iterations`` and ``converged``; ``apply_g_runs_s`` is gone.
+* ``graphs``: ``decompose_s`` is ``child["timings"]["subspaces.decompose"]``,
+  ``subspace_count`` and ``core_count`` are its ``flags``, and
+  ``decomposition_sha256`` is the hash of its ``<name>.json`` artifact;
+  ``decompose_runs_s`` and ``decompose_us_per_node`` are gone.
+* ``arnoldi``: ``arnoldi_core_s``, ``matvec_s``, ``ortho_s`` and
+  ``hessenberg_eig_s`` are ``child["timings"]`` ``arnoldi.arnoldi_core``,
+  ``arnoldi.matvec``, ``arnoldi.orthogonalise`` and ``arnoldi.eig``, now of
+  a run with the check, which ``arnoldi.check`` times; ``ortho_s`` was the
+  remainder. ``core_count``, ``krylov_dimension`` and ``converged_count``
+  are its ``flags``; ``core_matvec_s`` is gone.
+* the run's ``repeats`` is gone: each child record lists its runs.
+
+``--layers`` picks the layers to run (default: all five). ``--root`` is
+the checkout whose ``src/gmspectra`` runs (default: this one), so the same
+script measures a parent checkout and a change on the same host; a checkout
+whose manifests have no ``timings`` is measured with its own script. Each
 run is stored in the ``runs`` list of ``--out`` under its ``--label``,
 replacing an earlier run of that label, with the machine record of
 ``perfbench.machine.environment``. That record's ``git_commit`` is the
 checkout's HEAD, so the run also records ``src_dirty`` (whether ``git
 status`` lists changes under ``src/``; null outside a git checkout) and
-``src_sha256``, a hash of the ``src/`` files timed.
+``src_sha256``, a hash of the ``src/`` files run.
 """
 
 from __future__ import annotations
@@ -77,13 +99,10 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
-REPEATS = 3
-MATVEC_REPEATS = 5
 DECOMPOSE_GRAPHS = {  # name: (node_count, block_share, min_out_degree)
     "subspace-rich": (236_000, 0.40, 6),
     "core-heavy": (150_000, 0.01, 6),
@@ -95,7 +114,8 @@ INGEST_GRAPHS = {  # name: (node_count, block_share, min_out_degree)
     "2e6-links": (200_000, 0.01, 4),
     "2e7-links": (2_000_000, 0.01, 4),
 }
-INGEST_REPEATS = 2
+INGEST_PASSES = 2
+DECOMPOSE_PASSES = 3
 WRITE_SLICE = 1_000_000  # edges formatted at a time: the whole 2e7 list would be a 4e7-item tuple
 N_ARNOLDI = 640
 SEED = 11
@@ -136,7 +156,8 @@ class ChildRunner:
         """Run ``passes`` passes of the children, name -> CLI arguments, in
         order; return one record per child. Each pass starts by removing the
         files the runner has created; the last pass's files stay."""
-        walls, peaks, artifacts = ({child: [] for child in children} for _ in range(3))
+        walls, peaks, artifacts, timings = ({child: [] for child in children} for _ in range(4))
+        flags = {}
         for n in range(passes):
             for path in self.created:
                 path.unlink()
@@ -153,12 +174,19 @@ class ChildRunner:
                 artifacts[child].append({p.name: artifact_sha256(p) for p in new})
                 if artifacts[child][n] != artifacts[child][0]:
                     raise RuntimeError(f"child {child!r}: pass {n} wrote other bytes than pass 0")
+                manifest = next((json.loads(p.read_text()) for p in new
+                                 if p.name.endswith(".manifest.json")), {})
+                timings[child].append(manifest.get("timings", {}))
+                flags[child] = manifest.get("flags", {})
                 walls[child].append(reply["wall_s"])
                 peaks[child].append(reply["maxrss_kib"] / 1024)
         records = {child: {"argv": args,
                            "wall_s": statistics.median(walls[child]), "wall_runs_s": walls[child],
                            "peak_rss_mib": statistics.median(peaks[child]),
-                           "peak_rss_runs_mib": peaks[child], "artifacts": artifacts[child][0]}
+                           "peak_rss_runs_mib": peaks[child],
+                           "timings": {name: statistics.median(run[name] for run in timings[child])
+                                       for name in timings[child][0]},
+                           "flags": flags[child], "artifacts": artifacts[child][0]}
                    for child, args in children.items()}
         print("children: " + ", ".join(f"{child} {r['wall_s']:.2f} s {r['peak_rss_mib']:.1f} MiB"
                                        for child, r in records.items()), flush=True)
@@ -170,11 +198,11 @@ class ChildRunner:
 
 def artifact_sha256(path: Path) -> str:
     """SHA-256 of an artifact; a manifest is hashed as its sorted JSON
-    without the ``started`` and ``finished`` times."""
+    without the ``started``, ``finished`` and ``timings`` it records."""
     data = path.read_bytes()
     if path.name.endswith(".manifest.json"):
-        manifest = json.loads(data)
-        del manifest["started"], manifest["finished"]
+        manifest = {key: value for key, value in json.loads(data).items()
+                    if key not in ("started", "finished", "timings")}
         data = json.dumps(manifest, sort_keys=True).encode()
     return hashlib.sha256(data).hexdigest()
 
@@ -190,27 +218,6 @@ def write_edge_list(planted, path: Path) -> None:
             fh.write(("%d %d\n" * (hi - lo)) % tuple(pairs))
 
 
-def time_parse(gm, path: Path, id_mode: str, num_nodes) -> tuple[float, float]:
-    """Seconds of one ``parse_edge_list`` call and of the ``from_edges`` call inside it."""
-    from_edges = gm.graph.from_edges
-    inner = []
-
-    def timed(*args, **kwargs):
-        start = time.perf_counter()
-        g = from_edges(*args, **kwargs)
-        inner.append(time.perf_counter() - start)
-        return g
-
-    gm.graph.from_edges = timed
-    try:
-        start = time.perf_counter()
-        gm.parse_edge_list(path, id_mode=id_mode, num_nodes=num_nodes)
-        total = time.perf_counter() - start
-    finally:
-        gm.graph.from_edges = from_edges
-    return total, inner[0]
-
-
 def write_commented(edges: Path, path: Path) -> None:
     """``edges`` with a "# c" line after its first edge: ``np.loadtxt`` rejects
     the file, so ingest reads it whole by the per-line parser."""
@@ -219,7 +226,7 @@ def write_commented(edges: Path, path: Path) -> None:
         shutil.copyfileobj(src, dst)
 
 
-def time_ingest(gm, generate, runner) -> dict:
+def time_ingest(generate, runner) -> dict:
     graphs = {}
     for name, (nodes, block_share, min_out_degree) in INGEST_GRAPHS.items():
         planted = generate(nodes, block_share, min_out_degree, SEED)
@@ -229,26 +236,22 @@ def time_ingest(gm, generate, runner) -> dict:
         del planted
         commented = runner.work / f"{name}.commented.txt"
         write_commented(edges, commented)
-        modes = {"dense": (edges, "dense", nodes), "remap": (edges, "remap", None),
-                 "dense-commented": (commented, "dense", nodes)}
-        children = runner.run({
-            mode: ["ingest", path.name, f"{mode}.cache",
-                   *(["--num-nodes", str(num_nodes)] if num_nodes else ["--id-mode", "remap"])]
-            for mode, (path, _, num_nodes) in modes.items()})
+        dense = ["--num-nodes", str(nodes)]
+        modes = {"dense": (edges, dense), "remap": (edges, ["--id-mode", "remap"]),
+                 "dense-commented": (commented, dense)}
+        children = runner.run({mode: ["ingest", path.name, f"{mode}.cache", *options]
+                               for mode, (path, options) in modes.items()}, INGEST_PASSES)
         caches = {mode: child["artifacts"][f"{mode}.cache"] for mode, child in children.items()}
         if caches["dense-commented"] != caches["dense"]:
             raise RuntimeError(f"ingest {name}: the per-line parser's cache is not np.loadtxt's")
         record = {"node_count": nodes, "edge_count": lines,
                   "file_bytes": edges.stat().st_size, "modes": {}}
-        for mode, (path, id_mode, num_nodes) in modes.items():
-            runs = [time_parse(gm, path, id_mode, num_nodes) for _ in range(INGEST_REPEATS)]
-            total, inner = min(runs)
-            record["modes"][mode] = {
-                "parse_edge_list_s": total, "parse_edge_list_runs_s": [t for t, _ in runs],
-                "from_edges_s": inner, "parse_self_s": total - inner,
-                "parse_us_per_line": 1e6 * (total - inner) / lines, "child": children[mode]}
-            print(f"ingest {name} {mode}: parse {1e6 * (total - inner) / lines:.3f} us/line "
-                  f"(+ from_edges {inner:.2f} s)", flush=True)
+        for mode, child in children.items():
+            from_edges = child["timings"]["graph.from_edges"]
+            per_line = 1e6 * (child["timings"]["graph.parse_edge_list"] - from_edges) / lines
+            record["modes"][mode] = {"parse_us_per_line": per_line, "child": child}
+            print(f"ingest {name} {mode}: parse {per_line:.3f} us/line "
+                  f"(+ from_edges {from_edges:.2f} s)", flush=True)
         edges.unlink()
         commented.unlink()
         graphs[name] = record
@@ -266,10 +269,6 @@ def time_rank(gm, generate, runner) -> dict:
         links = g.edge_count
         cache = runner.work / f"{name}.cache"
         gm.save_cache(g, cache)
-        start = time.perf_counter()
-        op = gm.GoogleOperator(g)
-        build_s = time.perf_counter() - start
-        del op
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -278,11 +277,6 @@ def time_rank(gm, generate, runner) -> dict:
         finally:
             tracemalloc.stop()
         v = np.full(g.node_count, 1.0 / g.node_count)
-        matvecs = []
-        for _ in range(MATVEC_REPEATS):
-            start = time.perf_counter()
-            op.apply_g(v)
-            matvecs.append(time.perf_counter() - start)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -290,31 +284,23 @@ def time_rank(gm, generate, runner) -> dict:
             matvec_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        del op
-        start = time.perf_counter()
-        rv = gm.pagerank(g)
-        pagerank_s = time.perf_counter() - start
-        del g
+        del op, g
         children = runner.run({"rank": ["rank", cache.name, f"{name}.pr"],
                                "cheirank": ["rank", cache.name, f"{name}.cr", "--chei"]})
         cache.unlink()
-        ns_per_link = 1e9 * statistics.median(matvecs) / links
+        timings, iterations = children["rank"]["timings"], children["rank"]["flags"]["iterations"]
+        ns_per_link = 1e9 * timings["operator.apply_g"] / iterations / links
         graphs[name] = {
             "node_count": nodes,
             "edge_count": links,
-            "operator_build_s": build_s,
             "operator_kept_bytes_per_link": kept / links,
             "apply_g_ns_per_link": ns_per_link,
-            "apply_g_runs_s": matvecs,
             "apply_g_peak_bytes_per_link": matvec_peak / links,
-            "pagerank_s": pagerank_s,
-            "pagerank_iterations": rv.iterations_used,
-            "pagerank_converged": rv.converged,
             "children": children,
         }
-        print(f"rank {name}: operator {build_s:.2f} s, {kept / links:.2f} B/link kept, "
-              f"apply_g {ns_per_link:.2f} ns/link, pagerank {pagerank_s:.1f} s "
-              f"({rv.iterations_used} iterations)", flush=True)
+        print(f"rank {name}: {kept / links:.2f} B/link kept, apply_g {ns_per_link:.2f} ns/link, "
+              f"pagerank {timings['ranking.pagerank']:.1f} s ({iterations} iterations)",
+              flush=True)
     return graphs
 
 
@@ -360,82 +346,35 @@ def decompose_graphs(gm, generate):
     yield "no-dangling", gm.from_edges(src, dst, nodes), None, None
 
 
-def time_decompose(gm, generate) -> dict:
-    graphs = {}
+def time_decompose(gm, generate, runner) -> dict:
+    graphs, children = {}, {}
     for name, g, max_size, block_share in decompose_graphs(gm, generate):
-        times = []
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            d = gm.decompose(g, max_size)
-            times.append(time.perf_counter() - start)
-        digest = hashlib.sha256(d.permutation.astype("<i8").tobytes())
-        digest.update(d.dimensions.astype("<i8").tobytes())
-        graphs[name] = {
-            "node_count": g.node_count,
-            "edge_count": g.edge_count,
-            "block_share": block_share,
-            "max_size": max_size,
-            "subspace_count": d.subspace_count,
-            "core_count": d.core_count,
-            "decompose_s": min(times),
-            "decompose_runs_s": times,
-            "decompose_us_per_node": 1e6 * min(times) / g.node_count,
-            "decomposition_sha256": digest.hexdigest(),
-        }
-        print(f"{name}: N={g.node_count} links={g.edge_count} "
-              f"decompose {min(times):.3f} s (min of {REPEATS})", flush=True)
+        gm.save_cache(g, runner.work / f"{name}.cache")
+        graphs[name] = {"node_count": g.node_count, "edge_count": g.edge_count,
+                        "block_share": block_share, "max_size": max_size}
+        children[name] = ["subspaces", f"{name}.cache", name,
+                          *(["--max-size", str(max_size)] if max_size else [])]
+    for name, child in runner.run(children, DECOMPOSE_PASSES).items():
+        graphs[name]["child"] = child
+        print(f"{name}: decompose {child['timings']['subspaces.decompose']:.3f} s "
+              f"(median of {DECOMPOSE_PASSES})", flush=True)
     return graphs
 
 
-def time_arnoldi(gm, generate) -> dict:
-    import numpy as np
-
+def time_arnoldi(gm, generate, runner) -> dict:
     nodes, block_share, min_out_degree = ARNOLDI_GRAPH
     planted = generate(nodes, block_share, min_out_degree, SEED)
     g = gm.from_edges(planted.src, planted.dst, planted.node_count)
     del planted
-    d = gm.decompose(g)
-    core = d.core_nodes
-    op = gm.GoogleOperator(g, alpha=1.0)
-    embed = np.zeros(g.node_count)
-    v_core = np.full(core.size, 1.0 / np.sqrt(core.size))
-    matvecs = []
-    for _ in range(MATVEC_REPEATS):  # the matvec closure of arnoldi_core
-        start = time.perf_counter()
-        embed[:] = 0.0
-        embed[core] = v_core
-        op.apply_s(embed)[core]
-        matvecs.append(time.perf_counter() - start)
-    del op, embed
-
-    start = time.perf_counter()
-    result = gm.arnoldi_core(g, d, N_ARNOLDI, check=False)
-    arnoldi_s = time.perf_counter() - start
-    k = result.krylov_dimension
-    square = np.ascontiguousarray(result.hessenberg[:k, :k])
-    eigs = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        np.linalg.eig(square)
-        eigs.append(time.perf_counter() - start)
-    matvec_s = N_ARNOLDI * statistics.median(matvecs)
-    record = {
-        "node_count": g.node_count,
-        "edge_count": g.edge_count,
-        "core_count": d.core_count,
-        "n_arnoldi": N_ARNOLDI,
-        "krylov_dimension": k,
-        "converged_count": int(np.count_nonzero(result.converged_mask)),
-        "basis_mib": (N_ARNOLDI + 1) * d.core_count * 8 / 2**20,
-        "core_matvec_s": statistics.median(matvecs),
-        "arnoldi_core_s": arnoldi_s,
-        "matvec_s": matvec_s,
-        "hessenberg_eig_s": min(eigs),
-        "ortho_s": arnoldi_s - matvec_s - min(eigs),
-    }
-    print(f"arnoldi: core={d.core_count} n_A={N_ARNOLDI} arnoldi_core {arnoldi_s:.1f} s, "
-          f"ortho {record['ortho_s']:.1f} s", flush=True)
-    return record
+    gm.save_cache(g, runner.work / "arnoldi.cache")
+    child = runner.run({"spectrum": ["spectrum", "arnoldi.cache", "arnoldi",
+                                     "--arnoldi-dim", str(N_ARNOLDI)]})["spectrum"]
+    core, timings = child["flags"]["core_count"], child["timings"]
+    print(f"arnoldi: core={core} n_A={N_ARNOLDI} arnoldi_core "
+          f"{timings['arnoldi.arnoldi_core']:.1f} s, ortho "
+          f"{timings['arnoldi.orthogonalise']:.1f} s", flush=True)
+    return {"node_count": g.node_count, "edge_count": g.edge_count, "n_arnoldi": N_ARNOLDI,
+            "basis_mib": (N_ARNOLDI + 1) * core * 8 / 2**20, "child": child}
 
 
 def main(argv=None) -> int:
@@ -457,7 +396,7 @@ def main(argv=None) -> int:
     from perfbench.generator import generate
     from perfbench.machine import environment
 
-    record = {"label": args.label, "seed": SEED, "repeats": REPEATS,
+    record = {"label": args.label, "seed": SEED,
               "environment": environment(root) | source_state(root)}
     with tempfile.TemporaryDirectory(prefix="gmspectra-bench-") as tmp:
         # started before any graph exists: a child's wait4 peak includes the
@@ -465,17 +404,17 @@ def main(argv=None) -> int:
         runner = ChildRunner(Path(tmp), dict(os.environ, PYTHONPATH=str(root / "src")))
         try:
             if "ingest" in args.layers:
-                record["ingest"] = time_ingest(gmspectra, generate, runner)
+                record["ingest"] = time_ingest(generate, runner)
             if "rank" in args.layers:
                 record["rank"] = time_rank(gmspectra, generate, runner)
+            if "decompose" in args.layers:
+                record["graphs"] = time_decompose(gmspectra, generate, runner)
+            if "arnoldi" in args.layers:
+                record["arnoldi"] = time_arnoldi(gmspectra, generate, runner)
             if "pipeline" in args.layers:
                 record["pipeline"] = time_pipeline(runner)
         finally:
             runner.close()
-    if "decompose" in args.layers:
-        record["graphs"] = time_decompose(gmspectra, generate)
-    if "arnoldi" in args.layers:
-        record["arnoldi"] = time_arnoldi(gmspectra, generate)
     bench = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
     bench["runs"] = [r for r in bench["runs"] if r["label"] != args.label] + [record]
     args.out.write_text(json.dumps(bench, indent=1) + "\n")

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DirectedGraph
+from .manifest import timed
 from .operator import GATHER_CHUNK, GoogleOperator
 from .stats import write_curve_csv
 from .subspaces import SubspaceDecomposition, SubspaceSpectrum
@@ -134,6 +135,7 @@ def memory_estimate(n_nodes: int, n_links: int, n_core: int, n_arnoldi: int,
     return nodes + max(build, matvec + core + dense)
 
 
+@timed("arnoldi.arnoldi_core")
 def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int,
                  vector_indices=None, check: bool = True,
                  threads: int = 1, inverted: bool = False) -> ArnoldiResult:
@@ -180,9 +182,11 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
     defect = 0.0
 
     for k in range(n_arnoldi):
-        av = matvec(basis[k])
+        with timed("arnoldi.matvec"):
+            av = matvec(basis[k])
         w = av.copy()
-        hess[:k + 1, k] = _orthogonalise(basis[:k + 1], w)
+        with timed("arnoldi.orthogonalise"):
+            hess[:k + 1, k] = _orthogonalise(basis[:k + 1], w)
         norm = _norm(w)
         happy = norm < BREAKDOWN_TOL
         if not happy:
@@ -193,15 +197,17 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
             # the matvec is deterministic, so re-running it gives equal bits.
             # A restart vector enters with coefficient 0 and is not needed yet.
             # The residual reaches only the manifest, so BLAS may sum it.
-            av -= hess[:k + 2, k] @ basis[:k + 2]
-            defect = max(defect, float(np.max(np.abs(av))))
+            with timed("arnoldi.check"):
+                av -= hess[:k + 2, k] @ basis[:k + 2]
+                defect = max(defect, float(np.max(np.abs(av))))
         if happy and k + 1 < n_arnoldi:
             breakdown = True
             basis[k + 1] = _restart_vector(basis, k)
     # the operator's arrays go before the dense tail allocates
     del op, embed, matvec
 
-    values, vecs = np.linalg.eig(hess[:n_arnoldi])
+    with timed("arnoldi.eig"):
+        values, vecs = np.linalg.eig(hess[:n_arnoldi])
     # zero after a happy breakdown at the last step
     residuals = abs(hess[n_arnoldi, n_arnoldi - 1]) * np.abs(vecs[-1, :])
 
@@ -224,9 +230,10 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
     if check:
         # the final basis row is zero after a happy breakdown at the last step
         rows = n_arnoldi + 1 if hess[n_arnoldi, n_arnoldi - 1] != 0.0 else n_arnoldi
-        gram = basis[:rows] @ basis[:rows].T
-        gram[np.diag_indices(rows)] -= 1.0
-        ortho_defect = float(np.max(np.abs(gram, out=gram)))
+        with timed("arnoldi.check"):
+            gram = basis[:rows] @ basis[:rows].T
+            gram[np.diag_indices(rows)] -= 1.0
+            ortho_defect = float(np.max(np.abs(gram, out=gram)))
         relation_residual = defect
 
     return ArnoldiResult(values, residuals, n_arnoldi, hess, core,

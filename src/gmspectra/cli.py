@@ -58,6 +58,7 @@ def _load_graph(path) -> gr.DirectedGraph:
 
 
 def _load_vector(path, n) -> np.ndarray:
+    """A rank vector of length ``n`` whose entries are finite and >= 0."""
     _require_file(path)
     try:
         vec = rk.read_vector_cache(path)
@@ -65,6 +66,8 @@ def _load_vector(path, n) -> np.ndarray:
         raise CliError(EXIT_BAD_DATA, str(exc)) from exc
     if vec.size != n:
         raise CliError(EXIT_BAD_DATA, f"{path}: vector length {vec.size} != N={n}")
+    if not np.all((vec >= 0) & (vec < np.inf)):  # a NaN fails both
+        raise CliError(EXIT_BAD_DATA, f"{path}: entries must be finite and >= 0")
     return vec
 
 
@@ -164,7 +167,8 @@ def cmd_spectrum(args) -> dict:
           f"leading |lambda| = {abs(lam1):.8f}")
     return {"krylov_dimension": result.krylov_dimension, "breakdown": result.breakdown,
             "ortho_defect": result.ortho_defect,
-            "relation_residual": result.relation_residual}
+            "relation_residual": result.relation_residual, "core_count": decomp.core_count,
+            "converged_count": int(np.count_nonzero(result.converged_mask))}
 
 
 def _load_dimensions(path) -> np.ndarray:
@@ -212,7 +216,10 @@ def cmd_stats(args) -> dict:
     if args.decomposition:
         dims = _load_dimensions(_require_file(args.decomposition))
         if dims.size:
-            curve = st.subspace_fraction(dims, tail_range=args.tail_range)
+            try:  # a range that holds fewer than 3 curve points
+                curve = st.subspace_fraction(dims, tail_range=args.tail_range)
+            except ValueError as exc:
+                raise CliError(EXIT_BAD_PARAMETER, f"--tail-range: {exc}") from exc
             flags["mean_subspace_dimension"] = curve.mean_dimension
             if curve.tail_fit is not None:
                 fits["subspace_fraction_tail"] = curve.tail_fit.to_json()
@@ -365,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="log10 rank range LO:HI, finite with LO < HI, holding at least "
                         "3 ranks, for the P(K), P*(K*) power-law fits")
     p.add_argument("--tail-range", type=_RANGE, default=None,
-                   help="x range LO:HI, finite with LO < HI, for the "
-                        "subspace-fraction tail fit")
+                   help="x range LO:HI, finite with LO < HI, holding at least 3 "
+                        "curve points, for the subspace-fraction tail fit")
     p.set_defaults(func=cmd_stats)
     return parser
 

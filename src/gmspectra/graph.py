@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .manifest import atomic_write
+from .manifest import atomic_write, timed
 
 CACHE_MAGIC = b"SNRK"
 CACHE_VERSION = 2
@@ -299,6 +299,7 @@ def _parse_file(path) -> np.ndarray:
         return np.fromiter(_parse_lines(fh), dtype=np.int64)
 
 
+@timed("graph.parse_edge_list")
 def parse_edge_list(source, id_mode="dense", num_nodes=None) -> DirectedGraph:
     """Parse a "src dst" edge list into a DirectedGraph.
 
@@ -328,7 +329,8 @@ def parse_edge_list(source, id_mode="dense", num_nodes=None) -> DirectedGraph:
     if ids.size == 0 and num_nodes is None:
         raise EmptyEdgeListError("edge list holds no edge")
     if id_mode == "dense":
-        return from_edges(ids[0::2], ids[1::2], num_nodes=num_nodes)
+        with timed("graph.from_edges"):
+            return from_edges(ids[0::2], ids[1::2], num_nodes=num_nodes)
     ids = ids.reshape(-1, 2).T.ravel()  # the src column, then the dst column
     originals, first_pos, inverse = np.unique(ids, return_index=True, return_inverse=True)
     del ids
@@ -338,8 +340,9 @@ def parse_edge_list(source, id_mode="dense", num_nodes=None) -> DirectedGraph:
     rank[order] = np.arange(order.size)
     remapped = rank[inverse]
     half = remapped.size // 2
-    return from_edges(remapped[:half], remapped[half:], num_nodes=originals.size,
-                      original_ids=originals[order])
+    with timed("graph.from_edges"):
+        return from_edges(remapped[:half], remapped[half:], num_nodes=originals.size,
+                          original_ids=originals[order])
 
 
 def invert(g: DirectedGraph) -> DirectedGraph:

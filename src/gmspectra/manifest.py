@@ -1,17 +1,19 @@
-"""Run manifests: parameters, input/output checksums, timestamps; the atomic
-file writer every artifact goes through, and the JSON writer beside it.
+"""Run manifests: parameters, input/output checksums, stage times,
+timestamps; the atomic file writer every artifact goes through, and the JSON
+writer beside it.
 
 While a CLI run is open (``recorded_run``), ``atomic_write`` records every
-artifact it commits and ``record_input`` every file the run reads, so the
-run's manifest names them all without the commands listing them. Files are
-hashed when the manifest is written, after the command's compute, and an
-input just before an output replaces it; ``hashlib``, which loads OpenSSL,
-is imported by the first hash."""
+artifact it commits, ``record_input`` every file the run reads and ``timed``
+the seconds of each timed call, so the run's manifest names them all without
+the commands listing them. Files are hashed when the manifest is written,
+after the command's compute, and an input just before an output replaces
+it; ``hashlib``, which loads OpenSSL, is imported by the first hash."""
 
 from __future__ import annotations
 
 import json
 import os
+import time
 from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
 
@@ -63,6 +65,20 @@ def record_input(path) -> None:
         _run.data["inputs"].setdefault(str(path), None)
 
 
+@contextmanager
+def timed(name: str):
+    """Add the block's seconds to ``timings[name]`` of the open run's
+    manifest, summed over every block of that name; outside a CLI run it
+    records nothing. As a decorator it times each call of the function."""
+    if _run is None:
+        yield
+        return
+    start = time.perf_counter()
+    yield
+    timings = _run.data["timings"]
+    timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
+
+
 def sha256_of(path) -> str:
     """SHA-256 of the file at ``path``, read 1 MiB at a time. ``hashlib`` is
     imported on the first call, so a run loads OpenSSL only once it hashes,
@@ -81,7 +97,8 @@ def _now() -> str:
 
 
 class RunManifest:
-    """Collects one command's parameters, flags and artifact checksums."""
+    """Collects one command's parameters, flags, stage times and artifact
+    checksums."""
 
     def __init__(self, command: str, parameters: dict):
         self.data = {
@@ -92,6 +109,7 @@ class RunManifest:
             "inputs": {},
             "outputs": {},
             "flags": {},
+            "timings": {},
             "started": _now(),
             "finished": None,
         }

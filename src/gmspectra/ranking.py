@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import CheckedFormat, DirectedGraph
+from .manifest import timed
 from .operator import DEFAULT_ALPHA, GoogleOperator
 from .stats import write_curve_csv
 
@@ -70,12 +71,14 @@ def _power_iteration(g, alpha, tol, max_iter, threads, inverted) -> RankVector:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    op = GoogleOperator(g, alpha=alpha, threads=threads, inverted=inverted)
+    with timed("operator.build"):
+        op = GoogleOperator(g, alpha=alpha, threads=threads, inverted=inverted)
     n = g.node_count
     v = np.full(n, 1.0 / n)
     residual = np.inf
     for it in range(1, max_iter + 1):
-        nxt = op.apply_g(v)
+        with timed("operator.apply_g"):
+            nxt = op.apply_g(v)
         residual = float(np.sum(np.abs(nxt - v)))
         v = nxt
         if residual < tol:
@@ -83,6 +86,7 @@ def _power_iteration(g, alpha, tol, max_iter, threads, inverted) -> RankVector:
     return _rank_vector(v, max_iter, residual, False)
 
 
+@timed("ranking.pagerank")
 def pagerank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
              max_iter: int = DEFAULT_MAX_ITER, threads: int = 1) -> RankVector:
     """Power iteration v <- G v from the uniform vector until the 1-norm of
@@ -90,6 +94,7 @@ def pagerank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA, tol: float = DEFAUL
     return _power_iteration(g, alpha, tol, max_iter, threads, inverted=False)
 
 
+@timed("ranking.cheirank")
 def cheirank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
              max_iter: int = DEFAULT_MAX_ITER, threads: int = 1) -> RankVector:
     """PageRank of the link-inverted graph G*, whose operator takes its

@@ -227,7 +227,8 @@ def powerlaw_fit(x, y, log_range: tuple[float, float] | None = None) -> PowerLaw
 def subspace_fraction(dimensions, tail_range: tuple[float, float] | None = None
                       ) -> SubspaceFractionCurve:
     """Survival curve of subspace dimensions over x = d/<d>, with an
-    optional power-law tail fit over an x interval."""
+    optional power-law tail fit over an x interval, which must hold at
+    least 3 curve points with a nonzero fraction."""
     dims = np.asarray(dimensions, dtype=np.int64)
     if dims.size == 0:
         raise ValueError("dimension list is empty")
@@ -243,10 +244,12 @@ def subspace_fraction(dimensions, tail_range: tuple[float, float] | None = None
     if tail_range is not None:
         lo, hi = tail_range
         mask = (x >= lo) & (x <= hi) & (fraction > 0)
-        if np.count_nonzero(mask) >= 3:
-            tail_fit = powerlaw_fit(x[mask], fraction[mask],
-                                    (float(np.log10(x[mask].min())),
-                                     float(np.log10(x[mask].max()))))
+        if np.count_nonzero(mask) < 3:
+            raise ValueError(f"[{lo}, {hi}] holds {np.count_nonzero(mask)} curve points "
+                             "with a nonzero fraction; the tail fit needs at least 3")
+        tail_fit = powerlaw_fit(x[mask], fraction[mask],
+                                (float(np.log10(x[mask].min())),
+                                 float(np.log10(x[mask].max()))))
     return SubspaceFractionCurve(x, fraction, mean, tail_fit)
 
 

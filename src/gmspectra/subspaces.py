@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DirectedGraph, invert
-from .manifest import write_json
+from .manifest import timed, write_json
 
 DEFAULT_DENSE_LIMIT = 4000
 UNIT_EIGENVALUE_TOL = 1e-10
@@ -166,6 +166,7 @@ def _components(g: DirectedGraph, mask: np.ndarray) -> list[np.ndarray]:
     return [nodes[order[a:b]] for a, b in zip(starts, starts[1:] + [nodes.size])]
 
 
+@timed("subspaces.decompose")
 def decompose(g: DirectedGraph, max_size: int | None = None,
               inverse: DirectedGraph | None = None) -> SubspaceDecomposition:
     """Partition nodes into invariant subspaces and the core. The sweeps read

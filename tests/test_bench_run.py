@@ -32,6 +32,10 @@ def test_children_have_one_record_each_and_repeat_their_bytes(bench_run, runner)
     assert records["ingest"]["argv"] == ["ingest", "edges.txt", "g.cache"]
     assert set(records["ingest"]["artifacts"]) == {"g.cache", "g.cache.manifest.json"}
     assert records["help"]["artifacts"] == {}
+    # the ingest manifest's flags and stage times; --help writes no manifest
+    assert records["ingest"]["flags"] == {"node_count": 5, "edge_count": 5, "dangling_count": 1}
+    assert set(records["ingest"]["timings"]) == {"graph.parse_edge_list", "graph.from_edges"}
+    assert records["help"]["flags"] == records["help"]["timings"] == {}
     for record in records.values():
         assert len(record["wall_runs_s"]) == len(record["peak_rss_runs_mib"]) == 2
         assert record["wall_s"] > 0 and record["peak_rss_mib"] > 0
@@ -56,3 +60,34 @@ def test_a_pass_with_other_bytes_stops_the_run(bench_run, runner, monkeypatch):
     monkeypatch.setattr(bench_run, "artifact_sha256", lambda path: next(hashes))
     with pytest.raises(RuntimeError, match="child 'ingest': pass 1 wrote other bytes"):
         runner.run({"ingest": ["ingest", "edges.txt", "g.cache"]}, passes=2)
+
+
+# A stand-in for ``gmspectra.cli``: each run writes one manifest whose
+# ``started``, ``finished`` and ``timings`` differ from the last run's; the
+# runs are counted in a file outside the work directory.
+FAKE_CLI = """
+import json, pathlib
+count = pathlib.Path("../count")
+n = int(count.read_text()) if count.exists() else 0
+count.write_text(str(n + 1))
+manifest = {"flags": {"passes": 3}, "timings": {"stage": [3.0, 1.0, 2.0][n]},
+            "started": n, "finished": n}
+pathlib.Path("out.manifest.json").write_text(json.dumps(manifest))
+"""
+
+
+def test_a_record_takes_the_median_timings_which_the_hash_leaves_out(bench_run, tmp_path):
+    package = tmp_path / "fake" / "gmspectra"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(FAKE_CLI)
+    (tmp_path / "bench").mkdir()
+    runner = bench_run.ChildRunner(tmp_path / "bench",
+                                   dict(os.environ, PYTHONPATH=str(tmp_path / "fake")))
+    try:
+        record = runner.run({"fake": []}, passes=3)["fake"]
+    finally:
+        runner.close()
+    assert record["timings"] == {"stage": 2.0}
+    assert record["flags"] == {"passes": 3}
+    assert list(record["artifacts"]) == ["out.manifest.json"]

@@ -378,6 +378,33 @@ def test_manifest_names_exactly_the_files_a_command_reads_and_writes(traced_comm
             assert digest == manifest_module.sha256_of(name), (argv, name)
 
 
+ARNOLDI_PARTS = {"arnoldi.matvec", "arnoldi.orthogonalise", "arnoldi.check", "arnoldi.eig"}
+# the stage times each command's manifest records
+TIMINGS = {"ingest": {"graph.parse_edge_list", "graph.from_edges"},
+           "rank": {"ranking.pagerank", "operator.build", "operator.apply_g"},
+           "rank --chei": {"ranking.cheirank", "operator.build", "operator.apply_g"},
+           "subspaces": {"subspaces.decompose"},
+           "spectrum": {"subspaces.decompose", "arnoldi.arnoldi_core", *ARNOLDI_PARTS},
+           "stats": set()}
+
+
+def test_manifest_records_each_stage_time_within_its_call(traced_commands):
+    for argv, prefix, _, _, _ in traced_commands:
+        command = next(a for a in argv if a in TIMINGS)
+        if command == "rank" and "--chei" in argv:
+            command = "rank --chei"
+        timings = json.loads(Path(f"{prefix}.manifest.json").read_text())["timings"]
+        assert set(timings) == TIMINGS[command], argv
+        assert min(timings.values(), default=0.0) >= 0, argv
+        # a call timed inside another takes part of its time
+        def seconds(*names):
+            return sum(timings.get(name, 0.0) for name in names)
+        assert seconds("graph.from_edges") <= seconds("graph.parse_edge_list"), argv
+        assert (seconds("operator.build", "operator.apply_g")
+                <= seconds("ranking.pagerank", "ranking.cheirank")), argv
+        assert seconds(*ARNOLDI_PARTS) <= seconds("arnoldi.arnoldi_core"), argv
+
+
 def numpy_loads_openssl() -> bool:
     """Whether ``import numpy`` alone imports ``hashlib`` (numpy 1.x loads
     ``numpy.random``, and so ``secrets``, with the package)."""
@@ -419,12 +446,17 @@ def test_input_replaced_by_an_output_keeps_its_as_read_hash(tmp_path, spelling):
 def test_writer_outside_a_cli_run_records_nothing(two_cycle_cache, tmp_path):
     state = dict(vars(manifest_module))
     write_curve_csv(tmp_path / "before.csv", "k", [1])
+    with manifest_module.timed("before"):
+        pagerank(load_cache(two_cycle_cache))
     assert dict(vars(manifest_module)) == state
     assert main(["rank", str(two_cycle_cache), str(tmp_path / "pr")]) == 0
     write_curve_csv(tmp_path / "after.csv", "k", [1])
+    with manifest_module.timed("after"):
+        pagerank(load_cache(two_cycle_cache))
     assert dict(vars(manifest_module)) == state
-    outputs = json.loads((tmp_path / "pr.manifest.json").read_text())["outputs"]
-    assert sorted(outputs) == [str(tmp_path / "pr.csv"), str(tmp_path / "pr.vec")]
+    manifest = json.loads((tmp_path / "pr.manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == [str(tmp_path / "pr.csv"), str(tmp_path / "pr.vec")]
+    assert set(manifest["timings"]) == TIMINGS["rank"]
     # a run that fails after committing an artifact writes no manifest and
     # leaves no run open
     (tmp_path / "edges.txt").write_text("5 7\n")
@@ -466,7 +498,8 @@ DIMENSIONS = {"float": "2.7", "bool": "true", "string": '"3"', "huge-float": "1e
 @pytest.fixture
 def stats_inputs(tmp_path):
     """A five-node cache (a 2-cycle, a self-loop, two core nodes), its PageRank and
-    CheiRank vectors, malformed decomposition files, and edge lists with
+    CheiRank vectors, vectors with a NaN, infinite or negative entry,
+    malformed decomposition files, and edge lists with
     a node id past the uint32 range, a node id past the int64 range and a
     byte that is not UTF-8."""
     edges = tmp_path / "edges.txt"
@@ -485,6 +518,9 @@ def stats_inputs(tmp_path):
     (tmp_path / "empty.txt").write_text("")
     (tmp_path / "comments.txt").write_text("# no edge\n\n")
     (tmp_path / "edges.gz").write_bytes(gzip.compress(b"0 1\n1 0\n", mtime=0))
+    for name, entry in {"nan": np.nan, "inf": np.inf, "neg-inf": -np.inf,
+                        "negative": -0.1}.items():
+        write_vector_cache(np.array([0.3, 0.3, entry, 0.2, 0.2]), tmp_path / f"{name}-entry.vec")
     return tmp_path
 
 
@@ -542,6 +578,13 @@ STATS_NO_RANK = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/missing.vec",
     (["spectrum", "{d}/g.cache", "{d}/out", "--max-ram", "0"], 3),
     (["spectrum", "{d}/g.cache", "{d}/out", "--max-ram", "-1"], 3),
     (["subspaces", "{d}/g.cache", "{d}/out", "--member-limit", "-1"], 3),
+    # a rank vector holds finite entries >= 0
+    (["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/nan-entry.vec", "--chei", "{d}/cr.vec"], 4),
+    (["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/pr.vec", "--chei", "{d}/inf-entry.vec"], 4),
+    (["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/neg-inf-entry.vec", "--chei",
+      "{d}/cr.vec"], 4),
+    (["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/pr.vec", "--chei",
+      "{d}/negative-entry.vec"], 4),
 ], ids=["decomposition-no-subspaces", "decomposition-not-json", "grid-log-not-int",
         "grid-linear-not-int", "grid-log-0", "grid-linear-limit-0",
         *[f"decomposition-dimension-{name}" for name in DIMENSIONS],
@@ -557,7 +600,8 @@ STATS_NO_RANK = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/missing.vec",
         "ingest-remap-node-id-past-int64", "ingest-not-utf8", "ingest-remap-num-nodes",
         "ingest-empty", "ingest-comments-only", "ingest-gzip", "rank-tol-nan",
         "rank-tol-inf", "cheirank-tol-nan", "spectrum-max-ram-nan", "spectrum-max-ram-0",
-        "spectrum-max-ram-negative", "subspaces-member-limit-negative"])
+        "spectrum-max-ram-negative", "subspaces-member-limit-negative", "stats-rank-nan",
+        "stats-chei-inf", "stats-rank-negative-inf", "stats-chei-negative"])
 def test_bad_invocation_exits_with_documented_code(stats_inputs, argv, code):
     (stats_inputs / "taken.csv").mkdir()
     proc = run_cli([a.format(d=stats_inputs) for a in argv])
@@ -568,6 +612,8 @@ def test_bad_invocation_exits_with_documented_code(stats_inputs, argv, code):
         assert argv[1].format(d=stats_inputs) in proc.stderr
     if "--decomposition" in argv:
         assert argv[-1].format(d=stats_inputs) in proc.stderr
+    for vector in (a for a in argv if a.endswith("-entry.vec")):
+        assert f"{vector.format(d=stats_inputs)}: entries must be finite and >= 0" in proc.stderr
     if "--grid" in argv:
         assert "--grid expects log:CELLS or linear:CELL_SIZE:LIMIT" in proc.stderr
     for option in ("--tol", "--max-ram", "--member-limit"):  # the message says why
@@ -784,8 +830,10 @@ def test_stats_missing_vector(small_cache, tmp_path):
     (["--grid", "linear:0:10"], 3),  # a zero cell size
     (["--decomposition", "dims.json", "--tail-range", "x"], 3),
     (["--tail-range", "x"], 3),
+    # the one subspace gives one curve point, and the tail fit needs 3
+    (["--decomposition", "dims.json", "--tail-range", "0:1"], 3),
 ], ids=["decomposition", "grid-spec", "fit-range", "grid-cells", "tail-range",
-        "tail-range-no-decomposition"])
+        "tail-range-no-decomposition", "tail-range-few-points"])
 def test_no_partial_artifacts_on_failure(tmp_path, small_cache, extra, code):
     # stats checks every input and computes every observable before its first
     # write, so a failing run leaves no report file and no temp file
