@@ -42,10 +42,10 @@ script keeps no timer of its own. The graphs are drawn with seed 11, by
 ``wait4`` peak RSS is the child's own. The ingest, decompose and pipeline
 children run ``INGEST_PASSES``, ``DECOMPOSE_PASSES`` and ``PIPELINE_PASSES``
 passes, the others one. A non-zero exit stops the run, as does a pass whose
-artifacts differ from the first pass's. A child's
-artifacts are the files new in its work directory; a manifest is hashed
-without its ``started``, ``finished`` and ``timings``, so two checkouts with
-the same output give the same hashes. Each child has one record: ``argv``;
+artifacts differ from the first pass's. A child's artifacts are the files
+new in its work directory; a manifest is hashed without its ``started``,
+``finished``, ``timings`` and ``peak_rss_mib``, so two checkouts with the
+same output give the same hashes. Each child has one record: ``argv``;
 ``wall_s`` and ``peak_rss_mib``, the medians of ``wall_runs_s`` and
 ``peak_rss_runs_mib``; ``timings``, the median of each manifest timing;
 the manifest's ``flags``; and ``artifacts`` (SHA-256 by file name). It is
@@ -53,28 +53,6 @@ the manifest's ``flags``; and ``artifacts`` (SHA-256 by file name). It is
 ``children["cheirank"]`` of a rank graph, ``graphs[<name>]["child"]`` of a
 decompose graph, ``arnoldi["child"]``, and ``children[<command>]`` of a
 pipeline workload.
-
-Up to ``BENCH_26.json`` the script also ran each stage in-process under
-timers of its own. Those keys are gone or read from the child record:
-
-* ingest modes: ``parse_edge_list_s`` and ``from_edges_s`` are
-  ``child["timings"]`` ``graph.parse_edge_list`` and ``graph.from_edges``;
-  ``parse_edge_list_runs_s`` and ``parse_self_s`` are gone.
-* rank graphs: ``operator_build_s`` and ``pagerank_s`` are
-  ``children["rank"]["timings"]`` ``operator.build`` and
-  ``ranking.pagerank``, ``pagerank_iterations`` and ``pagerank_converged``
-  its ``flags`` ``iterations`` and ``converged``; ``apply_g_runs_s`` is gone.
-* ``graphs``: ``decompose_s`` is ``child["timings"]["subspaces.decompose"]``,
-  ``subspace_count`` and ``core_count`` are its ``flags``, and
-  ``decomposition_sha256`` is the hash of its ``<name>.json`` artifact;
-  ``decompose_runs_s`` and ``decompose_us_per_node`` are gone.
-* ``arnoldi``: ``arnoldi_core_s``, ``matvec_s``, ``ortho_s`` and
-  ``hessenberg_eig_s`` are ``child["timings"]`` ``arnoldi.arnoldi_core``,
-  ``arnoldi.matvec``, ``arnoldi.orthogonalise`` and ``arnoldi.eig``, now of
-  a run with the check, which ``arnoldi.check`` times; ``ortho_s`` was the
-  remainder. ``core_count``, ``krylov_dimension`` and ``converged_count``
-  are its ``flags``; ``core_matvec_s`` is gone.
-* the run's ``repeats`` is gone: each child record lists its runs.
 
 ``--layers`` picks the layers to run (default: all five). ``--root`` is
 the checkout whose ``src/gmspectra`` runs (default: this one), so the same
@@ -198,11 +176,12 @@ class ChildRunner:
 
 def artifact_sha256(path: Path) -> str:
     """SHA-256 of an artifact; a manifest is hashed as its sorted JSON
-    without the ``started``, ``finished`` and ``timings`` it records."""
+    without the ``started``, ``finished``, ``timings`` and ``peak_rss_mib``
+    it records."""
     data = path.read_bytes()
     if path.name.endswith(".manifest.json"):
         manifest = {key: value for key, value in json.loads(data).items()
-                    if key not in ("started", "finished", "timings")}
+                    if key not in ("started", "finished", "timings", "peak_rss_mib")}
         data = json.dumps(manifest, sort_keys=True).encode()
     return hashlib.sha256(data).hexdigest()
 

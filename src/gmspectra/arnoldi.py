@@ -40,7 +40,6 @@ class ArnoldiResult:
     residual_norms: np.ndarray  # aligned with ritz_values
     krylov_dimension: int  # always n_arnoldi
     hessenberg: np.ndarray  # (k+1) x k
-    core_nodes: np.ndarray
     breakdown: bool  # a happy breakdown restarted the iteration
     ortho_defect: float | None
     relation_residual: float | None
@@ -152,7 +151,8 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
     the modulus-sorted Ritz order); an index outside ``[0, n_arnoldi)``
     raises ``ValueError``.
     ``check`` records the orthogonality defect and the Arnoldi relation
-    residual; it costs no extra matvecs.
+    residual; it costs no extra matvecs. ``threads`` goes to the operator,
+    which checks it and stores nothing of it.
     """
     core = decomp.core_nodes
     n_core = core.size
@@ -236,8 +236,8 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
             ortho_defect = float(np.max(np.abs(gram, out=gram)))
         relation_residual = defect
 
-    return ArnoldiResult(values, residuals, n_arnoldi, hess, core,
-                         breakdown, ortho_defect, relation_residual, ritz_vectors)
+    return ArnoldiResult(values, residuals, n_arnoldi, hess, breakdown,
+                         ortho_defect, relation_residual, ritz_vectors)
 
 
 def eigvec_profile(vector: np.ndarray) -> EigvecProfile:
@@ -253,11 +253,11 @@ def eigvec_profile(vector: np.ndarray) -> EigvecProfile:
     return EigvecProfile(moduli[node_at_rank], node_at_rank)
 
 
-def write_spectrum_csv(path, subspace_spec: SubspaceSpectrum | None,
+def write_spectrum_csv(path, subspace_spec: SubspaceSpectrum,
                        core: ArnoldiResult | None) -> None:
     """CSV export: re,im,modulus,residual,origin. Subspace eigenvalues come
     from dense solves and carry residual 0."""
-    sub_vals = subspace_spec.all_eigenvalues if subspace_spec is not None else []
+    sub_vals = subspace_spec.all_eigenvalues
     core_vals, core_res = ((core.ritz_values, core.residual_norms) if core is not None
                            else ([], []))
     lam = np.concatenate((sub_vals, core_vals))

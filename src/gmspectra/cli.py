@@ -41,10 +41,12 @@ class CliError(Exception):
 
 
 def _require_file(path):
-    """The CLI's one input gate: a missing file exits 2, and a present one is
-    recorded as an input of the run."""
+    """The CLI's one input gate: a missing file or a directory exits 2, and
+    a present file is recorded as an input of the run."""
     if not os.path.exists(path):
         raise CliError(EXIT_MISSING_INPUT, f"input not found: {path}")
+    if os.path.isdir(path):
+        raise CliError(EXIT_MISSING_INPUT, f"input is a directory, not a file: {path}")
     record_input(path)
     return path
 
@@ -100,8 +102,7 @@ def cmd_ingest(args) -> dict:
 def cmd_rank(args) -> dict:
     g = _load_graph(args.cache)
     compute = rk.cheirank if args.chei else rk.pagerank
-    rv = compute(g, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter,
-                 threads=args.threads)
+    rv = compute(g, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
     rk.write_rank_csv(rv, f"{args.out}.csv")
     rk.write_vector_cache(rv.probabilities, f"{args.out}.vec")
     kind = "cheirank" if args.chei else "pagerank"
@@ -113,15 +114,15 @@ def cmd_rank(args) -> dict:
 
 def _decomposed_graph(args):
     """Load the cache and decompose it, or with ``--inverted`` the graph G*
-    with every link reversed, with ``--max-size`` (default from N); returns
-    ``(g, loaded, decomp)``, where ``g`` is the decomposed graph and
-    ``loaded`` the cache's. G*'s in-links are the loaded graph's out-links,
-    so ``--inverted`` sorts the links once, for G*'s out-links, and hands
-    the loaded graph on as G*'s in-links."""
+    with every link reversed, with ``--max-size`` (``decompose`` defaults it
+    from N); returns ``(g, loaded, decomp)``, where ``g`` is the decomposed
+    graph and ``loaded`` the cache's. G*'s in-links are the loaded graph's
+    out-links, so ``--inverted`` sorts the links once, for G*'s out-links,
+    and hands the loaded graph on as G*'s in-links."""
     loaded = _load_graph(args.cache)
     g = gr.invert(loaded) if args.inverted else loaded
-    max_size = sub.default_max_size(g.node_count) if args.max_size is None else args.max_size
-    decomp = sub.decompose(g, max_size=max_size, inverse=loaded if args.inverted else None)
+    decomp = sub.decompose(g, max_size=args.max_size,
+                           inverse=loaded if args.inverted else None)
     return g, loaded, decomp
 
 
@@ -154,7 +155,7 @@ def cmd_spectrum(args) -> dict:
     # arnoldi_core rejects a Ritz index >= n_arnoldi before it does any work,
     # so it runs ahead of the block spectra
     result = arn.arnoldi_core(loaded, decomp, n_arnoldi, vector_indices=args.vectors,
-                              threads=args.threads, inverted=args.inverted)
+                              inverted=args.inverted)
     spectrum = sub.subspace_spectrum(g, decomp, dense_limit=args.dense_limit)
     arn.write_spectrum_csv(f"{args.out}.csv", spectrum, result)
     if result.ritz_vectors:
@@ -191,8 +192,8 @@ def cmd_stats(args) -> dict:
     n = g.node_count
     p = _load_vector(args.rank, n)
     p_star = _load_vector(args.chei, n)
-    k, _ = rk.rank_indices(p)
-    k_star, _ = rk.rank_indices(p_star)
+    k, order = rk.rank_indices(p)
+    k_star, order_star = rk.rank_indices(p_star)
 
     # every input is checked and every observable computed before the first
     # write, so a failing run leaves no partial report bundle
@@ -203,9 +204,9 @@ def cmd_stats(args) -> dict:
     if args.fit_range is not None:
         ranks = np.arange(1, n + 1, dtype=np.float64)
         try:  # a range that holds fewer than 3 ranks
-            for name, vec in (("pagerank", p), ("cheirank", p_star)):
-                fits[name] = st.powerlaw_fit(ranks, np.sort(vec)[::-1],
-                                             args.fit_range).to_json()
+            for name, vec, node_at_rank in (("pagerank", p, order),
+                                            ("cheirank", p_star, order_star)):
+                fits[name] = st.powerlaw_fit(ranks, vec[node_at_rank], args.fit_range).to_json()
         except ValueError as exc:
             raise CliError(EXIT_BAD_PARAMETER, f"--fit-range: {exc}") from exc
     k_values = np.round(np.logspace(0, np.log10(n), 64)).astype(np.int64)
@@ -215,11 +216,12 @@ def cmd_stats(args) -> dict:
     curve = None
     if args.decomposition:
         dims = _load_dimensions(_require_file(args.decomposition))
-        if dims.size:
-            try:  # a range that holds fewer than 3 curve points
+        if dims.size or args.tail_range is not None:
+            try:  # no subspace, or a range that holds fewer than 3 curve points
                 curve = st.subspace_fraction(dims, tail_range=args.tail_range)
             except ValueError as exc:
-                raise CliError(EXIT_BAD_PARAMETER, f"--tail-range: {exc}") from exc
+                raise CliError(EXIT_BAD_PARAMETER,
+                               f"--tail-range on {args.decomposition}: {exc}") from exc
             flags["mean_subspace_dimension"] = curve.mean_dimension
             if curve.tail_fit is not None:
                 fits["subspace_fraction_tail"] = curve.tail_fit.to_json()
@@ -233,7 +235,7 @@ def cmd_stats(args) -> dict:
         st.write_grid_csv(density, f"{args.out}.density_{'_'.join(map(str, grid.values()))}.csv")
     st.write_curve_csv(f"{args.out}.nk.csv", "k,n_k", k_values, nk)
     st.write_curve_csv(f"{args.out}.ng.csv", "k,n_g,area_density,linear_density",
-                       filling.k_values, filling.n_g, filling.area_density,
+                       k_values, filling.n_g, filling.area_density,
                        filling.linear_density)
     if curve is not None:
         st.write_curve_csv(f"{args.out}.fraction.csv", "x,fraction", curve.x, curve.fraction)
@@ -297,9 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gmspectra",
         description="Google-matrix spectral analysis of directed networks")
     parser.add_argument("--threads", type=_POSITIVE, default=1,
-                        help="worker count, >= 1, recorded in the manifests; the "
-                             "matrix-vector stages run on one thread (see README) and "
-                             "output bytes do not depend on it (default: 1)")
+                        help="worker count, >= 1, recorded in the manifests; no stage "
+                             "reads it, as the matrix-vector stages run on one thread "
+                             "(see README) (default: 1)")
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("ingest", help="parse an edge list into a binary cache")
@@ -313,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("rank", help="PageRank or CheiRank by power iteration")
     p.add_argument("cache")
     p.add_argument("out", help="output prefix: writes .csv, .vec, .manifest.json")
-    p.add_argument("--alpha", type=_checked(float, lambda a: 0 < a < 1, "must be in (0, 1)"),
-                   default=0.85, help="damping factor, in (0, 1) (default: %(default)s)")
+    p.add_argument("--alpha", default=rk.DEFAULT_ALPHA,
+                   type=_checked(float, lambda a: 0 < a < 1, "must be in (0, 1)"),
+                   help="damping factor, in (0, 1) (default: %(default)s)")
     p.add_argument("--tol", default=rk.DEFAULT_TOL,
                    type=_checked(float, lambda t: 0 < t < np.inf, "must be finite and > 0"),
                    help="L1 residual to stop at, finite and > 0 (default: %(default)s)")

@@ -181,9 +181,6 @@ class DirectedGraph:
                 and np.array_equal(self.out_offsets, other.out_offsets)
                 and np.array_equal(self.out_indices, other.out_indices))
 
-    def __hash__(self):
-        return hash((self.node_count, self.edge_count))
-
 
 @dataclass(frozen=True)
 class GraphStats:
@@ -369,11 +366,13 @@ def degree_stats(g: DirectedGraph) -> GraphStats:
     )
 
 
+@timed("graph.save_cache")
 def save_cache(g: DirectedGraph, path) -> None:
     """Write the binary cache: magic, version, N, N_ell, out-link CSR arrays, crc32."""
     GRAPH_CACHE.write(path, (g.node_count, g.edge_count), (g.out_offsets, g.out_indices))
 
 
+@timed("graph.load_cache")
 def load_cache(path) -> DirectedGraph:
     """Read a cache written by ``save_cache``. Besides the container checks,
     the out-links must be CSR arrays over N >= 1 nodes whose rows are sorted

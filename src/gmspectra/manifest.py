@@ -1,6 +1,6 @@
-"""Run manifests: parameters, input/output checksums, stage times,
-timestamps; the atomic file writer every artifact goes through, and the JSON
-writer beside it.
+"""Run manifests: parameters, input/output checksums, stage times, peak
+RSS, timestamps; the atomic file writer every artifact goes through, and
+the JSON writer beside it.
 
 While a CLI run is open (``recorded_run``), ``atomic_write`` records every
 artifact it commits, ``record_input`` every file the run reads and ``timed``
@@ -13,11 +13,17 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
 
 from . import __version__
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 _run = None  # the RunManifest of the open CLI run; None outside a run
 
@@ -96,9 +102,18 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _peak_rss_mib() -> float | None:
+    """This process's peak resident set size so far, in MiB; ``ru_maxrss`` is
+    KiB on Linux and bytes on macOS. None where ``resource`` is missing."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 class RunManifest:
-    """Collects one command's parameters, flags, stage times and artifact
-    checksums."""
+    """Collects one command's parameters, flags, stage times, peak RSS and
+    artifact checksums."""
 
     def __init__(self, command: str, parameters: dict):
         self.data = {
@@ -112,12 +127,15 @@ class RunManifest:
             "timings": {},
             "started": _now(),
             "finished": None,
+            "peak_rss_mib": None,
         }
 
     def write(self, path) -> None:
-        """Hash every recorded input and output not hashed yet, then write
-        the manifest to ``path``."""
+        """Record the peak RSS, hash every recorded input and output not
+        hashed yet, then write the manifest to ``path``. The peak is read
+        before the first hash, which loads OpenSSL."""
         self.data["finished"] = _now()
+        self.data["peak_rss_mib"] = _peak_rss_mib()
         for files in (self.data["inputs"], self.data["outputs"]):
             for name, digest in files.items():
                 if digest is None:

@@ -13,13 +13,10 @@ A chunk of about ``GATHER_CHUNK`` links is gathered and summed at a time, so
 a matvec's buffers stay small and in cache; a row is never split, so the
 sums are those of one whole gather. The sparse part runs on the calling
 thread: ``np.add.reduceat`` holds the interpreter lock, and a two-thread
-split of the rows measured no faster than one pass. Results do not depend
-on ``threads``.
+split of the rows measured no faster than one pass.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,44 +28,36 @@ DEFAULT_ALPHA = 0.85
 GATHER_CHUNK = 1 << 15
 
 
-@dataclass(frozen=True)
 class GoogleOperator:
     """Matrix-free S and G over an immutable DirectedGraph, or with
     ``inverted=True`` over its link-inverted network G* (used for CheiRank):
     then the in-links are ``graph``'s out-links, the out-degrees its
     in-degrees, and the dangling nodes those without an in-link.
 
-    ``threads`` is checked (>= 1) but not used by the matvec; see the module
-    docstring. The operator keeps the in-link ids ``uint32``, as ``invert``
-    builds them or as ``graph`` stores them (4 bytes per edge; with
-    ``inverted`` they are ``graph``'s own). Each chunk is a triple of views:
-    its in-link ids, its segment starts counted from the chunk's first link,
-    and its rows. The gather uses ``mode="wrap"``, which skips numpy's bounds
-    pass; it never wraps, as an id >= N raises ``ValueError`` at
-    construction."""
+    ``threads`` is checked (>= 1) and not stored; see the module docstring.
+    The operator keeps N, ``alpha``, the reciprocal out-degrees, the
+    dangling ids and the chunks, and not ``graph``. The in-link ids stay
+    ``uint32``, as ``invert`` builds them or as ``graph`` stores them (4
+    bytes per edge; with ``inverted`` they are ``graph``'s own). Each chunk
+    is a triple of views: its in-link ids, its segment starts counted from the
+    chunk's first link, and its rows. The gather uses ``mode="wrap"``, which
+    skips numpy's bounds pass; it never wraps, as an id >= N raises
+    ``ValueError`` at construction."""
 
-    graph: DirectedGraph
-    alpha: float = DEFAULT_ALPHA
-    threads: int = 1
-    inverted: bool = False
-    _inv_out_degree: np.ndarray = field(init=False, repr=False, compare=False)
-    _dangling: np.ndarray = field(init=False, repr=False, compare=False)
-    _chunks: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.threads < 1:
+    def __init__(self, graph: DirectedGraph, alpha: float = DEFAULT_ALPHA, threads: int = 1,
+                 inverted: bool = False):
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+        if threads < 1:
             raise ValueError("threads must be >= 1")
-        g = self.graph
-        n = g.node_count
-        deg = g.in_degrees if self.inverted else g.out_degrees
+        n = graph.node_count
+        deg = graph.in_degrees if inverted else graph.out_degrees
         if deg.size > n:  # only a successor id >= N makes bincount longer
             raise ValueError(f"node id {deg.size - 1} outside [0, {n})")
         inv = np.zeros(n, dtype=np.float64)
         nz = deg > 0
         inv[nz] = 1.0 / deg[nz]
-        inbound = g if self.inverted else invert(g)
+        inbound = graph if inverted else invert(graph)
         offsets, ids = inbound.out_offsets, inbound.out_indices
         # CSR offsets are contiguous, so the starts of the nonempty rows
         # delimit exact segments and the last one runs to the end of the links
@@ -83,18 +72,16 @@ class GoogleOperator:
             if lo < hi:
                 first = bounds[lo]
                 chunks.append((ids[first:bounds[hi]], starts[lo:hi] - first, rows[lo:hi]))
-        object.__setattr__(self, "_inv_out_degree", inv)
-        object.__setattr__(self, "_dangling", np.flatnonzero(~nz))
-        object.__setattr__(self, "_chunks", tuple(chunks))
-
-    @property
-    def node_count(self) -> int:
-        return self.graph.node_count
+        self.n = n
+        self.alpha = alpha
+        self._inv_out_degree = inv
+        self._dangling = np.flatnonzero(~nz)
+        self._chunks = tuple(chunks)
 
     def _check(self, v):
         v = np.asarray(v)
-        if v.shape != (self.node_count,):
-            raise ValueError(f"vector length {v.shape} does not match N={self.node_count}")
+        if v.shape != (self.n,):
+            raise ValueError(f"vector length {v.shape} does not match N={self.n}")
         if not np.all(np.isfinite(v)):
             raise ValueError("input vector has non-finite entries")
         return v
@@ -110,10 +97,10 @@ class GoogleOperator:
         """S @ v: column-normalized adjacency with uniform dangling columns."""
         v = self._check(v)
         w = v * self._inv_out_degree
-        out = np.zeros(self.node_count, dtype=w.dtype)
+        out = np.zeros(self.n, dtype=w.dtype)
         self._sparse_part(w, out)
         if self._dangling.size:
-            out += np.sum(v[self._dangling]) / self.node_count
+            out += np.sum(v[self._dangling]) / self.n
         return out
 
     def apply_g(self, v: np.ndarray) -> np.ndarray:
@@ -121,5 +108,5 @@ class GoogleOperator:
         out = self.apply_s(v)
         if self.alpha != 1.0:
             out *= self.alpha
-            out += (1.0 - self.alpha) * np.sum(np.asarray(v)) / self.node_count
+            out += (1.0 - self.alpha) * np.sum(np.asarray(v)) / self.n
         return out

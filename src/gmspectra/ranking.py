@@ -28,22 +28,14 @@ DEFAULT_MAX_ITER = 1000
 
 @dataclass(frozen=True)
 class RankVector:
-    """Probability vector with its decreasing-order rank permutation.
-
-    ``rank_of_node[i]`` is the 1-based rank of node i; ``node_at_rank[k]``
-    the node holding rank k+1. Ties break by ascending node id.
-    """
+    """Probability vector with its decreasing-order ranks: ``rank_of_node[i]``
+    is the 1-based rank of node i. Ties break by ascending node id."""
 
     probabilities: np.ndarray
     rank_of_node: np.ndarray
-    node_at_rank: np.ndarray
     iterations_used: int
     residual: float
     converged: bool
-
-    @property
-    def node_count(self) -> int:
-        return self.probabilities.size
 
 
 def rank_indices(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -58,11 +50,11 @@ def rank_indices(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rank_vector(p, iterations, residual, converged) -> RankVector:
-    rank_of_node, node_at_rank = rank_indices(p)
-    return RankVector(p, rank_of_node, node_at_rank, iterations, residual, converged)
+    rank_of_node, _ = rank_indices(p)
+    return RankVector(p, rank_of_node, iterations, residual, converged)
 
 
-def _power_iteration(g, alpha, tol, max_iter, threads, inverted) -> RankVector:
+def _power_iteration(g, alpha, tol, max_iter, inverted) -> RankVector:
     """Power iteration v <- G v, over G* with ``inverted``, from the uniform
     vector until the 1-norm of the update drops below tol."""
     if not 0.0 < alpha < 1.0:
@@ -72,7 +64,7 @@ def _power_iteration(g, alpha, tol, max_iter, threads, inverted) -> RankVector:
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     with timed("operator.build"):
-        op = GoogleOperator(g, alpha=alpha, threads=threads, inverted=inverted)
+        op = GoogleOperator(g, alpha=alpha, inverted=inverted)
     n = g.node_count
     v = np.full(n, 1.0 / n)
     residual = np.inf
@@ -88,23 +80,23 @@ def _power_iteration(g, alpha, tol, max_iter, threads, inverted) -> RankVector:
 
 @timed("ranking.pagerank")
 def pagerank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
-             max_iter: int = DEFAULT_MAX_ITER, threads: int = 1) -> RankVector:
+             max_iter: int = DEFAULT_MAX_ITER) -> RankVector:
     """Power iteration v <- G v from the uniform vector until the 1-norm of
     the update drops below tol. Non-convergence is reported, not raised."""
-    return _power_iteration(g, alpha, tol, max_iter, threads, inverted=False)
+    return _power_iteration(g, alpha, tol, max_iter, inverted=False)
 
 
 @timed("ranking.cheirank")
 def cheirank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
-             max_iter: int = DEFAULT_MAX_ITER, threads: int = 1) -> RankVector:
+             max_iter: int = DEFAULT_MAX_ITER) -> RankVector:
     """PageRank of the link-inverted graph G*, whose operator takes its
     in-links from ``g``'s out-links as stored, so no link is sorted."""
-    return _power_iteration(g, alpha, tol, max_iter, threads, inverted=True)
+    return _power_iteration(g, alpha, tol, max_iter, inverted=True)
 
 
 def write_rank_csv(rv: RankVector, path) -> None:
     """CSV export: node_id,probability,rank (atomic write)."""
-    write_curve_csv(path, "node_id,probability,rank", np.arange(rv.node_count),
+    write_curve_csv(path, "node_id,probability,rank", np.arange(rv.probabilities.size),
                     rv.probabilities, rv.rank_of_node)
 
 

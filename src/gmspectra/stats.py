@@ -23,11 +23,10 @@ CSV_CHUNK_ROWS = 8192
 
 @dataclass(frozen=True)
 class CorrelatorReport:
-    """Correlator kappa = N * sum_i P_i P*_i - 1 with per-node components
-    kappa_i = N P_i P*_i and their log-binned histogram."""
+    """Correlator kappa = N * sum_i P_i P*_i - 1 and the log-binned histogram
+    of its per-node components kappa_i = N P_i P*_i."""
 
     kappa: float
-    components: np.ndarray
     histogram: np.ndarray  # counts, KAPPA_HIST_CELLS log cells
     bin_edges: np.ndarray  # length cells + 1
     underflow: int
@@ -88,8 +87,7 @@ def correlator(p: np.ndarray, p_star: np.ndarray) -> CorrelatorReport:
     counts, _ = np.histogram(components[in_range], bins=edges)
     underflow = int(np.count_nonzero(components < lo))
     overflow = int(np.count_nonzero(components > hi))
-    return CorrelatorReport(kappa, components, counts.astype(np.int64),
-                            edges, underflow, overflow)
+    return CorrelatorReport(kappa, counts.astype(np.int64), edges, underflow, overflow)
 
 
 def _check_permutation(k: np.ndarray, name: str) -> np.ndarray:
@@ -152,9 +150,9 @@ def n_k_counts(k: np.ndarray, k_star: np.ndarray, k_values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FillingCurve:
-    """Adjacency nonzeros among the top-K ranked nodes and derived densities."""
+    """Adjacency nonzeros among the top-K ranked nodes and derived densities,
+    aligned with the ``k_values`` of ``ng_filling``."""
 
-    k_values: np.ndarray
     n_g: np.ndarray  # edge counts
     area_density: np.ndarray  # N_G / K^2
     linear_density: np.ndarray  # N_G / K
@@ -180,7 +178,7 @@ def ng_filling(g: DirectedGraph, k: np.ndarray, k_values) -> FillingCurve:
     queries = np.clip(k_values, 0, np.iinfo(np.uint32).max).astype(np.uint32)
     n_g = np.searchsorted(worst, queries, side="right").astype(np.int64)
     kf = k_values.astype(np.float64)
-    return FillingCurve(k_values, n_g, n_g / kf**2, n_g / kf)
+    return FillingCurve(n_g, n_g / kf**2, n_g / kf)
 
 
 def powerlaw_fit(x, y, log_range: tuple[float, float] | None = None) -> PowerLawFit:

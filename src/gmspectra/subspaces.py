@@ -32,11 +32,7 @@ OVERFLOW = None  # sentinel returned by node_closure
 
 @dataclass(frozen=True)
 class SubspaceDecomposition:
-    """Disjoint invariant subspaces plus the core node set.
-
-    ``permutation`` lists subspace nodes first (grouped subspace by
-    subspace), then core nodes, realizing the block-triangular form of S.
-    """
+    """Disjoint invariant subspaces plus the core node set."""
 
     subspaces: list[np.ndarray]  # sorted node ids per subspace
     core_nodes: np.ndarray  # sorted
@@ -57,10 +53,6 @@ class SubspaceDecomposition:
     @property
     def core_count(self) -> int:
         return self.core_nodes.size
-
-    @property
-    def permutation(self) -> np.ndarray:
-        return np.concatenate([*self.subspaces, self.core_nodes])
 
 
 @dataclass(frozen=True)
@@ -234,6 +226,7 @@ def subspace_block(g: DirectedGraph, members: np.ndarray) -> np.ndarray:
     return block
 
 
+@timed("subspaces.subspace_spectrum")
 def subspace_spectrum(g: DirectedGraph, decomp: SubspaceDecomposition,
                       dense_limit: int = DEFAULT_DENSE_LIMIT) -> SubspaceSpectrum:
     """Dense eigenvalues of each subspace block; blocks above ``dense_limit``

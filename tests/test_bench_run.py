@@ -1,6 +1,7 @@
 """The child runner of bench/run.py, on a five-line edge list."""
 
 import importlib.util
+import json
 import os
 from pathlib import Path
 
@@ -34,7 +35,8 @@ def test_children_have_one_record_each_and_repeat_their_bytes(bench_run, runner)
     assert records["help"]["artifacts"] == {}
     # the ingest manifest's flags and stage times; --help writes no manifest
     assert records["ingest"]["flags"] == {"node_count": 5, "edge_count": 5, "dangling_count": 1}
-    assert set(records["ingest"]["timings"]) == {"graph.parse_edge_list", "graph.from_edges"}
+    assert set(records["ingest"]["timings"]) == {"graph.parse_edge_list", "graph.from_edges",
+                                                 "graph.save_cache"}
     assert records["help"]["flags"] == records["help"]["timings"] == {}
     for record in records.values():
         assert len(record["wall_runs_s"]) == len(record["peak_rss_runs_mib"]) == 2
@@ -45,6 +47,9 @@ def test_children_have_one_record_each_and_repeat_their_bytes(bench_run, runner)
         "edges.txt", "g.cache", "g.cache.manifest.json"]
     assert {name: bench_run.artifact_sha256(runner.work / name)
             for name in records["ingest"]["artifacts"]} == records["ingest"]["artifacts"]
+    # the manifest's peak, read before its hashes, is at most the child's wait4 peak
+    manifest = json.loads((runner.work / "g.cache.manifest.json").read_text())
+    assert 0 < manifest["peak_rss_mib"] <= records["ingest"]["peak_rss_runs_mib"][-1]
     assert sorted(p.name for p in runner.logs.iterdir()) == [
         f"{child}.{n}.{stream}" for child in ("help", "ingest") for n in (0, 1)
         for stream in ("err", "out")]
@@ -63,15 +68,15 @@ def test_a_pass_with_other_bytes_stops_the_run(bench_run, runner, monkeypatch):
 
 
 # A stand-in for ``gmspectra.cli``: each run writes one manifest whose
-# ``started``, ``finished`` and ``timings`` differ from the last run's; the
-# runs are counted in a file outside the work directory.
+# ``started``, ``finished``, ``timings`` and ``peak_rss_mib`` differ from the
+# last run's; the runs are counted in a file outside the work directory.
 FAKE_CLI = """
 import json, pathlib
 count = pathlib.Path("../count")
 n = int(count.read_text()) if count.exists() else 0
 count.write_text(str(n + 1))
 manifest = {"flags": {"passes": 3}, "timings": {"stage": [3.0, 1.0, 2.0][n]},
-            "started": n, "finished": n}
+            "started": n, "finished": n, "peak_rss_mib": 10.0 + n}
 pathlib.Path("out.manifest.json").write_text(json.dumps(manifest))
 """
 

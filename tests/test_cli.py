@@ -380,12 +380,16 @@ def test_manifest_names_exactly_the_files_a_command_reads_and_writes(traced_comm
 
 ARNOLDI_PARTS = {"arnoldi.matvec", "arnoldi.orthogonalise", "arnoldi.check", "arnoldi.eig"}
 # the stage times each command's manifest records
-TIMINGS = {"ingest": {"graph.parse_edge_list", "graph.from_edges"},
-           "rank": {"ranking.pagerank", "operator.build", "operator.apply_g"},
-           "rank --chei": {"ranking.cheirank", "operator.build", "operator.apply_g"},
-           "subspaces": {"subspaces.decompose"},
-           "spectrum": {"subspaces.decompose", "arnoldi.arnoldi_core", *ARNOLDI_PARTS},
-           "stats": set()}
+TIMINGS = {"ingest": {"graph.parse_edge_list", "graph.from_edges", "graph.save_cache"},
+           "rank": {"graph.load_cache", "ranking.pagerank", "operator.build",
+                    "operator.apply_g"},
+           "rank --chei": {"graph.load_cache", "ranking.cheirank", "operator.build",
+                           "operator.apply_g"},
+           "subspaces": {"graph.load_cache", "subspaces.decompose",
+                         "subspaces.subspace_spectrum"},
+           "spectrum": {"graph.load_cache", "subspaces.decompose", "arnoldi.arnoldi_core",
+                        *ARNOLDI_PARTS, "subspaces.subspace_spectrum"},
+           "stats": {"graph.load_cache"}}
 
 
 def test_manifest_records_each_stage_time_within_its_call(traced_commands):
@@ -508,6 +512,7 @@ def stats_inputs(tmp_path):
     assert main(["rank", str(tmp_path / "g.cache"), str(tmp_path / "pr")]) == 0
     assert main(["rank", str(tmp_path / "g.cache"), str(tmp_path / "cr"), "--chei"]) == 0
     (tmp_path / "nosub.json").write_text('{"node_count": 5}\n')
+    (tmp_path / "zero-subspaces.json").write_text('{"subspaces": []}\n')
     (tmp_path / "notjson.json").write_text("0 1\n")
     for name, dimension in DIMENSIONS.items():
         (tmp_path / f"dim-{name}.json").write_text(
@@ -552,6 +557,8 @@ STATS_NO_RANK = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/missing.vec",
     (STATS + ["--tail-range", "5:1"], 3),
     (STATS + ["--tail-range", "1:1"], 3),
     (STATS + ["--fit-range", "0:inf"], 3),
+    # a decomposition without a subspace gives a curve without a point
+    (STATS + ["--tail-range", "0:1", "--decomposition", "{d}/zero-subspaces.json"], 3),
     (["subspaces", "{d}/g.cache", "{d}/out", "--max-size", "0"], 3),
     (["spectrum", "{d}/g.cache", "{d}/out", "--arnoldi-dim", "2", "--max-size", "0"], 3),
     (["spectrum", "{d}/g.cache", "{d}/out", "--arnoldi-dim", "2", "--dense-limit", "0"], 3),
@@ -593,7 +600,7 @@ STATS_NO_RANK = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/missing.vec",
         "missing-vector-stats-grid", "missing-vector-stats-tail-range",
         "missing-edges-ingest-remap-num-nodes", "missing-vector-stats-fit-range-reversed",
         "stats-tail-range-nan", "stats-tail-range-reversed", "stats-tail-range-empty",
-        "stats-fit-range-infinite",
+        "stats-fit-range-infinite", "stats-tail-range-no-subspace",
         "subspaces-max-size-0",
         "spectrum-max-size-0", "spectrum-dense-limit-0", "output-dir-missing",
         "output-is-directory", "ingest-node-id-past-uint32", "ingest-node-id-past-int64",
@@ -620,7 +627,7 @@ def test_bad_invocation_exits_with_documented_code(stats_inputs, argv, code):
         if option in argv:
             assert f"{option} must be" in proc.stderr
     for option in ("--fit-range", "--tail-range"):
-        if option in argv:
+        if option in argv and "--decomposition" not in argv:  # rejected when parsed
             assert f"{option} expects LO:HI with finite LO < HI" in proc.stderr
     if "remap" in argv and "--num-nodes" in argv:
         assert "--num-nodes applies to --id-mode dense only" in proc.stderr
@@ -646,6 +653,23 @@ def test_usage_errors_exit_3(stats_inputs, capsys, argv):
     before = sorted(stats_inputs.iterdir())
     assert main([a.format(d=stats_inputs) for a in argv]) == 3
     assert capsys.readouterr().err.startswith("gmspectra: ")
+    assert sorted(stats_inputs.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "{d}/dir", "{d}/d.cache"],
+    ["rank", "{d}/dir", "{d}/out"],
+    ["spectrum", "{d}/dir", "{d}/out"],
+    ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/dir", "--chei", "{d}/cr.vec"],
+    STATS + ["--decomposition", "{d}/dir"],
+], ids=["ingest-edge-list", "rank-cache", "spectrum-cache", "stats-rank",
+        "stats-decomposition"])
+def test_input_that_is_a_directory_exits_2(stats_inputs, capsys, argv):
+    # an input path that names a directory is no input file, as a missing one
+    (stats_inputs / "dir").mkdir()
+    before = sorted(stats_inputs.iterdir())
+    assert main([a.format(d=stats_inputs) for a in argv]) == 2
+    assert f"is a directory, not a file: {stats_inputs / 'dir'}" in capsys.readouterr().err
     assert sorted(stats_inputs.iterdir()) == before
 
 
@@ -832,8 +856,10 @@ def test_stats_missing_vector(small_cache, tmp_path):
     (["--tail-range", "x"], 3),
     # the one subspace gives one curve point, and the tail fit needs 3
     (["--decomposition", "dims.json", "--tail-range", "0:1"], 3),
+    # no subspace gives no curve point
+    (["--decomposition", "none.json", "--tail-range", "0:1"], 3),
 ], ids=["decomposition", "grid-spec", "fit-range", "grid-cells", "tail-range",
-        "tail-range-no-decomposition", "tail-range-few-points"])
+        "tail-range-no-decomposition", "tail-range-few-points", "tail-range-no-subspace"])
 def test_no_partial_artifacts_on_failure(tmp_path, small_cache, extra, code):
     # stats checks every input and computes every observable before its first
     # write, so a failing run leaves no report file and no temp file
@@ -841,6 +867,7 @@ def test_no_partial_artifacts_on_failure(tmp_path, small_cache, extra, code):
     main(["rank", str(small_cache), str(tmp_path / "cr"), "--chei"])
     (tmp_path / "empty.json").write_text("{}")
     (tmp_path / "dims.json").write_text('{"subspaces": [{"dimension": 2}]}')
+    (tmp_path / "none.json").write_text('{"subspaces": []}')
     extra = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in extra]
     assert main(["stats", str(small_cache), str(tmp_path / "s"),
                  "--rank", str(tmp_path / "pr.vec"),

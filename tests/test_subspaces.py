@@ -160,7 +160,8 @@ def test_permutation_realizes_block_order():
     # 3 reaches the dangling node 4, so 3 and 4 are core
     g = parse_edge_list(["0 1", "1 0", "2 2", "3 0", "3 4"])
     d = decompose(g, max_size=10)
-    perm = d.permutation
+    # the subspaces, then the core, order S block-triangularly
+    perm = np.concatenate([*d.subspaces, d.core_nodes])
     assert sorted(perm.tolist()) == [0, 1, 2, 3, 4]
     assert list(perm[:3]) == [0, 1, 2]  # subspace nodes first
     assert list(perm[3:]) == [3, 4]
