@@ -20,7 +20,9 @@ as the commands that read ``g.cache``. The graphs are drawn with seed 11, by
   per-line parser reads it. A ``dense-commented`` cache that differs from
   the dense one stops the run. ``parse_us_per_line`` is the parser's own
   time per line, ``graph.parse_edge_list`` less ``graph.from_edges``. The
-  ``rank`` layer adds ``rank`` and ``rank --chei`` on ``g.cache``.
+  ``rank`` layer adds ``rank``, ``rank --chei`` and perfbench's
+  ``subspaces`` and ``stats`` commands on ``g.cache``; the ``stats`` child
+  reads the vectors and the decomposition of the children before it.
   ``apply_g_ns_per_link`` is the ``rank`` child's ``operator.apply_g`` per
   iteration and link. Two figures no child gives are measured here with
   ``tracemalloc``, on the ``g.cache`` the ingest child wrote: the bytes per
@@ -240,8 +242,10 @@ def run_graph(runner, src, dst, n: int, children: dict[str, list[str]], passes: 
 
 def time_ingest(gm, generate, runner, layers) -> dict:
     """The ``ingest`` graphs: the parse modes with the ``ingest`` layer, and
-    ``rank`` and ``rank --chei`` with the ``rank`` layer."""
+    ``rank``, ``rank --chei``, ``subspaces`` and ``stats`` with the ``rank``
+    layer."""
     import numpy as np
+    from perfbench.bench import WORKLOADS, cli_args
 
     graphs = {}
     for name, (nodes, block_share, min_out_degree) in INGEST_GRAPHS.items():
@@ -252,8 +256,11 @@ def time_ingest(gm, generate, runner, layers) -> dict:
                          "dense-commented": ["ingest", "commented.txt", "commented.cache",
                                              "--num-nodes", str(nodes)]}
         if "rank" in layers:
+            # perfbench's arguments, which read nothing of the workload
             children |= {"rank": ["rank", "g.cache", "pr"],
-                         "cheirank": ["rank", "g.cache", "cr", "--chei"]}
+                         "cheirank": ["rank", "g.cache", "cr", "--chei"],
+                         **{stage: cli_args(stage, WORKLOADS["rank-large"], Path("."))
+                            for stage in ("subspaces", "stats")}}
         record = run_graph(runner, planted.src, planted.dst, nodes, children, INGEST_PASSES,
                            commented="ingest" in layers)
         del planted

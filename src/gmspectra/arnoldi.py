@@ -257,7 +257,7 @@ def write_spectrum_csv(path, subspace_spec: SubspaceSpectrum,
                        core: ArnoldiResult | None) -> None:
     """CSV export: re,im,modulus,residual,origin. Subspace eigenvalues come
     from dense solves and carry residual 0."""
-    sub_vals = subspace_spec.all_eigenvalues
+    sub_vals = subspace_spec.eigenvalues
     core_vals, core_res = ((core.ritz_values, core.residual_norms) if core is not None
                            else ([], []))
     lam = np.concatenate((sub_vals, core_vals))

@@ -109,7 +109,7 @@ def cmd_rank(args) -> dict:
     note = "" if rv.converged else " (NOT converged)"
     print(f"{kind}: {rv.iterations_used} iterations, residual {rv.residual:.3e}{note}")
     return {"converged": rv.converged, "iterations": rv.iterations_used,
-            "residual": rv.residual}
+            "residual": rv.residual, "residual_trace": rv.residual_trace}
 
 
 def _decomposed_graph(args):
@@ -126,19 +126,23 @@ def _decomposed_graph(args):
     return g, loaded, decomp
 
 
+def _block_flags(decomp, spectrum) -> dict:
+    """The block stage's flags, the same in ``subspaces`` and ``spectrum``."""
+    return {"subspace_count": decomp.subspace_count, "core_count": decomp.core_count,
+            "subspace_node_count": decomp.subspace_node_count, "skipped_blocks": spectrum.skipped,
+            "unit_modulus_count": spectrum.unit_modulus_count,
+            "unit_eigenvalue_count": spectrum.unit_eigenvalue_count}
+
+
 def cmd_subspaces(args) -> dict:
     g, _, decomp = _decomposed_graph(args)
-    spectrum = sub.subspace_spectrum(g, decomp, dense_limit=args.dense_limit)
-    sub.write_decomposition_json(decomp, f"{args.out}.json", member_limit=args.member_limit)
+    spectrum = sub.subspace_spectrum(g, decomp)
+    sub.write_decomposition_json(decomp, f"{args.out}.json")
     arn.write_spectrum_csv(f"{args.out}.spectrum.csv", spectrum, None)
     print(f"{decomp.subspace_count} subspaces covering "
           f"{decomp.subspace_node_count} nodes, core {decomp.core_count}; "
           f"{spectrum.unit_eigenvalue_count} unit eigenvalues")
-    return {"subspace_count": decomp.subspace_count,
-            "subspace_node_count": decomp.subspace_node_count,
-            "core_count": decomp.core_count, "skipped_blocks": spectrum.skipped,
-            "unit_modulus_count": spectrum.unit_modulus_count,
-            "unit_eigenvalue_count": spectrum.unit_eigenvalue_count}
+    return _block_flags(decomp, spectrum)
 
 
 def cmd_spectrum(args) -> dict:
@@ -153,10 +157,10 @@ def cmd_spectrum(args) -> dict:
                        f"spectrum stage needs ~{need / 2**30:.2f} GiB of arrays, "
                        f"over the --max-ram cap of {args.max_ram} GiB")
     # arnoldi_core rejects a Ritz index >= n_arnoldi before it does any work,
-    # so it runs ahead of the block spectra
+    # so it runs ahead of the block spectra; the order also sets the peak RSS
     result = arn.arnoldi_core(loaded, decomp, n_arnoldi, vector_indices=args.vectors,
                               inverted=args.inverted)
-    spectrum = sub.subspace_spectrum(g, decomp, dense_limit=args.dense_limit)
+    spectrum = sub.subspace_spectrum(g, decomp)
     arn.write_spectrum_csv(f"{args.out}.csv", spectrum, result)
     if result.ritz_vectors:
         for idx, vec in sorted(result.ritz_vectors.items()):
@@ -167,14 +171,14 @@ def cmd_spectrum(args) -> dict:
     print(f"core spectrum: {result.ritz_values.size} Ritz values, "
           f"leading |lambda| = {abs(lam1):.8f}")
     return {"krylov_dimension": result.krylov_dimension, "breakdown": result.breakdown,
-            "ortho_defect": result.ortho_defect,
-            "relation_residual": result.relation_residual, "core_count": decomp.core_count,
-            "converged_count": int(np.count_nonzero(result.converged_mask))}
+            "ortho_defect": result.ortho_defect, "relation_residual": result.relation_residual,
+            "converged_count": int(np.count_nonzero(result.converged_mask)),
+            **_block_flags(decomp, spectrum)}
 
 
 def _load_dimensions(path, n) -> np.ndarray:
     """Subspace dimensions listed in the decomposition .json of an ``n``-node
-    graph: JSON integers, not booleans, in [1, 2**63)."""
+    graph: JSON integers, not booleans, >= 1, whose Python-int sum is <= n."""
     try:
         with open(path) as fh:
             decomposition = json.load(fh)
@@ -186,9 +190,9 @@ def _load_dimensions(path, n) -> np.ndarray:
     if type(node_count) is not int or node_count != n:
         raise CliError(EXIT_BAD_DATA, f"{path}: decomposition of {node_count!r} nodes, "
                                       f"the cache has N={n}")
-    if not all(type(d) is int and 1 <= d < 2**63 for d in dims):
+    if not (all(type(d) is int and d >= 1 for d in dims) and sum(dims) <= n):
         raise CliError(EXIT_BAD_DATA, f"{path}: subspace dimensions must be integers "
-                                      "in [1, 2**63)")
+                                      f">= 1 that sum to at most N={n}")
     return np.asarray(dims, dtype=np.int64)
 
 
@@ -337,15 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
                              help="analyze the link-inverted network")
     decomposing.add_argument("--max-size", type=_POSITIVE, default=None,
                              help="closure size cutoff, >= 1 (default: min(1e5, N/10))")
-    decomposing.add_argument("--dense-limit", type=_POSITIVE, default=sub.DEFAULT_DENSE_LIMIT,
-                             help="largest block with a dense eigensolve, >= 1 "
-                                  "(default: %(default)s)")
 
     p = commands.add_parser("subspaces", parents=[decomposing],
                             help="invariant-subspace decomposition and block spectra")
     p.add_argument("out", help="output prefix: writes .json, .spectrum.csv")
-    p.add_argument("--member-limit", type=_checked(int, lambda m: m >= 0, "must be >= 0"),
-                   default=None, help="omit member lists for subspaces larger than this, >= 0")
     p.set_defaults(func=cmd_subspaces)
 
     p = commands.add_parser("spectrum", parents=[decomposing],

@@ -33,9 +33,16 @@ class RankVector:
 
     probabilities: np.ndarray
     rank_of_node: np.ndarray
-    iterations_used: int
-    residual: float
+    residual_trace: list[float]  # the L1 residual of each iteration
     converged: bool
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.residual_trace)
+
+    @property
+    def residual(self) -> float:
+        return self.residual_trace[-1]
 
 
 def rank_indices(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -47,11 +54,6 @@ def rank_indices(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank_of_node = np.empty_like(node_at_rank)
     rank_of_node[node_at_rank] = np.arange(1, p.size + 1, dtype=np.int64)
     return rank_of_node, node_at_rank
-
-
-def _rank_vector(p, iterations, residual, converged) -> RankVector:
-    rank_of_node, _ = rank_indices(p)
-    return RankVector(p, rank_of_node, iterations, residual, converged)
 
 
 def _power_iteration(g, alpha, tol, max_iter, inverted) -> RankVector:
@@ -67,15 +69,16 @@ def _power_iteration(g, alpha, tol, max_iter, inverted) -> RankVector:
         op = GoogleOperator(g, alpha=alpha, inverted=inverted)
     n = g.node_count
     v = np.full(n, 1.0 / n)
-    residual = np.inf
-    for it in range(1, max_iter + 1):
+    trace = []
+    for _ in range(max_iter):
         with timed("operator.apply_g"):
             nxt = op.apply_g(v)
-        residual = float(np.sum(np.abs(nxt - v)))
+        trace.append(float(np.sum(np.abs(nxt - v))))
         v = nxt
-        if residual < tol:
-            return _rank_vector(v, it, residual, True)
-    return _rank_vector(v, max_iter, residual, False)
+        if trace[-1] < tol:
+            break
+    rank_of_node, _ = rank_indices(v)
+    return RankVector(v, rank_of_node, trace, trace[-1] < tol)
 
 
 @timed("ranking.pagerank")

@@ -14,7 +14,7 @@ from itertools import chain
 import numpy as np
 
 from .graph import DirectedGraph
-from .manifest import atomic_write
+from .manifest import atomic_write, timed
 
 KAPPA_HIST_CELLS = 240
 KAPPA_HIST_RANGE = (1e-10, 1e2)
@@ -73,6 +73,7 @@ class SubspaceFractionCurve:
     tail_fit: PowerLawFit | None
 
 
+@timed("stats.correlator")
 def correlator(p: np.ndarray, p_star: np.ndarray) -> CorrelatorReport:
     p = np.asarray(p, dtype=np.float64)
     p_star = np.asarray(p_star, dtype=np.float64)
@@ -101,6 +102,7 @@ def _check_permutation(k: np.ndarray, name: str) -> np.ndarray:
     raise ValueError(f"{name} is not a permutation of 1..{n}")
 
 
+@timed("stats.density_2d")
 def density_2d(k: np.ndarray, k_star: np.ndarray, mode: str = "log",
                cells: int = 100, cell_size: int = 10,
                rank_limit: int | None = None) -> DensityGrid:
@@ -140,6 +142,7 @@ def density_2d(k: np.ndarray, k_star: np.ndarray, mode: str = "log",
     return DensityGrid(counts, density)
 
 
+@timed("stats.n_k_counts")
 def n_k_counts(k: np.ndarray, k_star: np.ndarray, k_values) -> np.ndarray:
     """N_K(k): nodes inside the k-by-k top square of the rank plane."""
     k = _check_permutation(k, "K")
@@ -161,6 +164,7 @@ class FillingCurve:
     linear_density: np.ndarray  # N_G / K
 
 
+@timed("stats.ng_filling")
 def ng_filling(g: DirectedGraph, k: np.ndarray, k_values) -> FillingCurve:
     """Count adjacency edges whose endpoints both rank within the top k.
 
@@ -184,6 +188,7 @@ def ng_filling(g: DirectedGraph, k: np.ndarray, k_values) -> FillingCurve:
     return FillingCurve(n_g, n_g / kf**2, n_g / kf)
 
 
+@timed("stats.powerlaw_fit")
 def powerlaw_fit(x, y, log_range: tuple[float, float] | None = None) -> PowerLawFit:
     """OLS regression of log10 y on log10 x over a range of log10 x.
 
@@ -261,6 +266,7 @@ def write_grid_csv(grid: DensityGrid, path) -> None:
                     grid.counts[rows, cols], grid.density[rows, cols])
 
 
+@timed("stats.write_curve_csv")
 def write_curve_csv(path, header: str, *columns) -> None:
     """CSV export of aligned array columns (atomic write): the header line,
     then the rows as ``write_rows`` formats them. Used for every tabular

@@ -24,7 +24,7 @@ import numpy as np
 from .graph import DirectedGraph, invert
 from .manifest import timed, write_json
 
-DEFAULT_DENSE_LIMIT = 4000
+DENSE_LIMIT = 4000  # largest block with a dense eigensolve
 UNIT_EIGENVALUE_TOL = 1e-10
 
 OVERFLOW = None  # sentinel returned by node_closure
@@ -57,18 +57,12 @@ class SubspaceDecomposition:
 
 @dataclass(frozen=True)
 class SubspaceSpectrum:
-    """Dense eigenvalues of every subspace block."""
+    """Dense eigenvalues of the subspace blocks."""
 
-    eigenvalues: list[np.ndarray]  # complex, one array per subspace
-    skipped: list[int]  # indices of blocks above the dense limit
+    eigenvalues: np.ndarray  # complex, block after block, none of a skipped block
+    skipped: list[int]  # indices of blocks above DENSE_LIMIT
     unit_modulus_count: int
     unit_eigenvalue_count: int
-
-    @property
-    def all_eigenvalues(self) -> np.ndarray:
-        if not self.eigenvalues:
-            return np.empty(0, dtype=np.complex128)
-        return np.concatenate(self.eigenvalues)
 
 
 def default_max_size(n: int) -> int:
@@ -227,47 +221,34 @@ def subspace_block(g: DirectedGraph, members: np.ndarray) -> np.ndarray:
 
 
 @timed("subspaces.subspace_spectrum")
-def subspace_spectrum(g: DirectedGraph, decomp: SubspaceDecomposition,
-                      dense_limit: int = DEFAULT_DENSE_LIMIT) -> SubspaceSpectrum:
-    """Dense eigenvalues of each subspace block; blocks above ``dense_limit``
-    are skipped and flagged, never silently dropped."""
-    eigenvalues = []
+def subspace_spectrum(g: DirectedGraph, decomp: SubspaceDecomposition) -> SubspaceSpectrum:
+    """Dense eigenvalues of each subspace block, in block order; blocks above
+    ``DENSE_LIMIT`` nodes, read at call time, are skipped and listed in
+    ``skipped``, never silently dropped."""
+    eigenvalues = [np.empty(0, dtype=np.complex128)]
     skipped = []
     for idx, members in enumerate(decomp.subspaces):
-        if members.size > dense_limit:
+        if members.size > DENSE_LIMIT:
             skipped.append(idx)
-            eigenvalues.append(np.empty(0, dtype=np.complex128))
-            continue
-        vals = np.linalg.eigvals(subspace_block(g, members))
-        eigenvalues.append(vals.astype(np.complex128))
-    all_vals = (np.concatenate(eigenvalues) if eigenvalues
-                else np.empty(0, dtype=np.complex128))
-    unit_mod = int(np.count_nonzero(np.abs(np.abs(all_vals) - 1.0) <= UNIT_EIGENVALUE_TOL))
-    unit_val = int(np.count_nonzero(np.abs(all_vals - 1.0) <= UNIT_EIGENVALUE_TOL))
-    return SubspaceSpectrum(eigenvalues, skipped, unit_mod, unit_val)
+        else:
+            eigenvalues.append(np.linalg.eigvals(subspace_block(g, members)))
+    vals = np.concatenate(eigenvalues)
+    unit_mod = int(np.count_nonzero(np.abs(np.abs(vals) - 1.0) <= UNIT_EIGENVALUE_TOL))
+    unit_val = int(np.count_nonzero(np.abs(vals - 1.0) <= UNIT_EIGENVALUE_TOL))
+    return SubspaceSpectrum(vals, skipped, unit_mod, unit_val)
 
 
-def decomposition_to_json(decomp: SubspaceDecomposition,
-                          member_limit: int | None = None) -> dict:
-    """JSON-ready dict; member lists are elided above ``member_limit``,
-    which must be >= 0."""
-    if member_limit is not None and member_limit < 0:
-        raise ValueError(f"member_limit must be >= 0, got {member_limit}")
-    subspaces = []
-    for members in decomp.subspaces:
-        entry = {"dimension": int(members.size)}
-        if member_limit is None or members.size <= member_limit:
-            entry["members"] = [int(m) for m in members]
-        subspaces.append(entry)
+def decomposition_to_json(decomp: SubspaceDecomposition) -> dict:
+    """JSON-ready dict, with every subspace's members."""
     return {
         "node_count": decomp.node_count,
         "subspace_count": decomp.subspace_count,
         "subspace_node_count": decomp.subspace_node_count,
         "core_count": decomp.core_count,
-        "subspaces": subspaces,
+        "subspaces": [{"dimension": int(members.size), "members": members.tolist()}
+                      for members in decomp.subspaces],
     }
 
 
-def write_decomposition_json(decomp: SubspaceDecomposition, path,
-                             member_limit: int | None = None) -> None:
-    write_json(path, decomposition_to_json(decomp, member_limit))
+def write_decomposition_json(decomp: SubspaceDecomposition, path) -> None:
+    write_json(path, decomposition_to_json(decomp))

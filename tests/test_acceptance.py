@@ -152,7 +152,7 @@ def test_spectrum_union_oracle():
         assert d.core_count > 0
         spec = gm.subspace_spectrum(g, d)
         res = gm.arnoldi_core(g, d, d.core_count)
-        union = np.concatenate([spec.all_eigenvalues, res.ritz_values])
+        union = np.concatenate([spec.eigenvalues, res.ritz_values])
         dense_vals = np.linalg.eigvals(dense_s(g))
         assert union.size == dense_vals.size
         assert _pair_distance(union, dense_vals) < 1e-8

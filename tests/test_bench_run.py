@@ -125,3 +125,29 @@ def test_a_record_takes_the_median_timings_which_the_hash_leaves_out(bench_run, 
     assert record["timings"] == {"stage": 2.0}
     assert record["flags"] == {"passes": 3}
     assert list(record["artifacts"]) == ["out.manifest.json"]
+
+
+def test_the_rank_layer_runs_the_block_stage_and_stats_on_each_ingest_graph(
+        bench_run, runner, monkeypatch):
+    import gmspectra
+    from perfbench.generator import generate
+
+    monkeypatch.setattr(bench_run, "INGEST_GRAPHS", {"small": (300, 0.1, 2)})
+    monkeypatch.setattr(bench_run, "INGEST_PASSES", 1)
+    record = bench_run.time_ingest(gmspectra, generate, runner, ["rank"])["small"]
+    children = record["children"]
+    assert list(children) == ["ingest", "rank", "cheirank", "subspaces", "stats"]
+    assert children["subspaces"]["argv"] == ["subspaces", "g.cache", "dec"]
+    assert children["subspaces"]["flags"]["subspace_count"] > 0
+    # perfbench's stats options, on the files of the children before it
+    assert children["stats"]["argv"][:9] == ["stats", "g.cache", "st", "--rank", "pr.vec",
+                                             "--chei", "cr.vec", "--decomposition", "dec.json"]
+    stats = json.loads((runner.work / "st.manifest.json").read_text())
+    assert stats["inputs"] == {
+        name: children[child]["artifacts"][name]
+        for child, name in (("ingest", "g.cache"), ("rank", "pr.vec"),
+                            ("cheirank", "cr.vec"), ("subspaces", "dec.json"))}
+    assert set(children["stats"]["timings"]) >= {
+        "stats.correlator", "stats.density_2d", "stats.n_k_counts", "stats.ng_filling",
+        "stats.powerlaw_fit", "stats.write_curve_csv"}
+    assert record["apply_g_ns_per_link"] > 0

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 import gmspectra
-from gmspectra import (correlator, decompose, density_2d, load_cache,
-                       memory_estimate, pagerank, parse_edge_list,
+from gmspectra import (GoogleOperator, correlator, decompose, density_2d,
+                       load_cache, memory_estimate, pagerank, parse_edge_list,
                        read_vector_cache, save_cache, subspace_spectrum,
                        write_rank_csv, write_spectrum_csv, write_vector_cache)
 from gmspectra import graph as gr
 from gmspectra import manifest as manifest_module
+from gmspectra import subspaces
 from gmspectra.cli import build_parser, main
 from gmspectra.graph import GRAPH_CACHE
 from gmspectra.manifest import RunManifest
@@ -143,6 +144,25 @@ def test_rank_non_convergence_flagged(small_cache, tmp_path):
     assert manifest["flags"]["converged"] is False
 
 
+@pytest.mark.parametrize("chei", [False, True], ids=["pagerank", "cheirank"])
+def test_rank_records_the_residual_of_every_iteration(small_cache, tmp_path, chei):
+    assert main(["rank", str(small_cache), str(tmp_path / "pr"),
+                 *(["--chei"] if chei else [])]) == 0
+    flags = json.loads((tmp_path / "pr.manifest.json").read_text())["flags"]
+    trace = flags["residual_trace"]
+    assert len(trace) == flags["iterations"] > 1
+    assert trace[-1] == flags["residual"]
+    # the power iteration run by hand, bit for bit
+    g = load_cache(small_cache)
+    op = GoogleOperator(g, inverted=chei)
+    v, residuals = np.full(g.node_count, 1.0 / g.node_count), []
+    for _ in trace:
+        nxt = op.apply_g(v)
+        residuals.append(float(np.sum(np.abs(nxt - v))))
+        v = nxt
+    assert residuals == trace
+
+
 def test_rank_corrupt_cache(tmp_path, two_cycle_cache):
     blob = bytearray(two_cycle_cache.read_bytes())
     blob[-1] ^= 0xFF
@@ -191,6 +211,33 @@ def test_subspaces_command(tmp_path):
     spectrum = (tmp_path / "dec.spectrum.csv").read_text().splitlines()
     assert spectrum[0] == "re,im,modulus,residual,origin"
     assert len(spectrum) == 4  # three subspace eigenvalues
+
+
+def test_both_block_stages_list_a_block_above_the_dense_limit(tmp_path, monkeypatch):
+    # a self-loop, a 3-cycle fed by the core, and a 6-node core that drains
+    # into the dangling node 9; the 3-cycle is above the limit
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 0\n1 2\n2 3\n3 1\n4 5\n5 6\n6 4\n6 7\n7 8\n8 9\n4 1\n")
+    cache = tmp_path / "g.cache"
+    assert main(["ingest", str(edges), str(cache)]) == 0
+    monkeypatch.setattr(subspaces, "DENSE_LIMIT", 2)
+    assert main(["subspaces", str(cache), str(tmp_path / "dec"), "--max-size", "5"]) == 0
+    assert main(["spectrum", str(cache), str(tmp_path / "spec"), "--max-size", "5",
+                 "--arnoldi-dim", "6"]) == 0
+    decomposition = json.loads((tmp_path / "dec.json").read_text())
+    assert decomposition["subspaces"] == [{"dimension": 1, "members": [0]},
+                                          {"dimension": 3, "members": [1, 2, 3]}]
+    block_flags = {"subspace_count": 2, "subspace_node_count": 4, "core_count": 6,
+                   "skipped_blocks": [1], "unit_modulus_count": 1,
+                   "unit_eigenvalue_count": 1}
+    for prefix in ("dec", "spec"):
+        flags = json.loads((tmp_path / f"{prefix}.manifest.json").read_text())["flags"]
+        assert {key: flags[key] for key in block_flags} == block_flags, prefix
+    # only the self-loop's eigenvalue: no row of the 3-cycle's cube roots of unity
+    for name in ("dec.spectrum.csv", "spec.csv"):
+        rows = [line.split(",") for line in (tmp_path / name).read_text().splitlines()[1:]]
+        assert [row for row in rows if row[-1] == "subspace"] == [
+            ["1.0", "0.0", "1.0", "0.0", "subspace"]], name
 
 
 def test_spectrum_command(small_cache, tmp_path):
@@ -382,14 +429,17 @@ ARNOLDI_PARTS = {"arnoldi.matvec", "arnoldi.orthogonalise", "arnoldi.check", "ar
 # the stage times each command's manifest records
 TIMINGS = {"ingest": {"graph.parse_edge_list", "graph.from_edges", "graph.save_cache"},
            "rank": {"graph.load_cache", "ranking.pagerank", "operator.build",
-                    "operator.apply_g"},
+                    "operator.apply_g", "stats.write_curve_csv"},
            "rank --chei": {"graph.load_cache", "ranking.cheirank", "operator.build",
-                           "operator.apply_g"},
+                           "operator.apply_g", "stats.write_curve_csv"},
            "subspaces": {"graph.load_cache", "subspaces.decompose",
-                         "subspaces.subspace_spectrum"},
+                         "subspaces.subspace_spectrum", "stats.write_curve_csv"},
            "spectrum": {"graph.load_cache", "subspaces.decompose", "arnoldi.arnoldi_core",
-                        *ARNOLDI_PARTS, "subspaces.subspace_spectrum"},
-           "stats": {"graph.load_cache"}}
+                        *ARNOLDI_PARTS, "subspaces.subspace_spectrum",
+                        "stats.write_curve_csv"},
+           "stats": {"graph.load_cache", "stats.correlator", "stats.density_2d",
+                     "stats.n_k_counts", "stats.ng_filling", "stats.powerlaw_fit",
+                     "stats.write_curve_csv"}}
 
 
 def test_manifest_records_each_stage_time_within_its_call(traced_commands):
@@ -517,6 +567,8 @@ def stats_inputs(tmp_path):
         (tmp_path / f"{name}.json").write_text(
             f'{{"node_count": {node_count}, "subspaces": []}}\n')
     (tmp_path / "notjson.json").write_text("0 1\n")
+    (tmp_path / "dimensions-over-n.json").write_text(
+        '{"node_count": 5, "subspaces": [{"dimension": 3}, {"dimension": 3}]}\n')
     for name, dimension in DIMENSIONS.items():
         (tmp_path / f"dim-{name}.json").write_text(
             f'{{"node_count": 5, "subspaces": [{{"dimension": {dimension}}}]}}')
@@ -550,12 +602,15 @@ STATS_NO_RANK = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/missing.vec",
     # a decomposition of another graph: node_count is not the cache's N
     (STATS + ["--decomposition", "{d}/other-graph.json"], 4),
     (STATS + ["--decomposition", "{d}/float-node-count.json"], 4),
+    # two subspaces of 3 nodes in a five-node graph
+    (STATS + ["--decomposition", "{d}/dimensions-over-n.json"], 4),
     # a cache and a vector with trailing bytes
     (["rank", "{d}/long-g.cache", "{d}/out"], 4),
     (["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/long-pr.vec", "--chei", "{d}/cr.vec"], 4),
     # an option value is checked when the command line is parsed, before any
     # input is looked for: a bad value exits 3 even when an input is missing
     (["subspaces", "{d}/missing.cache", "{d}/out", "--max-size", "0"], 3),
+    # the subspace stage has no size option but --max-size: any other is unknown
     (["spectrum", "{d}/missing.cache", "{d}/out", "--dense-limit", "0"], 3),
     (["rank", "{d}/missing.cache", "{d}/out", "--alpha", "1.5"], 3),
     (["ingest", "{d}/missing.txt", "{d}/c.cache", "--num-nodes", "0"], 3),
@@ -573,6 +628,7 @@ STATS_NO_RANK = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/missing.vec",
     (["subspaces", "{d}/g.cache", "{d}/out", "--max-size", "0"], 3),
     (["spectrum", "{d}/g.cache", "{d}/out", "--arnoldi-dim", "2", "--max-size", "0"], 3),
     (["spectrum", "{d}/g.cache", "{d}/out", "--arnoldi-dim", "2", "--dense-limit", "0"], 3),
+    (["subspaces", "{d}/g.cache", "{d}/out", "--dense-limit", "4000"], 3),
     # an output prefix in a missing directory, and an output file that is a directory
     (["rank", "{d}/g.cache", "{d}/missing/out"], 3),
     (["rank", "{d}/g.cache", "{d}/taken"], 3),
@@ -596,6 +652,7 @@ STATS_NO_RANK = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/missing.vec",
     (["spectrum", "{d}/g.cache", "{d}/out", "--max-ram", "0"], 3),
     (["spectrum", "{d}/g.cache", "{d}/out", "--max-ram", "-1"], 3),
     (["subspaces", "{d}/g.cache", "{d}/out", "--member-limit", "-1"], 3),
+    (["subspaces", "{d}/g.cache", "{d}/out", "--member-limit", "10"], 3),
     # a rank vector holds finite entries >= 0
     (["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/nan-entry.vec", "--chei", "{d}/cr.vec"], 4),
     (["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/pr.vec", "--chei", "{d}/inf-entry.vec"], 4),
@@ -607,6 +664,7 @@ STATS_NO_RANK = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/missing.vec",
         "grid-linear-not-int", "grid-log-0", "grid-linear-limit-0",
         *[f"decomposition-dimension-{name}" for name in DIMENSIONS],
         "decomposition-other-graph", "decomposition-node-count-float",
+        "decomposition-dimensions-over-n",
         "rank-cache-trailing-bytes", "stats-rank-trailing-bytes",
         "missing-cache-subspaces-max-size-0", "missing-cache-spectrum-dense-limit-0",
         "missing-cache-rank-alpha", "missing-edges-ingest-num-nodes-0",
@@ -615,12 +673,14 @@ STATS_NO_RANK = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/missing.vec",
         "stats-tail-range-nan", "stats-tail-range-reversed", "stats-tail-range-empty",
         "stats-fit-range-infinite", "stats-tail-range-no-subspace",
         "subspaces-max-size-0",
-        "spectrum-max-size-0", "spectrum-dense-limit-0", "output-dir-missing",
+        "spectrum-max-size-0", "spectrum-dense-limit-0", "subspaces-dense-limit",
+        "output-dir-missing",
         "output-is-directory", "ingest-node-id-past-uint32", "ingest-node-id-past-int64",
         "ingest-remap-node-id-past-int64", "ingest-not-utf8", "ingest-remap-num-nodes",
         "ingest-empty", "ingest-comments-only", "ingest-gzip", "rank-tol-nan",
         "rank-tol-inf", "cheirank-tol-nan", "spectrum-max-ram-nan", "spectrum-max-ram-0",
-        "spectrum-max-ram-negative", "subspaces-member-limit-negative", "stats-rank-nan",
+        "spectrum-max-ram-negative", "subspaces-member-limit-negative",
+        "subspaces-member-limit", "stats-rank-nan",
         "stats-chei-inf", "stats-rank-negative-inf", "stats-chei-negative"])
 def test_bad_invocation_exits_with_documented_code(stats_inputs, argv, code):
     (stats_inputs / "taken.csv").mkdir()
@@ -636,9 +696,12 @@ def test_bad_invocation_exits_with_documented_code(stats_inputs, argv, code):
         assert f"{vector.format(d=stats_inputs)}: entries must be finite and >= 0" in proc.stderr
     if "--grid" in argv:
         assert "--grid expects log:CELLS or linear:CELL_SIZE:LIMIT" in proc.stderr
-    for option in ("--tol", "--max-ram", "--member-limit"):  # the message says why
+    for option in ("--tol", "--max-ram"):  # the message says why
         if option in argv:
             assert f"{option} must be" in proc.stderr
+    for option in ("--dense-limit", "--member-limit"):
+        if option in argv:
+            assert f"unrecognized arguments: {option}" in proc.stderr
     for option in ("--fit-range", "--tail-range"):
         if option in argv and "--decomposition" not in argv:  # rejected when parsed
             assert f"{option} expects LO:HI with finite LO < HI" in proc.stderr
@@ -686,12 +749,16 @@ def test_input_that_is_a_directory_exits_2(stats_inputs, capsys, argv):
     assert sorted(stats_inputs.iterdir()) == before
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["rank", "--help"]])
+@pytest.mark.parametrize("argv", [["--help"], ["rank", "--help"], ["subspaces", "--help"],
+                                  ["spectrum", "--help"]])
 def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: gmspectra")
+    out = capsys.readouterr().out
+    assert out.startswith("usage: gmspectra")
+    # the subspace stage has no size option but --max-size
+    assert "--dense-limit" not in out and "--member-limit" not in out
 
 
 def _run_command(argv):

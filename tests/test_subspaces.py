@@ -7,6 +7,7 @@ import pytest
 from gmspectra import (decompose, from_edges, load_cache, memory_estimate,
                        node_closure, parse_edge_list, save_cache, subspace_block,
                        subspace_spectrum)
+from gmspectra import subspaces
 from gmspectra.subspaces import (OVERFLOW, decomposition_to_json,
                                  write_decomposition_json)
 
@@ -171,9 +172,10 @@ def test_subspace_spectrum_examples():
     g = parse_edge_list(["0 1", "1 0", "2 2"])
     d = decompose(g, max_size=10)
     spec = subspace_spectrum(g, d)
-    two_cycle = np.sort_complex(spec.eigenvalues[0])
+    assert spec.eigenvalues.dtype == np.complex128
+    two_cycle = np.sort_complex(spec.eigenvalues[:2])
     assert np.allclose(two_cycle, [-1.0, 1.0], atol=1e-12)
-    assert np.allclose(spec.eigenvalues[1], [1.0], atol=1e-12)
+    assert np.allclose(spec.eigenvalues[2:], [1.0], atol=1e-12)
     assert spec.unit_modulus_count == 3
     assert spec.unit_eigenvalue_count == 2
 
@@ -183,18 +185,23 @@ def test_each_block_has_unit_eigenvalue(rng):
         g = random_graph(rng, 80, 0.03)
         d = decompose(g, max_size=40)
         spec = subspace_spectrum(g, d)
-        for vals in spec.eigenvalues:
+        assert spec.eigenvalues.size == d.subspace_node_count
+        bounds = np.cumsum([0, *d.dimensions])
+        for lo, hi in zip(bounds[:-1], bounds[1:]):  # block after block
+            vals = spec.eigenvalues[lo:hi]
             assert np.min(np.abs(vals - 1.0)) < 1e-10
             assert np.max(np.abs(vals)) <= 1.0 + 1e-10
         assert spec.unit_eigenvalue_count >= d.subspace_count
 
 
-def test_dense_limit_skips_and_flags():
-    g = parse_edge_list(["0 1", "1 2", "2 0"])
+def test_dense_limit_skips_and_flags(monkeypatch):
+    # a self-loop, then a 3-cycle: the limit is read when the spectra are taken
+    g = parse_edge_list(["0 0", "1 2", "2 3", "3 1"])
     d = decompose(g, max_size=10)
-    spec = subspace_spectrum(g, d, dense_limit=2)
-    assert spec.skipped == [0]
-    assert spec.all_eigenvalues.size == 0
+    monkeypatch.setattr(subspaces, "DENSE_LIMIT", 2)
+    spec = subspace_spectrum(g, d)
+    assert spec.skipped == [1]
+    assert np.allclose(spec.eigenvalues, [1.0], atol=1e-12)
 
 
 def test_block_triangular_spectrum_union(rng):
@@ -230,28 +237,12 @@ def test_json_export(tmp_path):
     data = decomposition_to_json(d)
     assert data["subspace_count"] == 2
     assert data["core_count"] == 2
-    assert data["subspaces"][0]["members"] == [0, 1]
-
-    limited = decomposition_to_json(d, member_limit=1)
-    assert "members" not in limited["subspaces"][0]
-    assert limited["subspaces"][1]["members"] == [2]
+    assert data["subspaces"] == [{"dimension": 2, "members": [0, 1]},
+                                 {"dimension": 1, "members": [2]}]
 
     path = tmp_path / "decomp.json"
     write_decomposition_json(d, path)
     assert json.loads(path.read_text())["subspace_node_count"] == 3
-
-
-def test_negative_member_limit_is_rejected(tmp_path):
-    g = parse_edge_list(["0 1", "1 0", "2 2", "3 0", "3 4"])
-    d = decompose(g, max_size=10)
-    assert decomposition_to_json(d, member_limit=0)["subspaces"] == [
-        {"dimension": 2}, {"dimension": 1}]
-    path = tmp_path / "decomp.json"
-    with pytest.raises(ValueError, match="member_limit"):
-        decomposition_to_json(d, -1)
-    with pytest.raises(ValueError, match="member_limit"):
-        write_decomposition_json(d, path, member_limit=-1)
-    assert not path.exists()
 
 
 def test_max_size_validation():
