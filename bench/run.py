@@ -65,14 +65,7 @@ records by name, ``ingest`` first. The graphs are ``ingest[<graph>]``,
 ``pipeline["workloads"][<workload>]`` (with ``checks``). An ingest graph
 adds ``parse_us_per_line[<child>]`` for each ingest child and, with the
 ``rank`` layer, ``operator_kept_bytes_per_link``,
-``apply_g_ns_per_link`` and ``apply_g_peak_bytes_per_link``. Up to
-``BENCH_28.json`` the layout differed: ``ingest[<graph>]["modes"][<mode>]``
-held ``parse_us_per_line`` and ``child``, the ``dense`` mode being now the
-``ingest`` child; ``rank[<graph>]`` held the rank figures and
-``children``, now in ``ingest[<graph>]``; ``graphs`` is now ``decompose``,
-and the ``child`` of a decompose graph and of ``arnoldi`` is now
-``children["subspaces"]`` and ``children["spectrum"]``. A graph whose cache
-was built in-process had no ``ingest`` child.
+``apply_g_ns_per_link`` and ``apply_g_peak_bytes_per_link``.
 
 ``--layers`` picks the layers to run (default: all five). ``--root`` is
 the checkout whose ``src/gmspectra`` runs (default: this one), so the same

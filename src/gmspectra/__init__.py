@@ -15,8 +15,8 @@ from .ranking import (RankVector, cheirank, pagerank, rank_indices,
                       read_vector_cache, write_rank_csv, write_vector_cache)
 from .subspaces import (SubspaceDecomposition, SubspaceSpectrum, decompose,
                         node_closure, subspace_block, subspace_spectrum)
-from .arnoldi import (ArnoldiResult, EigvecProfile, arnoldi_core,
-                      eigvec_profile, memory_estimate, write_spectrum_csv)
-from .stats import (CorrelatorReport, DensityGrid, FillingCurve, PowerLawFit,
-                    SubspaceFractionCurve, correlator, density_2d, n_k_counts,
-                    ng_filling, powerlaw_fit, subspace_fraction)
+from .arnoldi import (ArnoldiResult, arnoldi_core, eigvec_profile,
+                      memory_estimate, write_spectrum_csv)
+from .stats import (CorrelatorReport, PowerLawFit, SubspaceFractionCurve,
+                    correlator, density_2d, n_k_counts, ng_filling,
+                    powerlaw_fit, subspace_fraction)

@@ -50,18 +50,6 @@ class ArnoldiResult:
         return self.residual_norms < CONVERGED_RESIDUAL
 
 
-@dataclass(frozen=True)
-class EigvecProfile:
-    """Moduli of an eigenvector sorted decreasing, with its own rank index."""
-
-    moduli: np.ndarray  # descending, sums to 1
-    node_at_rank: np.ndarray
-
-    @property
-    def ranks(self) -> np.ndarray:
-        return np.arange(1, self.moduli.size + 1)
-
-
 def _norm(a):
     return float(np.sqrt(np.sum(np.abs(a) ** 2)))
 
@@ -168,10 +156,9 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
 
     op = GoogleOperator(g, alpha=1.0, threads=threads, inverted=inverted)
     n_full = g.node_count
-    embed = np.zeros(n_full)
+    embed = np.zeros(n_full)  # zero off the core: only its core entries are written
 
     def matvec(v_core):
-        embed[:] = 0.0
         embed[core] = v_core
         return op.apply_s(embed)[core]
 
@@ -240,9 +227,10 @@ def arnoldi_core(g: DirectedGraph, decomp: SubspaceDecomposition, n_arnoldi: int
                          ortho_defect, relation_residual, ritz_vectors)
 
 
-def eigvec_profile(vector: np.ndarray) -> EigvecProfile:
-    """Moduli normalized to unit sum, sorted descending with ties broken by
-    ascending node id."""
+def eigvec_profile(vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(moduli, node_at_rank)``: the moduli normalized to unit sum and
+    sorted descending, with ties broken by ascending node id, and the node
+    at each of those ranks, as ``rank_indices`` orders a rank vector."""
     vector = np.asarray(vector)
     moduli = np.abs(vector).astype(np.float64)
     total = moduli.sum()
@@ -250,7 +238,7 @@ def eigvec_profile(vector: np.ndarray) -> EigvecProfile:
         raise ValueError("zero vector has no profile")
     moduli /= total
     node_at_rank = np.argsort(-moduli, kind="stable").astype(np.int64)
-    return EigvecProfile(moduli[node_at_rank], node_at_rank)
+    return moduli[node_at_rank], node_at_rank
 
 
 def write_spectrum_csv(path, subspace_spec: SubspaceSpectrum,

@@ -164,9 +164,9 @@ def cmd_spectrum(args) -> dict:
     arn.write_spectrum_csv(f"{args.out}.csv", spectrum, result)
     if result.ritz_vectors:
         for idx, vec in sorted(result.ritz_vectors.items()):
-            profile = arn.eigvec_profile(vec)
-            st.write_curve_csv(f"{args.out}.vec{idx}.csv", "rank,modulus", profile.ranks,
-                               profile.moduli)
+            moduli, _ = arn.eigvec_profile(vec)
+            st.write_curve_csv(f"{args.out}.vec{idx}.csv", "rank,modulus",
+                               np.arange(1, moduli.size + 1), moduli)
     lam1 = result.ritz_values[0]
     print(f"core spectrum: {result.ritz_values.size} Ritz values, "
           f"leading |lambda| = {abs(lam1):.8f}")
@@ -184,7 +184,8 @@ def _load_dimensions(path, n) -> np.ndarray:
             decomposition = json.load(fh)
         dims = [entry["dimension"] for entry in decomposition["subspaces"]]
         node_count = decomposition["node_count"]
-    except (ValueError, KeyError, TypeError) as exc:
+    # RecursionError: arrays or objects nested past the JSON decoder's limit
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CliError(EXIT_BAD_DATA,
                        f"{path}: not a decomposition file ({type(exc).__name__}: {exc})") from exc
     if type(node_count) is not int or node_count != n:
@@ -221,7 +222,7 @@ def cmd_stats(args) -> dict:
     k_values = np.round(np.logspace(0, np.log10(n), 64)).astype(np.int64)
     k_values = k_values[np.append(True, k_values[1:] != k_values[:-1])]
     nk = st.n_k_counts(k, k_star, k_values)
-    filling = st.ng_filling(g, k, k_values)
+    n_g = st.ng_filling(g, k, k_values)
     curve = None
     if args.decomposition:
         dims = _load_dimensions(_require_file(args.decomposition), n)
@@ -239,13 +240,13 @@ def cmd_stats(args) -> dict:
                                                "underflow": report.underflow,
                                                "overflow": report.overflow})
     st.write_curve_csv(f"{args.out}.kappa_hist.csv", "bin_low,bin_high,count",
-                       report.bin_edges[:-1], report.bin_edges[1:], report.histogram)
-    for grid, density in grids:  # density_log_100.csv, density_linear_10_1000.csv
-        st.write_grid_csv(density, f"{args.out}.density_{'_'.join(map(str, grid.values()))}.csv")
+                       st.KAPPA_BIN_EDGES[:-1], st.KAPPA_BIN_EDGES[1:], report.histogram)
+    for grid, counts in grids:  # density_log_100.csv, density_linear_10_1000.csv
+        st.write_grid_csv(counts, f"{args.out}.density_{'_'.join(map(str, grid.values()))}.csv")
     st.write_curve_csv(f"{args.out}.nk.csv", "k,n_k", k_values, nk)
+    kf = k_values.astype(np.float64)
     st.write_curve_csv(f"{args.out}.ng.csv", "k,n_g,area_density,linear_density",
-                       k_values, filling.n_g, filling.area_density,
-                       filling.linear_density)
+                       k_values, n_g, n_g / kf**2, n_g / kf)
     if curve is not None:
         st.write_curve_csv(f"{args.out}.fraction.csv", "x,fraction", curve.x, curve.fraction)
     if fits:

@@ -281,7 +281,7 @@ def _parse_file(path) -> np.ndarray:
     ``np.loadtxt``; if that raises or warns, or its rows do not all hold two
     non-negative ids, the file is read again, as UTF-8 text with universal
     newlines, by ``_parse_lines``, which gives the ids or the first bad
-    line's error."""
+    line's error. A ``MemoryError`` is raised as it is, not retried."""
     with open(path, encoding="utf-8") as fh:
         header = sum(1 for _ in itertools.takewhile(_blank_or_comment, fh))
     try:
@@ -291,6 +291,8 @@ def _parse_file(path) -> np.ndarray:
                              ndmin=2, encoding="utf-8")
         if ids.shape[1] == 2 and ids.min() >= 0:
             return ids.ravel()
+    except MemoryError:
+        raise
     except Exception:  # numpy opens a path ending in .gz, .bz2, .xz or .zip as compressed
         pass
     with open(path, encoding="utf-8") as fh:

@@ -18,6 +18,9 @@ from .manifest import atomic_write, timed
 
 KAPPA_HIST_CELLS = 240
 KAPPA_HIST_RANGE = (1e-10, 1e2)
+KAPPA_BIN_EDGES = np.logspace(np.log10(KAPPA_HIST_RANGE[0]), np.log10(KAPPA_HIST_RANGE[1]),
+                              KAPPA_HIST_CELLS + 1)
+KAPPA_BIN_EDGES.flags.writeable = False
 CSV_CHUNK_ROWS = 8192
 
 
@@ -27,18 +30,9 @@ class CorrelatorReport:
     of its per-node components kappa_i = N P_i P*_i."""
 
     kappa: float
-    histogram: np.ndarray  # counts, KAPPA_HIST_CELLS log cells
-    bin_edges: np.ndarray  # length cells + 1
+    histogram: np.ndarray  # counts in the cells of KAPPA_BIN_EDGES
     underflow: int
     overflow: int
-
-
-@dataclass(frozen=True)
-class DensityGrid:
-    """Cell counts and normalized density on the (K, K*) plane."""
-
-    counts: np.ndarray  # int64, rows = K cells, cols = K* cells
-    density: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -83,12 +77,11 @@ def correlator(p: np.ndarray, p_star: np.ndarray) -> CorrelatorReport:
     components = n * p * p_star
     kappa = float(np.sum(components) - 1.0)
     lo, hi = KAPPA_HIST_RANGE
-    edges = np.logspace(np.log10(lo), np.log10(hi), KAPPA_HIST_CELLS + 1)
     in_range = (components >= lo) & (components <= hi)
-    counts, _ = np.histogram(components[in_range], bins=edges)
+    counts, _ = np.histogram(components[in_range], bins=KAPPA_BIN_EDGES)
     underflow = int(np.count_nonzero(components < lo))
     overflow = int(np.count_nonzero(components > hi))
-    return CorrelatorReport(kappa, counts.astype(np.int64), edges, underflow, overflow)
+    return CorrelatorReport(kappa, counts.astype(np.int64), underflow, overflow)
 
 
 def _check_permutation(k: np.ndarray, name: str) -> np.ndarray:
@@ -105,12 +98,13 @@ def _check_permutation(k: np.ndarray, name: str) -> np.ndarray:
 @timed("stats.density_2d")
 def density_2d(k: np.ndarray, k_star: np.ndarray, mode: str = "log",
                cells: int = 100, cell_size: int = 10,
-               rank_limit: int | None = None) -> DensityGrid:
-    """Node density on the (K, K*) plane.
+               rank_limit: int | None = None) -> np.ndarray:
+    """Node counts in the cells of the (K, K*) plane, as an ``int64`` grid
+    whose rows are K cells and columns K* cells.
 
     Linear mode counts nodes with K, K* <= rank_limit in square cells of
     ``cell_size``; log mode covers 0 <= ln K <= ln N with ``cells`` equal
-    cells per axis. Density normalizes over in-range nodes.
+    cells per axis.
     """
     k = _check_permutation(k, "K")
     k_star = _check_permutation(k_star, "K*")
@@ -137,9 +131,7 @@ def density_2d(k: np.ndarray, k_star: np.ndarray, mode: str = "log",
         raise ValueError(f"unknown mode {mode!r}")
     counts = np.zeros((ncells, ncells), dtype=np.int64)
     np.add.at(counts, (rows, cols), 1)
-    total = int(counts.sum())
-    density = counts / total if total else counts.astype(np.float64)
-    return DensityGrid(counts, density)
+    return counts
 
 
 @timed("stats.n_k_counts")
@@ -154,19 +146,10 @@ def n_k_counts(k: np.ndarray, k_star: np.ndarray, k_values) -> np.ndarray:
                            side="right").astype(np.int64)
 
 
-@dataclass(frozen=True)
-class FillingCurve:
-    """Adjacency nonzeros among the top-K ranked nodes and derived densities,
-    aligned with the ``k_values`` of ``ng_filling``."""
-
-    n_g: np.ndarray  # edge counts
-    area_density: np.ndarray  # N_G / K^2
-    linear_density: np.ndarray  # N_G / K
-
-
 @timed("stats.ng_filling")
-def ng_filling(g: DirectedGraph, k: np.ndarray, k_values) -> FillingCurve:
-    """Count adjacency edges whose endpoints both rank within the top k.
+def ng_filling(g: DirectedGraph, k: np.ndarray, k_values) -> np.ndarray:
+    """N_G(k): adjacency edges whose endpoints both rank within the top k,
+    as ``int64`` counts aligned with ``k_values``.
 
     Only real adjacency links are counted, so the uniform columns of
     dangling nodes never contribute (a dangling node has no out-edges).
@@ -183,9 +166,7 @@ def ng_filling(g: DirectedGraph, k: np.ndarray, k_values) -> FillingCurve:
     worst.sort()
     k_values = np.asarray(k_values, dtype=np.int64)
     queries = np.clip(k_values, 0, np.iinfo(np.uint32).max).astype(np.uint32)
-    n_g = np.searchsorted(worst, queries, side="right").astype(np.int64)
-    kf = k_values.astype(np.float64)
-    return FillingCurve(n_g, n_g / kf**2, n_g / kf)
+    return np.searchsorted(worst, queries, side="right").astype(np.int64)
 
 
 @timed("stats.powerlaw_fit")
@@ -259,11 +240,13 @@ def subspace_fraction(dimensions, tail_range: tuple[float, float] | None = None
     return SubspaceFractionCurve(x, fraction, mean, tail_fit)
 
 
-def write_grid_csv(grid: DensityGrid, path) -> None:
-    """CSV export: row,col,count,density (occupied cells only)."""
-    rows, cols = np.nonzero(grid.counts)
-    write_curve_csv(path, "row,col,count,density", rows, cols,
-                    grid.counts[rows, cols], grid.density[rows, cols])
+def write_grid_csv(counts: np.ndarray, path) -> None:
+    """CSV export of a ``density_2d`` grid: row,col,count,density for the
+    occupied cells, the density being the count over the grid's total."""
+    rows, cols = np.nonzero(counts)
+    occupied = counts[rows, cols]
+    write_curve_csv(path, "row,col,count,density", rows, cols, occupied,
+                    occupied / counts.sum())
 
 
 @timed("stats.write_curve_csv")

@@ -21,7 +21,7 @@ from gmspectra import subspaces
 from gmspectra.cli import build_parser, main
 from gmspectra.graph import GRAPH_CACHE
 from gmspectra.manifest import RunManifest
-from gmspectra.stats import CSV_CHUNK_ROWS, write_curve_csv, write_grid_csv
+from gmspectra.stats import CSV_CHUNK_ROWS, KAPPA_BIN_EDGES, write_curve_csv, write_grid_csv
 from gmspectra.subspaces import write_decomposition_json
 
 from conftest import write_version_1_cache
@@ -553,7 +553,7 @@ DIMENSIONS = {"float": "2.7", "bool": "true", "string": '"3"', "huge-float": "1e
 def stats_inputs(tmp_path):
     """A five-node cache (a 2-cycle, a self-loop, two core nodes), its PageRank and
     CheiRank vectors, vectors with a NaN, infinite or negative entry,
-    malformed decomposition files, and edge lists with
+    malformed decomposition files (one nested 10,000 deep), and edge lists with
     a node id past the uint32 range, a node id past the int64 range and a
     byte that is not UTF-8."""
     edges = tmp_path / "edges.txt"
@@ -569,6 +569,7 @@ def stats_inputs(tmp_path):
     (tmp_path / "notjson.json").write_text("0 1\n")
     (tmp_path / "dimensions-over-n.json").write_text(
         '{"node_count": 5, "subspaces": [{"dimension": 3}, {"dimension": 3}]}\n')
+    (tmp_path / "deep.json").write_text("[" * 10_000 + "]" * 10_000)
     for name, dimension in DIMENSIONS.items():
         (tmp_path / f"dim-{name}.json").write_text(
             f'{{"node_count": 5, "subspaces": [{{"dimension": {dimension}}}]}}')
@@ -604,6 +605,8 @@ STATS_NO_RANK = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/missing.vec",
     (STATS + ["--decomposition", "{d}/float-node-count.json"], 4),
     # two subspaces of 3 nodes in a five-node graph
     (STATS + ["--decomposition", "{d}/dimensions-over-n.json"], 4),
+    # nested past the JSON decoder's recursion limit
+    (STATS + ["--decomposition", "{d}/deep.json"], 4),
     # a cache and a vector with trailing bytes
     (["rank", "{d}/long-g.cache", "{d}/out"], 4),
     (["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/long-pr.vec", "--chei", "{d}/cr.vec"], 4),
@@ -664,7 +667,7 @@ STATS_NO_RANK = ["stats", "{d}/g.cache", "{d}/st", "--rank", "{d}/missing.vec",
         "grid-linear-not-int", "grid-log-0", "grid-linear-limit-0",
         *[f"decomposition-dimension-{name}" for name in DIMENSIONS],
         "decomposition-other-graph", "decomposition-node-count-float",
-        "decomposition-dimensions-over-n",
+        "decomposition-dimensions-over-n", "decomposition-deeply-nested",
         "rank-cache-trailing-bytes", "stats-rank-trailing-bytes",
         "missing-cache-subspaces-max-size-0", "missing-cache-spectrum-dense-limit-0",
         "missing-cache-rank-alpha", "missing-edges-ingest-num-nodes-0",
@@ -857,6 +860,17 @@ def test_out_of_memory_exits_5(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.txt"]
 
 
+def test_ingest_loadtxt_out_of_memory_exits_5(tmp_path, monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate the ids")
+    monkeypatch.setattr(np, "loadtxt", out_of_memory)
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n1 0\n")
+    assert main(["ingest", str(edges), str(tmp_path / "g.cache")]) == 5
+    assert capsys.readouterr().err.startswith("gmspectra: ingest: out of memory: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.txt"]
+
+
 def test_spectrum_bytes_independent_of_blas_threads(tmp_path):
     # the Gram-Schmidt and Ritz-vector products must not be BLAS calls, whose
     # summation order follows the BLAS thread count
@@ -897,6 +911,45 @@ def test_stats_kappa_matches_library(small_cache, tmp_path):
     assert (tmp_path / "stats.nk.csv").exists()
     assert (tmp_path / "stats.ng.csv").exists()
     assert (tmp_path / "stats.kappa_hist.csv").exists()
+
+
+def _csv_columns(path):
+    """The header and the columns of a CSV artifact, each cell parsed back
+    by ``int`` if it reads as one, else by ``float``."""
+    header, *rows = path.read_text().splitlines()
+    cells = [[int(c) if c.lstrip("-").isdigit() else float(c) for c in row.split(",")]
+             for row in rows]
+    return header, [np.array(column) for column in zip(*cells)]
+
+
+def test_derived_columns_read_back_from_the_files(small_cache, tmp_path):
+    main(["rank", str(small_cache), str(tmp_path / "pr")])
+    main(["rank", str(small_cache), str(tmp_path / "cr"), "--chei"])
+    assert main(["stats", str(small_cache), str(tmp_path / "st"),
+                 "--rank", str(tmp_path / "pr.vec"), "--chei", str(tmp_path / "cr.vec"),
+                 "--grid", "log:8", "--grid", "linear:5:30"]) == 0
+    assert main(["spectrum", str(small_cache), str(tmp_path / "spec"),
+                 "--arnoldi-dim", "12", "--vectors", "0"]) == 0
+
+    header, (k, n_g, area, linear) = _csv_columns(tmp_path / "st.ng.csv")
+    assert header == "k,n_g,area_density,linear_density"
+    assert k.dtype == n_g.dtype == np.int64 and n_g[-1] > 0
+    kf = k.astype(np.float64)
+    assert np.array_equal(area, n_g / kf**2) and np.array_equal(linear, n_g / kf)
+
+    for name in ("log_8", "linear_5_30"):
+        header, (_, _, count, density) = _csv_columns(tmp_path / f"st.density_{name}.csv")
+        assert header == "row,col,count,density"
+        assert np.array_equal(density, count / count.sum())
+
+    header, (rank, modulus) = _csv_columns(tmp_path / "spec.vec0.csv")
+    assert header == "rank,modulus"
+    assert np.array_equal(rank, np.arange(1, rank.size + 1))
+    assert np.all(np.diff(modulus) <= 0) and modulus.sum() == pytest.approx(1.0, abs=1e-12)
+
+    header, (low, high, _) = _csv_columns(tmp_path / "st.kappa_hist.csv")
+    assert header == "bin_low,bin_high,count"
+    assert np.array_equal(low, KAPPA_BIN_EDGES[:-1]) and np.array_equal(high, KAPPA_BIN_EDGES[1:])
 
 
 def test_stats_with_decomposition_and_fits(small_cache, tmp_path):

@@ -180,6 +180,20 @@ def test_stream_error_line_past_many_ids():
     assert g == from_edges(range(40_000), range(1, 40_001))
 
 
+def _loadtxt_out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate the ids")
+
+
+def test_loadtxt_out_of_memory_is_raised_not_retried(tmp_path, monkeypatch):
+    # the per-line parser would read the whole file again, 7-13x slower
+    calls = _count_line_parser_calls(monkeypatch)
+    monkeypatch.setattr(np, "loadtxt", _loadtxt_out_of_memory)
+    (tmp_path / "edges.txt").write_text("0 1\n1 0\n")
+    with pytest.raises(MemoryError):
+        parse_edge_list(tmp_path / "edges.txt")
+    assert not calls
+
+
 def test_plain_text_gz_path_parses_as_text(tmp_path):
     # np.loadtxt opens a path ending in .gz as gzip; the per-line parser reads it as text
     text = "0 1\n1 2\n"
