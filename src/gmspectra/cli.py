@@ -7,13 +7,14 @@ checksums of every input and artifact, next to the command's outputs.
 
 Exit codes: 0 success (non-convergence is a manifest flag, not an error),
 2 missing input, 3 parameter or configuration error, 4 malformed input
-data (edge list or cache), 5 compute error, running out of memory included.
+data (edge list, cache, vector or decomposition file), 5 compute error,
+running out of memory included. Every check on input data raises
+``DataError``, and ``main`` alone turns it into exit 4.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -25,6 +26,7 @@ from . import graph as gr
 from . import ranking as rk
 from . import stats as st
 from . import subspaces as sub
+from .graph import DataError
 from .manifest import atomic_write, record_input, recorded_run, write_json
 
 EXIT_OK = 0
@@ -52,24 +54,16 @@ def _require_file(path):
 
 
 def _load_graph(path) -> gr.DirectedGraph:
-    _require_file(path)
-    try:
-        return gr.load_cache(path)
-    except gr.CacheError as exc:
-        raise CliError(EXIT_BAD_DATA, str(exc)) from exc
+    return gr.load_cache(_require_file(path))
 
 
 def _load_vector(path, n) -> np.ndarray:
     """A rank vector of length ``n`` whose entries are finite and >= 0."""
-    _require_file(path)
-    try:
-        vec = rk.read_vector_cache(path)
-    except gr.CacheError as exc:
-        raise CliError(EXIT_BAD_DATA, str(exc)) from exc
+    vec = rk.read_vector_cache(_require_file(path))
     if vec.size != n:
-        raise CliError(EXIT_BAD_DATA, f"{path}: vector length {vec.size} != N={n}")
+        raise DataError(f"{path}: vector length {vec.size} != N={n}")
     if not np.all((vec >= 0) & (vec < np.inf)):  # a NaN fails both
-        raise CliError(EXIT_BAD_DATA, f"{path}: entries must be finite and >= 0")
+        raise DataError(f"{path}: entries must be finite and >= 0")
     return vec
 
 
@@ -77,17 +71,8 @@ def cmd_ingest(args) -> dict:
     if args.id_mode == "remap" and args.num_nodes is not None:  # before the input is looked for
         raise CliError(EXIT_BAD_PARAMETER, "--num-nodes applies to --id-mode dense only; "
                                            "remap mode counts the ids")
-    _require_file(args.edge_list)
-    try:
-        g = gr.parse_edge_list(args.edge_list, id_mode=args.id_mode,
-                               num_nodes=args.num_nodes)
-    except (gr.EdgeListParseError, gr.NodeRangeError) as exc:
-        raise CliError(EXIT_BAD_DATA, str(exc)) from exc
-    except gr.EmptyEdgeListError as exc:
-        raise CliError(EXIT_BAD_DATA, f"{args.edge_list}: no edge, and no --num-nodes "
-                                      "to give the graph its nodes") from exc
-    except UnicodeDecodeError as exc:
-        raise CliError(EXIT_BAD_DATA, f"{args.edge_list}: not UTF-8 text ({exc.reason})") from exc
+    g = gr.parse_edge_list(_require_file(args.edge_list), id_mode=args.id_mode,
+                           num_nodes=args.num_nodes)
     gr.save_cache(g, args.cache)
     if g.original_ids is not None:
         with atomic_write(f"{args.cache}.ids") as fh:
@@ -176,27 +161,6 @@ def cmd_spectrum(args) -> dict:
             **_block_flags(decomp, spectrum)}
 
 
-def _load_dimensions(path, n) -> np.ndarray:
-    """Subspace dimensions listed in the decomposition .json of an ``n``-node
-    graph: JSON integers, not booleans, >= 1, whose Python-int sum is <= n."""
-    try:
-        with open(path) as fh:
-            decomposition = json.load(fh)
-        dims = [entry["dimension"] for entry in decomposition["subspaces"]]
-        node_count = decomposition["node_count"]
-    # RecursionError: arrays or objects nested past the JSON decoder's limit
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise CliError(EXIT_BAD_DATA,
-                       f"{path}: not a decomposition file ({type(exc).__name__}: {exc})") from exc
-    if type(node_count) is not int or node_count != n:
-        raise CliError(EXIT_BAD_DATA, f"{path}: decomposition of {node_count!r} nodes, "
-                                      f"the cache has N={n}")
-    if not (all(type(d) is int and d >= 1 for d in dims) and sum(dims) <= n):
-        raise CliError(EXIT_BAD_DATA, f"{path}: subspace dimensions must be integers "
-                                      f">= 1 that sum to at most N={n}")
-    return np.asarray(dims, dtype=np.int64)
-
-
 def cmd_stats(args) -> dict:
     g = _load_graph(args.cache)
     n = g.node_count
@@ -225,7 +189,7 @@ def cmd_stats(args) -> dict:
     n_g = st.ng_filling(g, k, k_values)
     curve = None
     if args.decomposition:
-        dims = _load_dimensions(_require_file(args.decomposition), n)
+        dims = sub.read_decomposition_dimensions(_require_file(args.decomposition), n)
         if dims.size or args.tail_range is not None:
             try:  # no subspace, or a range that holds fewer than 3 curve points
                 curve = st.subspace_fraction(dims, tail_range=args.tail_range)
@@ -359,11 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-ram", type=_checked(float, lambda gib: gib > 0, "must be > 0 GiB"),
                    default=None,
                    help="fail fast if the command's numpy arrays would exceed this many "
-                        "GiB, > 0: the graph, the operator's in-link index and its "
-                        "N-length vectors, the Krylov basis (dim+1 core vectors), the "
-                        "Hessenberg matrix and its eigenvectors, and the requested "
-                        "complex Ritz vectors; the interpreter and numpy itself are "
-                        "not counted")
+                        "GiB, > 0: the graph and the operator's N-length vectors, plus "
+                        "the larger of two moments that never overlap, an in-link "
+                        "build with its sort keys, or the Arnoldi stage with the "
+                        "operator's in-link index, the Krylov basis (dim+1 core "
+                        "vectors), the Hessenberg matrix and its eigenvectors, and the "
+                        "requested complex Ritz vectors; the interpreter and numpy "
+                        "itself are not counted")
     p.set_defaults(func=cmd_spectrum)
 
     p = commands.add_parser("stats", help="correlator, densities, N_K/N_G, fits")
@@ -402,6 +368,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"gmspectra: {exc}", file=sys.stderr)
         return exc.code
+    except DataError as exc:  # a ValueError, but input data that failed a check
+        print(f"gmspectra: {exc}", file=sys.stderr)
+        return EXIT_BAD_DATA
     except np.linalg.LinAlgError as exc:  # a ValueError, but a compute failure
         print(f"gmspectra: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

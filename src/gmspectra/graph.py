@@ -9,7 +9,9 @@ out-links; loading it checks them by comparing neighbouring ids.
 ``parse_edge_list`` reads an edge-list file with one ``np.loadtxt`` call;
 the per-line parser that reads streams and lists judges any file that
 call does not read as plain edges. That parser yields ids one at a time,
-and ``np.fromiter`` takes them into one ``int64`` array.
+and ``np.fromiter`` takes them into one ``int64`` array. Input that fails
+a check, in an edge list or a cache, raises ``DataError`` with a message of
+its own; ``EdgeListParseError`` adds the line number.
 """
 
 from __future__ import annotations
@@ -32,44 +34,18 @@ CACHE_VERSION = 2
 _CRC = struct.Struct("<I")
 
 
-class EdgeListParseError(ValueError):
+class DataError(ValueError):
+    """Input data that fails a check: an edge list, a cache, a rank vector or
+    a decomposition file. Each check has its own message; the CLI exits 4 on
+    any of them."""
+
+
+class EdgeListParseError(DataError):
     """Malformed edge-list line; carries the 1-based line number."""
 
     def __init__(self, line_number, message):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
-
-
-class EmptyEdgeListError(ValueError):
-    """Edge list with no edge, parsed without a declared node count."""
-
-
-class NodeRangeError(ValueError):
-    """Node id outside the declared dense range."""
-
-
-class CacheError(IOError):
-    """Base class for binary-cache load failures."""
-
-
-class CacheFormatError(CacheError):
-    """File is not a cache of its kind: bad magic bytes, or longer than its header promises."""
-
-
-class CacheVersionError(CacheError):
-    """Cache was written with an unsupported format version."""
-
-
-class CacheTruncatedError(CacheError):
-    """Cache file is shorter than its header promises."""
-
-
-class CacheChecksumError(CacheError):
-    """Cache payload does not match its trailing checksum."""
-
-
-class CacheStructureError(CacheError):
-    """Cache passes its checksum but its CSR arrays are inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +56,8 @@ class CheckedFormat:
 
     ``layout(*counts)`` gives the little-endian dtype and length of each
     payload array. Arrays stream to and from the file without an
-    intermediate copy of the payload.
+    intermediate copy of the payload. A file that fails a check (size, magic,
+    version, checksum) raises ``DataError`` naming the file and the check.
     """
 
     kind: str
@@ -104,20 +81,18 @@ class CheckedFormat:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             if size < self.header.size + _CRC.size:
-                raise CacheTruncatedError(f"{path}: file shorter than {self.kind} header")
+                raise DataError(f"{path}: file shorter than {self.kind} header")
             head = fh.read(self.header.size)
             magic, version, *counts = self.header.unpack(head)
             if magic != self.magic:
-                raise CacheFormatError(f"{path}: not a {self.kind} (bad magic)")
+                raise DataError(f"{path}: not a {self.kind} (bad magic)")
             if version != self.version:
-                raise CacheVersionError(
-                    f"{path}: {self.kind} version {version}, expected {self.version}")
+                raise DataError(f"{path}: {self.kind} version {version}, expected {self.version}")
             layout = self.layout(*counts)
             expected = (self.header.size + _CRC.size
                         + sum(np.dtype(dtype).itemsize * length for dtype, length in layout))
             if size != expected:
-                error = CacheTruncatedError if size < expected else CacheFormatError
-                raise error(f"{path}: expected {expected} bytes, found {size}")
+                raise DataError(f"{path}: expected {expected} bytes, found {size}")
             crc = zlib.crc32(head)
             arrays = []
             for dtype, length in layout:
@@ -127,7 +102,7 @@ class CheckedFormat:
                 arrays.append(arr)
             (stored,) = _CRC.unpack(fh.read(_CRC.size))
         if crc != stored:
-            raise CacheChecksumError(f"{path}: checksum mismatch")
+            raise DataError(f"{path}: checksum mismatch")
         return arrays
 
 
@@ -217,7 +192,7 @@ def from_edges(src, dst, num_nodes=None, original_ids=None) -> DirectedGraph:
 
     Duplicate edges collapse; self-loops are kept. ``num_nodes`` defaults to
     max id + 1 (or the length of ``original_ids`` in remap mode); it must be
-    below 2**32, else ``NodeRangeError``.
+    below 2**32 and above every id, else ``DataError``.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
@@ -234,12 +209,12 @@ def from_edges(src, dst, num_nodes=None, original_ids=None) -> DirectedGraph:
     if n < 1:
         raise ValueError("graph must have at least one node")
     if n >= 2**32:  # checked before any O(N) array: CSR indices are uint32
-        raise NodeRangeError(f"{n} nodes: node ids are stored as uint32, N must be < 2**32")
+        raise DataError(f"{n} nodes: node ids are stored as uint32, N must be < 2**32")
     if src.size:
         lo = min(int(src.min()), int(dst.min()))
         hi = max(int(src.max()), int(dst.max()))
         if lo < 0 or hi >= n:
-            raise NodeRangeError(f"node id {hi if hi >= n else lo} outside [0, {n})")
+            raise DataError(f"node id {hi if hi >= n else lo} outside [0, {n})")
 
     ids = None
     if original_ids is not None:
@@ -281,22 +256,27 @@ def _parse_file(path) -> np.ndarray:
     ``np.loadtxt``; if that raises or warns, or its rows do not all hold two
     non-negative ids, the file is read again, as UTF-8 text with universal
     newlines, by ``_parse_lines``, which gives the ids or the first bad
-    line's error. A ``MemoryError`` is raised as it is, not retried."""
-    with open(path, encoding="utf-8") as fh:
-        header = sum(1 for _ in itertools.takewhile(_blank_or_comment, fh))
+    line's error. A ``MemoryError`` is raised as it is, not retried; a
+    ``UnicodeDecodeError`` anywhere in reading the file becomes a
+    ``DataError``."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ids = np.loadtxt(path, dtype=np.int64, comments=None, skiprows=header,
-                             ndmin=2, encoding="utf-8")
-        if ids.shape[1] == 2 and ids.min() >= 0:
-            return ids.ravel()
-    except MemoryError:
-        raise
-    except Exception:  # numpy opens a path ending in .gz, .bz2, .xz or .zip as compressed
-        pass
-    with open(path, encoding="utf-8") as fh:
-        return np.fromiter(_parse_lines(fh), dtype=np.int64)
+        with open(path, encoding="utf-8") as fh:
+            header = sum(1 for _ in itertools.takewhile(_blank_or_comment, fh))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ids = np.loadtxt(path, dtype=np.int64, comments=None, skiprows=header,
+                                 ndmin=2, encoding="utf-8")
+            if ids.shape[1] == 2 and ids.min() >= 0:
+                return ids.ravel()
+        except MemoryError:
+            raise
+        except Exception:  # numpy opens a path ending in .gz, .bz2, .xz or .zip as compressed
+            pass
+        with open(path, encoding="utf-8") as fh:
+            return np.fromiter(_parse_lines(fh), dtype=np.int64)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 @timed("graph.parse_edge_list")
@@ -309,25 +289,27 @@ def parse_edge_list(source, id_mode="dense", num_nodes=None) -> DirectedGraph:
     (first in the src column, then in the dst column) and kept on the graph
     as ``original_ids``; in ``dense`` mode ids are used as-is and must be <
     ``num_nodes`` when that is given. Ids must be < 2**63 in both modes. An
-    edge list with no edge raises ``EmptyEdgeListError`` unless ``num_nodes``
-    is given.
+    edge list with no edge raises ``DataError``, which names the file of a
+    path, unless ``num_nodes`` is given.
 
     A path is read by ``np.loadtxt`` after its leading blank and '#' lines.
     A file that call rejects, or whose rows are not all two non-negative
     ids (a '#' line after the first edge, a token such as ``1_0`` that only
     Python's ``int`` reads, a malformed line), is read again whole as UTF-8
     text with universal newlines, line by line, as a text stream is. Both
-    give the same ids, and a malformed line raises ``EdgeListParseError``
-    with its line number either way.
+    give the same ids, and a malformed line raises ``EdgeListParseError``, a
+    ``DataError``, with its line number either way; a file that is not
+    UTF-8 raises ``DataError``.
     """
     if id_mode not in ("dense", "remap"):
         raise ValueError(f"unknown id_mode {id_mode!r}")
     if id_mode == "remap" and num_nodes is not None:
         raise ValueError("num_nodes applies to dense mode only; remap mode counts the ids")
-    ids = (_parse_file(source) if isinstance(source, (str, os.PathLike))
-           else np.fromiter(_parse_lines(source), dtype=np.int64))
+    is_path = isinstance(source, (str, os.PathLike))
+    ids = _parse_file(source) if is_path else np.fromiter(_parse_lines(source), dtype=np.int64)
     if ids.size == 0 and num_nodes is None:
-        raise EmptyEdgeListError("edge list holds no edge")
+        where = f"{source}: " if is_path else ""
+        raise DataError(f"{where}no edge, and no node count to give the graph its nodes")
     if id_mode == "dense":
         with timed("graph.from_edges"):
             return from_edges(ids[0::2], ids[1::2], num_nodes=num_nodes)
@@ -379,24 +361,22 @@ def save_cache(g: DirectedGraph, path) -> None:
 def load_cache(path) -> DirectedGraph:
     """Read a cache written by ``save_cache``. Besides the container checks,
     the out-links must be CSR arrays over N >= 1 nodes whose rows are sorted
-    with no repeated link. The row check compares neighbouring ids, one bool
+    with no repeated link, else ``DataError``. The row check compares neighbouring ids, one bool
     per link; the first link of each row is exempt."""
     out_offsets, out_indices = GRAPH_CACHE.read(path)
     n = out_offsets.size - 1
     if n < 1:
-        raise CacheStructureError(f"{path}: graph has no nodes")
+        raise DataError(f"{path}: graph has no nodes")
     if (out_offsets[0] != 0 or out_offsets[-1] != out_indices.size
             or np.any(out_offsets[1:] < out_offsets[:-1])):
-        raise CacheStructureError(f"{path}: out-link offsets are not monotone "
-                                  f"from 0 to {out_indices.size}")
+        raise DataError(f"{path}: out-link offsets are not monotone from 0 to {out_indices.size}")
     if out_indices.size and int(out_indices.max()) >= n:
-        raise CacheStructureError(f"{path}: out-link node id "
-                                  f"{int(out_indices.max())} outside [0, {n})")
+        raise DataError(f"{path}: out-link node id {int(out_indices.max())} outside [0, {n})")
     # ok[k]: link k is the first of its row or above the link before it;
     # the offsets run from 0 to the link count, so ok has one spare slot
     ok = np.empty(out_indices.size + 1, dtype=bool)
     np.greater(out_indices[1:], out_indices[:-1], out=ok[1:-1])
     ok[out_offsets] = True
     if not ok.all():
-        raise CacheStructureError(f"{path}: out-link rows are not strictly increasing")
+        raise DataError(f"{path}: out-link rows are not strictly increasing")
     return DirectedGraph(n, out_offsets, out_indices)

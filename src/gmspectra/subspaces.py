@@ -12,16 +12,21 @@ over the in-links marks, in numpy, every node with a path to a dangling node:
 all of them are core. The unmarked nodes split into weakly connected
 components, and a component of at most ``max_size`` nodes is one subspace.
 Only the nodes of larger components get a closure search.
+
+``write_decomposition_json`` writes the decomposition file and
+``read_decomposition_dimensions`` reads it back, so this module alone knows
+its keys.
 """
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedGraph, invert
+from .graph import DataError, DirectedGraph, invert
 from .manifest import timed, write_json
 
 DENSE_LIMIT = 4000  # largest block with a dense eigensolve
@@ -252,3 +257,23 @@ def decomposition_to_json(decomp: SubspaceDecomposition) -> dict:
 
 def write_decomposition_json(decomp: SubspaceDecomposition, path) -> None:
     write_json(path, decomposition_to_json(decomp))
+
+
+def read_decomposition_dimensions(path, n) -> np.ndarray:
+    """Subspace dimensions listed in the decomposition .json of an ``n``-node
+    graph: JSON integers, not booleans, >= 1, whose Python-int sum is <= n;
+    else ``DataError`` naming the file."""
+    try:
+        with open(path) as fh:
+            decomposition = json.load(fh)
+        dims = [entry["dimension"] for entry in decomposition["subspaces"]]
+        node_count = decomposition["node_count"]
+    # RecursionError: arrays or objects nested past the JSON decoder's limit
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise DataError(f"{path}: not a decomposition file ({type(exc).__name__}: {exc})") from exc
+    if type(node_count) is not int or node_count != n:
+        raise DataError(f"{path}: decomposition of {node_count!r} nodes, the cache has N={n}")
+    if not (all(type(d) is int and d >= 1 for d in dims) and sum(dims) <= n):
+        raise DataError(f"{path}: subspace dimensions must be integers "
+                        f">= 1 that sum to at most N={n}")
+    return np.asarray(dims, dtype=np.int64)

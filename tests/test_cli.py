@@ -163,12 +163,37 @@ def test_rank_records_the_residual_of_every_iteration(small_cache, tmp_path, che
     assert residuals == trace
 
 
-def test_rank_corrupt_cache(tmp_path, two_cycle_cache):
+# every command that reads a graph cache, with its outputs under the prefix "out"
+CACHE_READERS = {
+    "rank": ["rank", "{cache}", "{d}/out"],
+    "rank --chei": ["rank", "{cache}", "{d}/out", "--chei"],
+    "subspaces": ["subspaces", "{cache}", "{d}/out"],
+    "spectrum": ["spectrum", "{cache}", "{d}/out", "--arnoldi-dim", "2"],
+    "stats": ["stats", "{cache}", "{d}/out", "--rank", "{d}/pr.vec", "--chei", "{d}/cr.vec"],
+}
+
+
+def assert_every_reader_exits_4(bad, capsys, message=""):
+    """Each command of CACHE_READERS, run on the cache ``bad``, exits 4 with a
+    one-line error that names the file and holds ``message``, and writes
+    nothing under its output prefix. A traceback would fail the test."""
+    d = bad.parent
+    for name in ("pr.vec", "cr.vec"):  # valid vectors of a 2-node graph
+        write_vector_cache(np.full(2, 0.5), d / name)
+    for command, argv in CACHE_READERS.items():
+        assert main([a.format(cache=bad, d=d) for a in argv]) == 4, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"gmspectra: {bad}: ") and message in err, (command, err)
+        assert err.count("\n") == 1, (command, err)
+        assert not list(d.glob("out*")) and not list(d.glob("*.tmp.*")), command
+
+
+def test_rank_corrupt_cache(tmp_path, two_cycle_cache, capsys):
     blob = bytearray(two_cycle_cache.read_bytes())
     blob[-1] ^= 0xFF
     bad = tmp_path / "bad.cache"
     bad.write_bytes(bytes(blob))
-    assert main(["rank", str(bad), str(tmp_path / "pr")]) == 4
+    assert_every_reader_exits_4(bad, capsys, "checksum mismatch")
 
 
 @pytest.mark.parametrize("offsets, links", [([0, 1, 2], [1, 2]), ([0, 3, 2], [1, 0]),
@@ -176,26 +201,19 @@ def test_rank_corrupt_cache(tmp_path, two_cycle_cache):
                                             ([0], [])],
                          ids=["out-link", "out-offsets", "out-unsorted", "out-repeated",
                               "no-nodes"])
-def test_rank_cache_with_bad_csr(tmp_path, offsets, links):
+def test_rank_cache_with_bad_csr(tmp_path, offsets, links, capsys):
     # the checksum is valid, but in a 2-node graph with 2 links a link points
     # at node 2, the offsets decrease, or node 0 lists 1,0 or 1,1; or the
     # graph has no nodes
     bad = tmp_path / "bad.cache"
     GRAPH_CACHE.write(bad, (len(offsets) - 1, len(links)), (np.array(offsets), np.array(links)))
-    result = run_cli(["rank", bad, tmp_path / "pr"])
-    assert result.returncode == 4
-    assert "Traceback" not in result.stderr
-    assert not list(tmp_path.glob("pr.*"))
+    assert_every_reader_exits_4(bad, capsys)
 
 
-def test_rank_version_1_cache(tmp_path, two_cycle_cache):
+def test_rank_version_1_cache(tmp_path, two_cycle_cache, capsys):
     bad = tmp_path / "v1.cache"
     write_version_1_cache(load_cache(two_cycle_cache), bad)
-    result = run_cli(["rank", bad, tmp_path / "pr"])
-    assert result.returncode == 4
-    assert "version 1, expected 2" in result.stderr
-    assert "Traceback" not in result.stderr
-    assert not list(tmp_path.glob("pr.*"))
+    assert_every_reader_exits_4(bad, capsys, "version 1, expected 2")
 
 
 def test_subspaces_command(tmp_path):
@@ -762,6 +780,18 @@ def test_help_exits_0(capsys, argv):
     assert out.startswith("usage: gmspectra")
     # the subspace stage has no size option but --max-size
     assert "--dense-limit" not in out and "--member-limit" not in out
+
+
+def test_max_ram_help_names_both_moments_of_the_estimate(capsys):
+    # memory_estimate takes the larger of the in-link build and the Arnoldi
+    # stage; on a graph of many links per node the build sets it
+    with pytest.raises(SystemExit):
+        main(["spectrum", "--help"])
+    text = "".join(capsys.readouterr().out.split())  # argparse wraps at any blank or hyphen
+    for phrase in ("the larger of two moments that never overlap",
+                   "an in-link build with its sort keys", "or the Arnoldi stage",
+                   "the Krylov basis (dim+1 core vectors)"):
+        assert "".join(phrase.split()) in text, phrase
 
 
 def _run_command(argv):

@@ -1,4 +1,6 @@
 import io
+import os
+import re
 
 import numpy as np
 import pytest
@@ -6,11 +8,7 @@ import pytest
 from gmspectra import (decompose, degree_stats, from_edges, invert, load_cache,
                        ng_filling, parse_edge_list, save_cache, subspace_spectrum)
 from gmspectra import graph as gr
-from gmspectra.graph import (GRAPH_CACHE, CacheChecksumError, CacheFormatError,
-                             CacheStructureError, CacheTruncatedError,
-                             CacheVersionError, EdgeListParseError,
-                             EmptyEdgeListError,
-                             NodeRangeError, _edge_key)
+from gmspectra.graph import GRAPH_CACHE, DataError, EdgeListParseError, _edge_key
 
 from conftest import random_graph, write_version_1_cache
 
@@ -66,11 +64,12 @@ def test_node_id_past_int64_is_a_parse_error(edge_source):
 
 def _parse_outcome(source, id_mode):
     """The graph and original ids ``parse_edge_list`` gives, or the type,
-    message and line number of the error it raises."""
+    message and line number of the error it raises; a message that names
+    the file is given without the name, which a stream does not have."""
     try:
         g = parse_edge_list(source, id_mode=id_mode)
     except ValueError as exc:
-        return type(exc), str(exc), getattr(exc, "line_number", None)
+        return type(exc), str(exc).removeprefix(f"{source}: "), getattr(exc, "line_number", None)
     ids = None if g.original_ids is None else g.original_ids.tolist()
     return g.node_count, g.out_offsets.tolist(), g.out_indices.tolist(), ids
 
@@ -204,10 +203,14 @@ def test_plain_text_gz_path_parses_as_text(tmp_path):
 
 def test_empty_edge_list(edge_source):
     for text in ("", "# c\n\n"):
-        with pytest.raises(EmptyEdgeListError):
-            parse_edge_list(edge_source(text))
-        with pytest.raises(EmptyEdgeListError):
-            parse_edge_list(edge_source(text), id_mode="remap")
+        source = edge_source(text)
+        # a path is named in the message; a list of lines has no name
+        where = f"{source}: " if isinstance(source, os.PathLike) else ""
+        message = re.escape(f"{where}no edge, and no node count to give the graph its nodes")
+        with pytest.raises(DataError, match=f"^{message}$"):
+            parse_edge_list(source)
+        with pytest.raises(DataError, match=f"^{message}$"):
+            parse_edge_list(source, id_mode="remap")
         g = parse_edge_list(edge_source(text), num_nodes=4)
         assert g.node_count == 4 and g.edge_count == 0
 
@@ -259,21 +262,32 @@ def test_file_parse_matches_text_stream_on_random_texts(tmp_path, monkeypatch):
     assert compared["lines", "error"] > 200
 
 
+@pytest.mark.parametrize("blob", [b"\xff0 1\n", b"0 1\n" * 4000 + b"1 \xff\n"],
+                         ids=["leading-scan", "line-reader"])
+def test_file_that_is_not_utf8_is_a_data_error(tmp_path, blob):
+    # a bad byte that the scan for leading '#' lines decodes, or one past the
+    # text reader's first chunk (8192 bytes), which only the per-line re-read meets
+    path = tmp_path / "edges.txt"
+    path.write_bytes(blob)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text \\(invalid "):
+        parse_edge_list(path)
+
+
 def test_num_nodes_rejected_in_remap_mode():
     with pytest.raises(ValueError, match="dense mode only"):
         parse_edge_list(["10 7"], id_mode="remap", num_nodes=2)
 
 
 def test_dense_mode_range_error():
-    with pytest.raises(NodeRangeError):
+    with pytest.raises(DataError, match=r"node id 5 outside \[0, 3\)"):
         parse_edge_list(["0 5"], num_nodes=3)
 
 
 def test_node_count_past_uint32_rejected():
     # raised before any O(N) array is allocated (N + 1 offsets would be 32 GiB)
-    with pytest.raises(NodeRangeError):
+    with pytest.raises(DataError, match=r"^4294967296 nodes: .* N must be < 2\*\*32"):
         from_edges([0], [1], num_nodes=2**32)
-    with pytest.raises(NodeRangeError):
+    with pytest.raises(DataError, match=r"^4294967297 nodes: .* N must be < 2\*\*32"):
         parse_edge_list(["0 4294967296"])
 
 
@@ -471,47 +485,54 @@ def test_cache_load_errors(tmp_path):
     save_cache(g, path)
     blob = path.read_bytes()
 
+    # each check is told apart by its message, which names the file
     bad = tmp_path / "bad.cache"
+    name = re.escape(str(bad))
     bad.write_bytes(b"NOPE" + blob[4:])
-    with pytest.raises(CacheFormatError):
+    with pytest.raises(DataError, match=f"^{name}: not a graph cache \\(bad magic\\)$"):
         load_cache(bad)
 
     bad.write_bytes(blob[:4] + b"\x63\x00\x00\x00" + blob[8:])
-    with pytest.raises(CacheVersionError):
+    with pytest.raises(DataError, match=f"^{name}: graph cache version 99, expected 2$"):
+        load_cache(bad)
+
+    bad.write_bytes(blob[:20])
+    with pytest.raises(DataError, match=f"^{name}: file shorter than graph cache header$"):
         load_cache(bad)
 
     bad.write_bytes(blob[:-10])
-    with pytest.raises(CacheTruncatedError):
+    with pytest.raises(DataError, match=f"^{name}: expected {len(blob)} bytes, "
+                                        f"found {len(blob) - 10}$"):
         load_cache(bad)
 
     # trailing bytes: the file is longer than header + payload + CRC
     bad.write_bytes(blob + b"\0" * 4)
-    with pytest.raises(CacheFormatError,
-                       match=f"expected {len(blob)} bytes, found {len(blob) + 4}"):
+    with pytest.raises(DataError, match=f"^{name}: expected {len(blob)} bytes, "
+                                        f"found {len(blob) + 4}$"):
         load_cache(bad)
 
     corrupted = bytearray(blob)
     corrupted[30] ^= 0xFF
     bad.write_bytes(bytes(corrupted))
-    with pytest.raises(CacheChecksumError):
+    with pytest.raises(DataError, match=f"^{name}: checksum mismatch$"):
         load_cache(bad)
 
     # the version 1 layout, both link directions, is not read
     write_version_1_cache(g, bad)
-    with pytest.raises(CacheVersionError, match="version 1, expected 2"):
+    with pytest.raises(DataError, match="version 1, expected 2"):
         load_cache(bad)
 
     # a valid checksum over malformed CSR arrays
     g = parse_edge_list(["0 1", "0 2", "1 2", "2 0"])
     arrays = (g.out_offsets, g.out_indices)
     for slot, array, message in [
-            (1, np.array([1, 2, 3, 0]), "outside"),  # out-link id 3 >= N
-            (0, g.out_offsets[[0, 2, 1, 3]], "monotone"),  # offsets 0,3,2,4
-            (1, np.array([2, 1, 2, 0]), "not strictly increasing"),  # successors 2,1
-            (1, np.array([1, 1, 2, 0]), "not strictly increasing")]:  # link 0->1 twice
+            (1, np.array([1, 2, 3, 0]), r"node id 3 outside \[0, 3\)"),  # id 3 >= N
+            (0, g.out_offsets[[0, 2, 1, 3]], "offsets are not monotone from 0 to 4"),  # 0,3,2,4
+            (1, np.array([2, 1, 2, 0]), "rows are not strictly increasing"),  # successors 2,1
+            (1, np.array([1, 1, 2, 0]), "rows are not strictly increasing")]:  # 0->1 twice
         GRAPH_CACHE.write(bad, (g.node_count, g.edge_count),
                           arrays[:slot] + (array,) + arrays[slot + 1:])
-        with pytest.raises(CacheStructureError, match=message):
+        with pytest.raises(DataError, match=f"^{name}: out-link {message}$"):
             load_cache(bad)
 
 
@@ -519,7 +540,7 @@ def test_cache_with_no_nodes_rejected(tmp_path):
     # from_edges refuses N < 1, so only a hand-written cache holds N = 0
     path = tmp_path / "z.cache"
     GRAPH_CACHE.write(path, (0, 0), (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.uint32)))
-    with pytest.raises(CacheStructureError, match="no nodes"):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: graph has no nodes$"):
         load_cache(path)
 
 

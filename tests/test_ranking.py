@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from gmspectra import (GoogleOperator, cheirank, invert, pagerank,
                        parse_edge_list, rank_indices, read_vector_cache,
                        write_rank_csv, write_vector_cache)
+from gmspectra.graph import DataError
 
 from conftest import dense_g, dense_pagerank, random_graph
 
@@ -112,23 +115,22 @@ def test_vector_cache_roundtrip(rng, tmp_path):
 
 
 def test_vector_cache_checksum(tmp_path):
-    from gmspectra.graph import CacheChecksumError
     path = tmp_path / "p.vec"
     write_vector_cache(np.arange(5.0), path)
     blob = bytearray(path.read_bytes())
     blob[20] ^= 0xFF
     path.write_bytes(bytes(blob))
-    with pytest.raises(CacheChecksumError):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: checksum mismatch$"):
         read_vector_cache(path)
 
 
 def test_vector_cache_with_trailing_bytes(tmp_path):
-    from gmspectra.graph import CacheFormatError
     path = tmp_path / "p.vec"
     write_vector_cache(np.arange(5.0), path)
     size = path.stat().st_size
     path.write_bytes(path.read_bytes() + b"\0" * 4)
-    with pytest.raises(CacheFormatError, match=f"expected {size} bytes, found {size + 4}"):
+    name = re.escape(str(path))
+    with pytest.raises(DataError, match=f"^{name}: expected {size} bytes, found {size + 4}$"):
         read_vector_cache(path)
 
 
